@@ -26,7 +26,6 @@ from .invariants import (
     relative_trace,
     splitting_search,
     torsion_ideal,
-    trace,
 )
 from .radicals import (
     FiniteModule,

@@ -13,11 +13,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .caps import Caps
 from .catalog import (
-    Instance,
     ParseError,
     ValidationError,
     load,
@@ -42,17 +40,6 @@ ENV_PREFIX = "RINGINV_"
 
 GLYPHS = {"verified": "+", "vacuous": ".", "counterexample": "X",
           "skipped(cap)": "?"}
-
-
-@dataclass
-class RunConfig:
-    caps: Caps = field(default_factory=Caps)
-    seed: int = 0
-    jobs: int = 1
-    out: str | None = None
-    theorems: tuple[str, ...] = THEOREM_IDS
-    masks: frozenset = frozenset()
-    random_count: int = 0
 
 
 def _env_default(name: str, fallback):

@@ -10,7 +10,6 @@ from math import comb, gcd
 from .ring_core import (
     Element,
     FiniteRing,
-    RingError,
     Subgroup,
     SubringView,
 )
@@ -184,9 +183,6 @@ class AutomorphismGroup:
 
     def contains(self, a: RingAutomorphism) -> bool:
         return a.images in self._index
-
-    def element_orders(self) -> dict[RingAutomorphism, int]:
-        return {a: a.order() for a in self.elements}
 
     def is_subgroup(self, other: "AutomorphismGroup") -> bool:
         return all(other.contains(a) for a in self.elements)

@@ -6,8 +6,8 @@ and centralizers/normalizers.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
+from math import gcd
 
 from .caps import Caps, DEFAULT_CAPS
 from .groups import (
@@ -19,6 +19,7 @@ from .groups import (
     quotient_action,
 )
 from .lattices import solve_mod_p
+from .radicals import ideal_lattice, prime_radical
 from .ring_core import (
     LEFT,
     RIGHT,
@@ -31,6 +32,7 @@ from .ring_core import (
     Subgroup,
     SubringView,
     generated_ideal,
+    join_closure,
 )
 
 
@@ -170,9 +172,6 @@ class GActionContext:
         return Subgroup.from_generators(
             self.ring.additive, [self.trace(x) for x in xs])
 
-    def is_torsion_free(self, n: int) -> bool:
-        return torsion_ideal(self.ring, n).is_zero()
-
     # -- bad primes ---------------------------------------------------------
     def bad_primes(self, caps: Caps = DEFAULT_CAPS) -> BadPrimeProfile:
         key = ("bad_primes", caps.d_search)
@@ -230,22 +229,10 @@ class GActionContext:
         key = ("inv_ideals", side, caps.exhaustive_ideal_order, caps.ideal_count,
                caps.sample_count)
         if key not in self._cache:
-            self._cache[key] = self._compute_invariant_ideals(side, caps)
+            self._cache[key] = ideal_lattice(
+                self.ring, side, lambda x: self.invariant_ideal_from(x, side),
+                31, caps)
         return self._cache[key]
-
-    def _compute_invariant_ideals(self, side: str, caps: Caps):
-        ring = self.ring
-        if ring.order > caps.exhaustive_ideal_order:
-            rng = random.Random(ring.order * 31 + len(side))
-            elems = list(itertools.islice(ring.elements(), 4096))
-            seeds = [rng.choice(elems) for _ in range(caps.sample_count)]
-            base = [self.invariant_ideal_from(x, side) for x in seeds]
-            base.append(generated_ideal(ring, [], side))
-            return sorted(_dedupe_ideals(base), key=lambda i: i.key), False
-        base = _dedupe_ideals(
-            [self.invariant_ideal_from(x, side) for x in ring.elements()])
-        lattice, exhaustive = _join_closure(ring, side, base, caps.ideal_count)
-        return sorted(lattice, key=lambda i: i.key), exhaustive
 
     def invariant_ideal_from(self, x: Element, side: str) -> Ideal:
         orbit = {g.apply(x) for g in self.group.elements}
@@ -302,22 +289,6 @@ class GActionContext:
 
 # -- free functions matching the operation surface ------------------------------
 
-def fixed_ring_view(ring: FiniteRing, group: AutomorphismGroup) -> SubringView:
-    return SubringView(ring, fixed_subgroup(ring, group.elements))
-
-
-def trace(ring: FiniteRing, group: AutomorphismGroup, r: Element) -> Element:
-    out = ring.zero
-    for g in group.elements:
-        out = ring.add(out, g.apply(r))
-    return out
-
-
-def trace_image(ring: FiniteRing, group: AutomorphismGroup, xs) -> Subgroup:
-    return Subgroup.from_generators(
-        ring.additive, [trace(ring, group, x) for x in xs])
-
-
 def relative_trace(ring: FiniteRing, group: AutomorphismGroup,
                    normal: AutomorphismGroup, r: Element) -> Element:
     """Trace over coset representatives, for r fixed by the normal subgroup.
@@ -347,7 +318,7 @@ def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
     gens = []
     for i, d in enumerate(ring.cyclic_orders):
         cop = d
-        while (g := _gcd_reduce(cop, n)) > 1:
+        while (g := gcd(cop, n)) > 1:
             cop //= g
         # cop is the largest divisor of d coprime to n; cop*e_i spans the
         # n-primary component of the i-th cyclic factor
@@ -355,11 +326,6 @@ def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
             gens.append(ring.smul(cop, ring.generator(i)))
     ideal = Ideal.from_basis(ring, TWOSIDED, gens, verify=True)
     return ideal
-
-
-def _gcd_reduce(a: int, n: int) -> int:
-    from math import gcd
-    return gcd(a, n)
 
 
 def extend_ideal(ctx: GActionContext, basis, side: str) -> Ideal:
@@ -397,30 +363,6 @@ def subgroup_power_nilpotency(ring: FiniteRing, sub: Subgroup, cap: int):
             return None, True
         seen.add(current.key)
     return None, False
-
-
-def _dedupe_ideals(ideals):
-    seen = {}
-    for ideal in ideals:
-        seen.setdefault(ideal.key, ideal)
-    return list(seen.values())
-
-
-def _join_closure(ring: FiniteRing, side: str, base, count_cap: int):
-    """Close a list of ideals under pairwise joins (sums of ideals are ideals)."""
-    found = {i.key: i for i in base}
-    frontier = list(found.values())
-    while frontier:
-        cur = frontier.pop()
-        for b in base:
-            joined = cur.sub.join(b.sub)
-            if joined.key not in found:
-                if len(found) >= count_cap:
-                    return list(found.values()), False
-                ideal = Ideal(ring, side, joined)
-                found[joined.key] = ideal
-                frontier.append(ideal)
-    return list(found.values()), True
 
 
 def averaging_idempotent(ctx: GActionContext) -> SplittingData:
@@ -514,10 +456,6 @@ def _splittings_linear(ctx: GActionContext, p: int, caps: Caps):
     sbasis = list(ctx.fixed.sub.basis)
     m = len(sbasis)
     nvars = k * m  # lambda[x][j]: e(gen_x) = sum_j lambda[x][j] * s_j
-
-    def e_row_coeffs(x: int):
-        # coefficient index helper for row x of the unknown matrix
-        return [x * m + j for j in range(m)]
 
     equations = []
     rhs = []
@@ -627,7 +565,9 @@ def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
     ring = ctx.ring
     fixed = ctx.fixed.sub
     target = ring.order // fixed.size
-    subgroups, exhaustive = _enumerate_subgroups(ring, caps.splitting_enum * 8)
+    subgroups, exhaustive = join_closure(
+        (Subgroup.from_generators(ring.additive, [x]) for x in ring.elements()),
+        caps.splitting_enum * 8)
     out = {}
     for sub in subgroups:
         if sub.size != target or not fixed.intersect(sub).is_zero():
@@ -639,30 +579,6 @@ def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
         out[sd.key] = sd
     found = sorted(out.values(), key=lambda sd: sd.key)
     return found, exhaustive
-
-
-def _enumerate_subgroups(ring: FiniteRing, count_cap: int):
-    """All additive subgroups by join closure of the cyclic ones."""
-    cyclics = {}
-    for x in ring.elements():
-        s = Subgroup.from_generators(ring.additive, [x])
-        cyclics.setdefault(s.key, s)
-    base = list(cyclics.values())
-    found = dict(cyclics)
-    frontier = base[:]
-    exhaustive = True
-    while frontier:
-        cur = frontier.pop()
-        for b in base:
-            j = cur.join(b)
-            if j.key not in found:
-                if len(found) >= count_cap:
-                    exhaustive = False
-                    frontier = []
-                    break
-                found[j.key] = j
-                frontier.append(j)
-    return sorted(found.values(), key=lambda s: s.key), exhaustive
 
 
 def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
@@ -751,8 +667,6 @@ def inner_automorphism(ring: FiniteRing, u: Element) -> RingAutomorphism:
 def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     """Fixed ring semiprime plus nonzero trace on every nonzero invariant
     one-sided ideal.  Returns (status, witness)."""
-    from .radicals import prime_radical
-
     image = ctx.fixed_image()
     if not prime_radical(image.ring).is_zero():
         return "no", ("fixed ring not semiprime", None)

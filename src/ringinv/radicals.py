@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .caps import Caps, DEFAULT_CAPS
 from .ring_core import (
@@ -19,14 +20,18 @@ from .ring_core import (
     RIGHT,
     TWOSIDED,
     AdditiveGroup,
+    Coordinates,
     Element,
     FiniteRing,
     Ideal,
     RingError,
     Subgroup,
+    atom_below,
+    close_subgroup,
     generated_ideal,
+    join_closure,
+    minimal_closures,
 )
-from .lattices import smith_form, vec_mat
 
 
 class SizeCap(RingError):
@@ -160,60 +165,34 @@ def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     sample when the ring or the lattice outgrows the caps."""
     key = ("ideals", side, caps.exhaustive_ideal_order, caps.ideal_count,
            caps.sample_count)
-    cached = ring._extra.get(key)
-    if cached is not None:
-        return cached
+    if key not in ring._extra:
+        ring._extra[key] = ideal_lattice(
+            ring, side, lambda x: principal_ideal(ring, x, side), 17, caps)
+    return ring._extra[key]
+
+
+def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps):
+    """(joins of the ideals `ideal_from(x)` over all x, sorted, exhaustive).
+
+    Above `caps.exhaustive_ideal_order` it is a flagged sample of those
+    ideals instead, drawn from a generator seeded by the order and `salt`.
+    """
     if ring.order > caps.exhaustive_ideal_order:
-        rng = random.Random(ring.order * 17 + len(side))
+        rng = random.Random(ring.order * salt + len(side))
         elems = list(itertools.islice(ring.elements(), 4096))
-        base = [principal_ideal(ring, rng.choice(elems), side)
-                for _ in range(caps.sample_count)]
+        base = [ideal_from(rng.choice(elems)) for _ in range(caps.sample_count)]
         base.append(generated_ideal(ring, [], side))
-        out = (sorted({i.key: i for i in base}.values(), key=lambda i: i.key),
-               False)
-        ring._extra[key] = out
-        return out
-    base = {}
-    for x in ring.elements():
-        ideal = principal_ideal(ring, x, side)
-        base.setdefault(ideal.key, ideal)
-    found = dict(base)
-    frontier = list(base.values())
-    exhaustive = True
-    while frontier:
-        cur = frontier.pop()
-        for b in base.values():
-            joined = cur.sub.join(b.sub)
-            if joined.key not in found:
-                if len(found) >= caps.ideal_count:
-                    exhaustive = False
-                    frontier = []
-                    break
-                ideal = Ideal(ring, side, joined)
-                found[joined.key] = ideal
-                frontier.append(ideal)
-    out = (sorted(found.values(), key=lambda i: i.key), exhaustive)
-    ring._extra[key] = out
-    return out
+        return sorted({i.key: i for i in base}.values(), key=lambda i: i.key), False
+    subs, exhaustive = join_closure((ideal_from(x).sub for x in ring.elements()),
+                                    caps.ideal_count)
+    return [Ideal(ring, side, s) for s in subs], exhaustive
 
 
 def minimal_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """Atoms of the sided ideal lattice: minimal nonzero principal ideals."""
-    principals = {}
-    for x in ring.elements():
-        if x == ring.zero:
-            continue
-        ideal = principal_ideal(ring, x, side)
-        principals.setdefault(ideal.key, ideal)
-    atoms = []
-    for ideal in principals.values():
-        minimal = all(
-            principal_ideal(ring, y, side).sub == ideal.sub
-            for y in ideal.elements() if y != ring.zero
-        )
-        if minimal:
-            atoms.append(ideal)
-    return sorted(atoms, key=lambda i: i.key)
+    atoms = minimal_closures(ring.elements(),
+                             lambda x: principal_ideal(ring, x, side).sub)
+    return [Ideal(ring, side, s) for s in atoms]
 
 
 @dataclass
@@ -395,17 +374,8 @@ class FiniteModule:
             self._validate()
 
     def _validate(self) -> None:
+        self._validate_table()
         ring, add = self.ring, self.add_group
-        if len(self.action) != ring.rank or any(
-                len(row) != add.rank for row in self.action):
-            raise RingError("action table has wrong shape")
-        for i in range(ring.rank):
-            for j in range(add.rank):
-                v = self.action[i][j]
-                if any(add.smul(ring.cyclic_orders[i], v)):
-                    raise RingError("action not killed by scalar order")
-                if any(add.smul(add.cyclic_orders[j], v)):
-                    raise RingError("action not killed by module order")
         for a in range(ring.rank):
             for b in range(ring.rank):
                 sc = (ring.mul_table[a][b] if self.side == LEFT
@@ -417,6 +387,20 @@ class FiniteModule:
                                                       self.add_group.generator(j)))
                     if lhs != rhs:
                         raise RingError("module action is not associative")
+
+    def _validate_table(self) -> None:
+        """Shape and orders: the action is well defined on generators."""
+        ring, add = self.ring, self.add_group
+        if len(self.action) != ring.rank or any(
+                len(row) != add.rank for row in self.action):
+            raise RingError("action table has wrong shape")
+        for i in range(ring.rank):
+            for j in range(add.rank):
+                v = self.action[i][j]
+                if any(add.smul(ring.cyclic_orders[i], v)):
+                    raise RingError("action not killed by scalar order")
+                if any(add.smul(add.cyclic_orders[j], v)):
+                    raise RingError("action not killed by module order")
 
     def _act_vec(self, s: Element, m: Element) -> Element:
         add = self.add_group
@@ -433,60 +417,25 @@ class FiniteModule:
         return self._act_vec(s, m)
 
     def submodule(self, gens) -> Subgroup:
-        sub = Subgroup.from_generators(self.add_group, gens)
-        ring_gens = self.ring.generators()
-        while True:
-            new = []
-            for b in sub.basis:
-                for s in ring_gens:
-                    v = self._act_vec(s, b)
-                    if not sub.contains(v):
-                        new.append(v)
-            if not new:
-                break
-            sub = Subgroup.from_generators(self.add_group, sub.basis + tuple(new))
-        return sub
+        maps = [partial(self._act_vec, s) for s in self.ring.generators()]
+        return close_subgroup(self.add_group, gens, maps)
 
     def quotient(self, sub: Subgroup) -> "FiniteModule":
-        k = self.add_group.rank
-        diag, v, vinv = smith_form([list(r) for r in sub.key], k)
-        kept = [j for j in range(k) if diag[j] > 1]
-        orders = tuple(diag[j] for j in kept)
-
-        def project(x: Element) -> Element:
-            y = vec_mat(x, v)
-            return tuple(y[j] % diag[j] for j in kept)
-
-        def lift(y: Element) -> Element:
-            full = [0] * k
-            for t, j in enumerate(kept):
-                full[j] = y[t]
-            return self.add_group.reduce(vec_mat(full, vinv))
-
-        new_add = AdditiveGroup(orders)
-        action = []
-        for i in range(self.ring.rank):
-            row = []
-            for j in range(len(kept)):
-                gen = lift(tuple(1 if t == j else 0 for t in range(len(kept))))
-                row.append(project(self._act_vec(self.ring.generator(i), gen)))
-            action.append(row)
-        return FiniteModule(self.ring, self.side, new_add, action,
-                            name=f"{self.name}/sub")
+        """Quotient by a submodule, with the projection checked to be a
+        module map (so the quotient needs no associativity check)."""
+        coords = Coordinates(self.add_group, sub.key)
+        scalars = self.ring.generators()
+        action = [[coords.project(self._act_vec(s, g)) for g in coords.generators]
+                  for s in scalars]
+        out = FiniteModule(self.ring, self.side, coords.image, action,
+                           name=f"{self.name}/sub", validate=False)
+        out._validate_table()
+        coords.check(self._act_vec, out._act_vec, scalars=scalars)
+        return out
 
     def minimal_submodules(self) -> list[Subgroup]:
-        principals = {}
-        for x in self.add_group.elements():
-            if not any(x):
-                continue
-            sub = self.submodule([x])
-            principals.setdefault(sub.key, sub)
-        atoms = []
-        for sub in principals.values():
-            if all(self.submodule([y]) == sub
-                   for y in sub.elements() if any(y)):
-                atoms.append(sub)
-        return sorted(atoms, key=lambda s: s.key)
+        return minimal_closures(self.add_group.elements(),
+                                lambda x: self.submodule([x]))
 
 
 def ring_as_module(ring: FiniteRing, side: str,
@@ -513,13 +462,19 @@ def ring_as_module(ring: FiniteRing, side: str,
 
 
 def module_length(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:
-    """Composition length, splitting off the least minimal submodule each step."""
+    """Composition length, splitting off one minimal submodule each step.
+
+    The minimal submodule is reached by descent from the cyclic submodule of
+    the first generator; by Jordan–Hölder the length does not depend on
+    which one is split off.
+    """
     if module.size > caps.module_order:
         raise SizeCap(f"module of size {module.size} exceeds the cap")
     length = 0
     current = module
     while current.size > 1:
-        atom = current.minimal_submodules()[0]
+        cyclic = lambda x, m=current: m.submodule([x])  # noqa: E731
+        atom = atom_below(cyclic(current.add_group.generator(0)), cyclic)
         current = current.quotient(atom)
         length += 1
     return length

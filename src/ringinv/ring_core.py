@@ -5,6 +5,13 @@ in canonical reduced form and multiplication is the bilinear extension of a
 k×k table of generator products.  Ideals and subrings are additive subgroups
 canonicalized by the Hermite form of their preimage lattice, so equality
 tests never enumerate elements.
+
+The structure theory rests on four primitives over those subgroups:
+`close_subgroup` (closure under additive maps: sided ideals, submodules),
+`join_closure` (lattices of ideals and subgroups), `minimal_closures` and
+`atom_below` (atoms of such lattices), and `Coordinates` (Smith-form
+coordinates on a subquotient: quotient rings, quotient modules, subring
+images), whose one check proves the transported structure correct.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator
 
 from .lattices import (
     hermite_form,
     in_hermite_span,
     invert_matrix,
+    mat_mul,
     smith_form,
     vec_mat,
 )
@@ -27,8 +35,8 @@ Element = tuple[int, ...]
 
 # lazy multiplication cache is only kept for rings up to this order
 MUL_CACHE_MAX_ORDER = 4096
-# element lists are materialized up to this order, streamed above it
-ELEMENT_LIST_MAX_ORDER = 65536
+# an identity element is searched for up to this order
+IDENTITY_SEARCH_MAX_ORDER = 65536
 
 LEFT = "left"
 RIGHT = "right"
@@ -104,9 +112,6 @@ class AdditiveGroup:
 
     def smul(self, n: int, x: Element) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.cyclic_orders))
-
-    def element_order(self, x: Element) -> int:
-        return lcm(*(d // gcd(d, a) for a, d in zip(x, self.cyclic_orders))) if x else 1
 
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic coordinate order."""
@@ -187,9 +192,6 @@ class Subgroup:
     def is_zero(self) -> bool:
         return self.size == 1
 
-    def is_all(self) -> bool:
-        return self.size == self.group.order
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup)
                 and self.group.cyclic_orders == other.group.cyclic_orders
@@ -225,7 +227,6 @@ class FiniteRing:
         self.rank = additive.rank
         self.zero = additive.zero
         self._mul_cache: dict | None = {} if self.order <= MUL_CACHE_MAX_ORDER else None
-        self._element_list: tuple[Element, ...] | None = None
         self._principal: dict = {}
         self._extra: dict = {}
 
@@ -273,16 +274,7 @@ class FiniteRing:
 
     # -- enumeration ---------------------------------------------------------
     def elements(self) -> Iterator[Element]:
-        if self._element_list is not None:
-            return iter(self._element_list)
         return self.additive.elements()
-
-    def element_list(self) -> tuple[Element, ...]:
-        if self._element_list is None:
-            if self.order > ELEMENT_LIST_MAX_ORDER:
-                raise RingError(f"ring too large to materialize ({self.order})")
-            self._element_list = tuple(self.additive.elements())
-        return self._element_list
 
     def generator(self, i: int) -> Element:
         return self.additive.generator(i)
@@ -307,7 +299,6 @@ class FiniteRing:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_mul_cache"] = {} if self._mul_cache is not None else None
-        state["_element_list"] = None
         state["_principal"] = {}
         state["_extra"] = {}
         return state
@@ -351,7 +342,7 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
         if not ring.is_identity(u):
             raise NotUnital(f"claimed identity {u} is not one")
         unit = u
-    elif ring.order <= ELEMENT_LIST_MAX_ORDER:
+    elif ring.order <= IDENTITY_SEARCH_MAX_ORDER:
         for u in ring.elements():
             if ring.is_identity(u):
                 unit = u
@@ -405,10 +396,6 @@ def unitalize(ring: FiniteRing) -> FiniteRing:
             table[i + 1][j + 1] = emb(ring.mul_table[i][j])
     unit = (1,) + ring.zero
     return validate_ring(orders, table, unit_hint=unit, name=f"{ring.name}_unital")
-
-
-def embed_in_unitalization(x: Element) -> Element:
-    return (0,) + x
 
 
 def direct_product(rings: list[FiniteRing], name: str | None = None) -> FiniteRing:
@@ -525,7 +512,87 @@ def group_ring(ring: FiniteRing, cayley, name: str | None = None) -> FiniteRing:
                          name=name or f"{ring.name}[H{n}]")
 
 
+# -- closure, join closure and atoms ----------------------------------------------
+
+def close_subgroup(group: AdditiveGroup, gens: Iterable[Element],
+                   maps: list[Callable[[Element], Element]]) -> Subgroup:
+    """Least subgroup containing `gens` that every (additive) map keeps inside."""
+    sub = Subgroup.from_generators(group, gens)
+    while True:
+        new = []
+        for b in sub.basis:
+            for f in maps:
+                y = f(b)
+                if not sub.contains(y):
+                    new.append(y)
+        if not new:
+            return sub
+        sub = Subgroup.from_generators(group, sub.basis + tuple(new))
+
+
+def join_closure(base: Iterable[Subgroup], count_cap: int):
+    """(all joins of members of `base` sorted by key, exhaustive).
+
+    Depth first from the last subgroup found; once `count_cap` are known, the
+    next new join stops the search, so a capped result is fixed by `base`.
+    """
+    gens: dict = {}
+    for sub in base:
+        gens.setdefault(sub.key, sub)
+    found = dict(gens)
+    frontier = list(gens.values())
+    exhaustive = True
+    while frontier and exhaustive:
+        cur = frontier.pop()
+        for b in gens.values():
+            joined = cur.join(b)
+            if joined.key in found:
+                continue
+            if len(found) >= count_cap:
+                exhaustive = False
+                break
+            found[joined.key] = joined
+            frontier.append(joined)
+    return sorted(found.values(), key=lambda s: s.key), exhaustive
+
+
+def atom_below(sub: Subgroup, close) -> Subgroup:
+    """An atom of the lattice of closed subgroups inside the nonzero `sub`.
+
+    `close(x)` is the least closed subgroup containing x; an atom is the
+    closure of each of its nonzero elements.
+    """
+    for y in sub.elements():
+        if any(y):
+            smaller = close(y)
+            if smaller != sub:
+                return atom_below(smaller, close)
+    return sub
+
+
+def minimal_closures(elements: Iterable[Element], close) -> list[Subgroup]:
+    """All atoms (see `atom_below`), sorted by key; `elements` is the group."""
+    closures: dict = {}
+    for x in elements:
+        if any(x):
+            c = close(x)
+            closures.setdefault(c.key, c)
+    return sorted((c for c in closures.values() if atom_below(c, close) == c),
+                  key=lambda s: s.key)
+
+
 # -- ideals and subrings ------------------------------------------------------
+
+def _side_maps(ring: FiniteRing, side: str) -> list[Callable[[Element], Element]]:
+    """Multiplication by each ring generator on the given side(s)."""
+    maps = []
+    for g in ring.generators():
+        if side in (LEFT, TWOSIDED):
+            maps.append(lambda x, g=g: ring.mul(g, x))
+        if side in (RIGHT, TWOSIDED):
+            maps.append(lambda x, g=g: ring.mul(x, g))
+    return maps
+
 
 class Ideal:
     """A sided ideal, stored as an additive subgroup of the parent ring."""
@@ -561,14 +628,8 @@ class Ideal:
         return self.sub.is_zero()
 
     def verify_closure(self) -> bool:
-        ring = self.ring
-        for b in self.basis:
-            for g in ring.generators():
-                if self.side in (LEFT, TWOSIDED) and not self.contains(ring.mul(g, b)):
-                    return False
-                if self.side in (RIGHT, TWOSIDED) and not self.contains(ring.mul(b, g)):
-                    return False
-        return True
+        maps = _side_maps(self.ring, self.side)
+        return all(self.contains(f(b)) for b in self.basis for f in maps)
 
     @classmethod
     def from_basis(cls, ring: FiniteRing, side: str, gens, verify: bool = True) -> "Ideal":
@@ -594,26 +655,89 @@ def generated_ideal(ring: FiniteRing, gens: Iterable[Element], side: str) -> Ide
     Closure runs with the unitalization convention, so the generators are
     always contained in the result.
     """
-    if side not in SIDES:
-        raise WrongSide(f"unknown side {side!r}")
-    sub = Subgroup.from_generators(ring.additive, gens)
-    ring_gens = ring.generators()
-    while True:
-        new = []
-        for b in sub.basis:
-            for g in ring_gens:
-                if side in (LEFT, TWOSIDED):
-                    p = ring.mul(g, b)
-                    if not sub.contains(p):
-                        new.append(p)
-                if side in (RIGHT, TWOSIDED):
-                    p = ring.mul(b, g)
-                    if not sub.contains(p):
-                        new.append(p)
-        if not new:
-            break
-        sub = Subgroup.from_generators(ring.additive, sub.basis + tuple(new))
-    return Ideal(ring, side, sub)
+    return Ideal(ring, side, close_subgroup(ring.additive, gens, _side_maps(ring, side)))
+
+
+# -- coordinates on subquotients ------------------------------------------------
+
+class Coordinates:
+    """Smith-form coordinates on a subquotient A/L of the group ⊕_i Z/d_i.
+
+    A is the row lattice of `basis` (Z^k when omitted) and L ⊆ A that of
+    `rows`, both of full rank.  `project` (a reduced element of A to its
+    coordinates in `image` = ⊕_t Z/c_t) and `lift` are precomputed integer
+    matrices; `generators` lift the coordinate generators.
+    """
+
+    def __init__(self, group: AdditiveGroup, rows, basis=None):
+        k = group.rank
+        lattice, den = [list(r) for r in rows], 1
+        if basis is not None:
+            to_basis = invert_matrix(basis)
+            lattice = [vec_mat(r, to_basis) for r in lattice]
+            if any(f.denominator != 1 for r in lattice for f in r):
+                raise RingError("lattice does not lie in the basis lattice")
+            lattice = [[int(f) for f in r] for r in lattice]
+            den = lcm(*(f.denominator for r in to_basis for f in r))
+        diag, v, vinv = smith_form(lattice, k)
+        kept = [j for j in range(k) if diag[j] > 1]
+        lift = [vinv[j] for j in kept]
+        if basis is not None:
+            v = [[int(den * f) for f in r] for r in mat_mul(to_basis, v)]
+            lift = mat_mul(lift, basis)
+        # with a basis, the dropped columns still decide membership in A
+        cols = kept + ([j for j in range(k) if j not in kept] if den > 1 else [])
+        self.group = group
+        self.image = AdditiveGroup(tuple(diag[j] for j in kept))
+        self._den = den
+        self._project = [tuple(r[j] for r in v) for j in cols]
+        self._lift = [tuple(r[i] for r in lift) for i in range(k)]
+        self.generators = [group.reduce(r) for r in lift]
+        self._domain = ([group.generator(i) for i in range(k)] if basis is None
+                        else [g for g in map(group.reduce, basis) if any(g)])
+
+    def project(self, x: Element) -> Element:
+        y = [sum(a * c for a, c in zip(x, col)) for col in self._project]
+        if self._den > 1:
+            if any(c % self._den for c in y):
+                raise RingError(f"{x} is not in the subgroup")
+            y = [c // self._den for c in y]
+        return tuple(c % d for c, d in zip(y, self.image.cyclic_orders))
+
+    def lift(self, y: Element) -> Element:
+        return tuple(sum(a * c for a, c in zip(y, col)) % d
+                     for col, d in zip(self._lift, self.group.cyclic_orders))
+
+    def check(self, op, image_op, scalars=None) -> None:
+        """Raise RingError unless `project` is an isomorphism for `op`.
+
+        Round trips on the coordinate generators make `project` a bijection
+        of A/L onto `image`.  Without `scalars`, `project` must turn `op` on
+        every pair of generators of A into `image_op`; with them, `op` is an
+        action and `project` must commute with each scalar.  `image_op` is
+        well defined (a validated table), so by biadditivity this proves a
+        ring or module isomorphism.
+        """
+        for t, g in enumerate(self.generators):
+            if self.project(g) != self.image.generator(t):
+                raise RingError("coordinate maps do not round-trip")
+        for a in self._domain if scalars is None else scalars:
+            a_image = self.project(a) if scalars is None else a
+            for b in self._domain:
+                if self.project(op(a, b)) != image_op(a_image, self.project(b)):
+                    raise RingError(f"coordinates do not preserve {a}·{b}")
+
+
+def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
+                     name: str, unit: Element | None = None) -> FiniteRing:
+    """The ring that `coords` carry over from `parent`, checked isomorphic."""
+    gens = coords.generators
+    table = [[coords.project(parent.mul(a, b)) for b in gens] for a in gens]
+    ring = validate_ring(coords.image.cyclic_orders, table, unit_hint=unit, name=name)
+    if ring.order != order:
+        raise RingError(f"coordinate ring has order {ring.order}, not {order}")
+    coords.check(parent.mul, ring.mul)
+    return ring
 
 
 @dataclass
@@ -659,56 +783,21 @@ class SubringView:
         return self.sub.contains(x)
 
     def image(self, name: str | None = None) -> RingImage:
-        """Realize the subring as a FiniteRing of its own, with maps."""
+        """Realize the subring as a FiniteRing of its own, with maps.
+
+        The coordinates are those of the order lattice written in the
+        subgroup's Hermite basis.
+        """
         if self._image is None:
-            self._image = _subgroup_ring_image(
-                self.ring, self.sub, name or f"{self.ring.name}^sub")
+            group = self.ring.additive
+            coords = Coordinates(group, group.lattice_rows(), basis=self.sub.key)
+            ring = _coordinate_ring(self.ring, coords, self.sub.size,
+                                    name or f"{self.ring.name}^sub")
+            self._image = RingImage(ring, coords.project, coords.lift)
         return self._image
 
     def __repr__(self):
         return f"SubringView(size={self.size}, basis={list(self.basis)})"
-
-
-def _subgroup_ring_image(parent: FiniteRing, sub: Subgroup, name: str) -> RingImage:
-    group = parent.additive
-    k = group.rank
-    b_rows = [list(r) for r in sub.key]
-    b_inv = invert_matrix(b_rows)
-    d_rows = group.lattice_rows()
-    m_rows = []
-    for i in range(k):
-        row = vec_mat(d_rows[i], b_inv)
-        if any(f.denominator != 1 for f in row):
-            raise RingError("order lattice does not lie in the subgroup lattice")
-        m_rows.append([int(f) for f in row])
-    diag, v, vinv = smith_form(m_rows, k)
-    kept = [j for j in range(k) if diag[j] > 1]
-    orders = tuple(diag[j] for j in kept)
-
-    def to_image(x: Element) -> Element:
-        c = vec_mat(x, b_inv)
-        if any(f.denominator != 1 for f in c):
-            raise RingError(f"{x} is not in the subring")
-        y = vec_mat([int(f) for f in c], v)
-        return tuple(y[j] % diag[j] for j in kept)
-
-    def from_image(y: Element) -> Element:
-        full = [0] * k
-        for t, j in enumerate(kept):
-            full[j] = y[t]
-        c = vec_mat(full, vinv)
-        return group.reduce(vec_mat(c, b_rows))
-
-    gens = [from_image(tuple(1 if t == a else 0 for t in range(len(kept))))
-            for a in range(len(kept))]
-    table = [[to_image(parent.mul(ga, gb)) for gb in gens] for ga in gens]
-    ring = validate_ring(orders, table, name=name)
-    assert ring.order == sub.size
-    if sub.size <= 4096:
-        for x in sub.elements():
-            if from_image(to_image(x)) != x:
-                raise RingError("subring coordinate maps do not round-trip")
-    return RingImage(ring, to_image, from_image)
 
 
 @dataclass
@@ -724,36 +813,8 @@ def quotient_by_ideal(parent: FiniteRing, ideal: Ideal, name: str | None = None)
     """Quotient by a two-sided ideal; the projection is a verified ring map."""
     if ideal.side != TWOSIDED:
         raise WrongSide("can only quotient by a two-sided ideal")
-    group = parent.additive
-    k = group.rank
-    diag, v, vinv = smith_form([list(r) for r in ideal.sub.key], k)
-    kept = [j for j in range(k) if diag[j] > 1]
-    orders = tuple(diag[j] for j in kept)
-
-    def project(x: Element) -> Element:
-        y = vec_mat(x, v)
-        return tuple(y[j] % diag[j] for j in kept)
-
-    def lift(y: Element) -> Element:
-        full = [0] * k
-        for t, j in enumerate(kept):
-            full[j] = y[t]
-        return group.reduce(vec_mat(full, vinv))
-
-    gens = [lift(tuple(1 if t == a else 0 for t in range(len(kept))))
-            for a in range(len(kept))]
-    table = [[project(parent.mul(ga, gb)) for gb in gens] for ga in gens]
-    unit = project(parent.unit) if parent.is_unital else None
-    ring = validate_ring(orders, table, unit_hint=unit,
-                         name=name or f"{parent.name}/I")
-    assert ring.order * ideal.size == parent.order
-    if parent.order <= 4096:
-        sample = parent.element_list() if parent.order <= 256 else list(
-            itertools.islice(parent.elements(), 64))
-        for x in sample:
-            for y in sample[:16]:
-                if project(parent.mul(x, y)) != ring.mul(project(x), project(y)):
-                    raise RingError("projection is not multiplicative")
-                if project(parent.add(x, y)) != ring.add(project(x), project(y)):
-                    raise RingError("projection is not additive")
-    return Quotient(ring, project, lift)
+    coords = Coordinates(parent.additive, ideal.sub.key)
+    unit = coords.project(parent.unit) if parent.is_unital else None
+    ring = _coordinate_ring(parent, coords, parent.order // ideal.size,
+                            name or f"{parent.name}/I", unit)
+    return Quotient(ring, coords.project, coords.lift)

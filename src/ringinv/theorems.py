@@ -16,10 +16,8 @@ from .caps import Caps, DEFAULT_CAPS
 from .groups import AutomorphismGroup, RingAutomorphism, h_constant
 from .invariants import (
     GActionContext,
-    NotInvertible,
     averaging_idempotent,
     is_proper_splitting,
-    restrict_ideal,
     subgroup_power_nilpotency,
     torsion_ideal,
 )
@@ -37,7 +35,6 @@ from .radicals import (
 from .ring_core import (
     LEFT,
     RIGHT,
-    TWOSIDED,
     FiniteRing,
     Ideal,
     Subgroup,
@@ -264,6 +261,19 @@ def _semiprime_clause(cond: str, label: str, ring: FiniteRing) -> Clause:
     return Clause(cond, label, FAILS, witness=nil.sub)
 
 
+def _rad_zero_clause(cond: str, label: str, ring: FiniteRing) -> Clause:
+    rad = jacobson_radical(ring)
+    if rad.is_zero():
+        return Clause(cond, label, HOLDS)
+    return Clause(cond, label, FAILS, witness=rad.sub)
+
+
+def _bad_primes_clause(cond: str, profile) -> Clause:
+    return Clause(cond, "the set of bad primes is nonempty",
+                  HOLDS if profile.primes else FAILS,
+                  witness={"bad_primes": list(profile.primes)})
+
+
 def _invertible_order_clause(ctx: GActionContext) -> Clause:
     ring = ctx.ring
     label = "the group order is invertible in the ring"
@@ -309,6 +319,29 @@ def _bad_prime_condition_clauses(ctx: GActionContext, caps: Caps, prefix: str,
     return clauses, profile
 
 
+def _semiprime_bad_prime_hyps(ctx: GActionContext, caps: Caps):
+    """Semiprimeness, nonempty bad primes and the two numbered conditions."""
+    hyps = [_semiprime_clause("semiprime", "the ring is semiprime", ctx.ring)]
+    cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
+    hyps.append(_bad_primes_clause("B", profile))
+    hyps.extend(cond_clauses)
+    return hyps, profile
+
+
+def _splitting_alternative_hyps(ctx: GActionContext, caps: Caps) -> list[Clause]:
+    """A proper splitting, then no torsion (alt1) or the bad-prime conditions
+    (alt2)."""
+    hyps = [
+        _proper_splitting_clause(ctx, caps, "proper-splitting",
+                                 "the group splits the ring properly on some side"),
+        _torsion_free_clause("alt1", "the ring has no torsion at the group order",
+                             ctx.ring, ctx.n),
+        _bad_primes_clause("alt2.B", ctx.bad_primes(caps)),
+    ]
+    cond_clauses, _ = _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
+    return hyps + cond_clauses
+
+
 def _fixed_semiprime_clause(ctx: GActionContext) -> Clause:
     return _semiprime_clause("fixed-semiprime", "the fixed ring is semiprime",
                              ctx.fixed_image().ring)
@@ -335,7 +368,7 @@ def _radical_restriction_clause(ctx: GActionContext, cond: str, use_jacobson: bo
 
 
 def _proper_splitting_clause(ctx: GActionContext, caps: Caps, cond: str,
-                             label: str) -> tuple[Clause, dict]:
+                             label: str) -> Clause:
     found = {}
     statuses = []
     for side in (LEFT, RIGHT):
@@ -344,14 +377,11 @@ def _proper_splitting_clause(ctx: GActionContext, caps: Caps, cond: str,
         if sd is not None:
             found[side] = sd
     if found:
-        clause = Clause(cond, label, HOLDS,
-                        witness={side: sd.complement for side, sd in found.items()})
-    elif "capped" in statuses:
-        clause = Clause(cond, label, CAPPED)
-    else:
-        clause = Clause(cond, label, FAILS,
-                        witness="no proper splitting on either side")
-    return clause, found
+        return Clause(cond, label, HOLDS,
+                      witness={side: sd.complement for side, sd in found.items()})
+    if "capped" in statuses:
+        return Clause(cond, label, CAPPED)
+    return Clause(cond, label, FAILS, witness="no proper splitting on either side")
 
 
 SAMPLED_NOTE = ("invariant ideal enumeration was sampled, not exhaustive "
@@ -407,17 +437,18 @@ def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
     return Clause("udim", label, HOLDS, witness=values)
 
 
-def _quotient_context(ctx: GActionContext, use_jacobson: bool):
-    """Quotient by the (prime or Jacobson) radical with the induced action.
+def _quotient_context(ctx: GActionContext, rad: Ideal):
+    """Quotient by a radical with the induced action.
 
     Returns (quotient, induced_group, bar_ctx, image_of_fixed): the image of
     the fixed ring is the subgroup generated by the projected fixed basis.
+    Cached by the radical's key, so the prime and Jacobson radicals, which
+    agree on finite rings, share one context.
     """
-    key = ("quotient_ctx", use_jacobson)
+    key = ("quotient_ctx", rad.key)
     if key in ctx._cache:
         return ctx._cache[key]
     ring = ctx.ring
-    rad = jacobson_radical(ring) if use_jacobson else prime_radical(ring)
     for g in ctx.group.elements:
         for b in rad.basis:
             if not rad.contains(g.apply(b)):
@@ -500,9 +531,7 @@ def _chk_mont_1_7(ctx: GActionContext, caps: Caps):
 
 def _chk_n1(ctx: GActionContext, caps: Caps):
     profile = ctx.bad_primes(caps)
-    hyps = [Clause("B", "the set of bad primes is nonempty",
-                   HOLDS if profile.primes else FAILS,
-                   witness={"bad_primes": list(profile.primes)})]
+    hyps = [_bad_primes_clause("B", profile)]
     fixed_ring = ctx.fixed_image().ring
     notes: list[str] = []
     for p in profile.primes:
@@ -619,12 +648,7 @@ def _chk_c1_5(ctx: GActionContext, caps: Caps):
 
 
 def _chk_n2(ctx: GActionContext, caps: Caps):
-    hyps = [_semiprime_clause("semiprime", "the ring is semiprime", ctx.ring)]
-    cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
-    hyps.append(Clause("B", "the set of bad primes is nonempty",
-                       HOLDS if profile.primes else FAILS,
-                       witness={"bad_primes": list(profile.primes)}))
-    hyps.extend(cond_clauses)
+    hyps, profile = _semiprime_bad_prime_hyps(ctx, caps)
     notes = []
     if (hyps[0].status == HOLDS and profile.primes
             and any(h.cond == "2" and h.status == FAILS for h in hyps)):
@@ -644,12 +668,7 @@ def _chk_n2(ctx: GActionContext, caps: Caps):
 
 
 def _chk_cor_a8(ctx: GActionContext, caps: Caps):
-    hyps = [_semiprime_clause("semiprime", "the ring is semiprime", ctx.ring)]
-    cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
-    hyps.append(Clause("B", "the set of bad primes is nonempty",
-                       HOLDS if profile.primes else FAILS,
-                       witness={"bad_primes": list(profile.primes)}))
-    hyps.extend(cond_clauses)
+    hyps, _ = _semiprime_bad_prime_hyps(ctx, caps)
     notes = ["the nonzero-set condition on the bad primes is read as "
              "nonemptiness",
              "quotient-ring statements are evaluated in the finite degenerate "
@@ -683,7 +702,8 @@ def _chk_th_1_9(ctx: GActionContext, caps: Caps):
 
 
 def _chk_th_4apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx, use_jacobson=False)
+    quot, bar_group, bar_ctx, fixed_image = _quotient_context(
+        ctx, prime_radical(ctx.ring))
     bar_profile = bar_ctx.bad_primes(caps)
     hyps = [Clause("alt1", "the induced action on the semiprime quotient has "
                            "no bad primes",
@@ -723,7 +743,8 @@ def _chk_rad_1_4(ctx: GActionContext, caps: Caps):
 
 
 def _chk_b5apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx, use_jacobson=True)
+    quot, bar_group, bar_ctx, fixed_image = _quotient_context(
+        ctx, jacobson_radical(ctx.ring))
     hyps = []
     compat = fixed_image == bar_ctx.fixed.sub
     hyps.append(Clause(
@@ -732,10 +753,9 @@ def _chk_b5apr(ctx: GActionContext, caps: Caps):
         HOLDS if compat else FAILS,
         witness=None if compat else {"image": fixed_image,
                                      "quotient_fixed": bar_ctx.fixed.sub}))
-    clause, _ = _proper_splitting_clause(
+    hyps.append(_proper_splitting_clause(
         bar_ctx, caps, "proper-splitting",
-        "the induced group splits the radical quotient properly on some side")
-    hyps.append(clause)
+        "the induced group splits the radical quotient properly on some side"))
     hyps.append(_torsion_free_clause(
         "alt1", "the radical quotient has no torsion at the induced group order",
         quot.ring, bar_group.order))
@@ -753,49 +773,27 @@ def _chk_b5apr(ctx: GActionContext, caps: Caps):
 
 
 def _chk_levitzki(ctx: GActionContext, caps: Caps):
-    hyps = [_invertible_order_clause(ctx)]
-    rad = jacobson_radical(ctx.ring)
-    hyps.append(Clause("semisimple", "the ring is semisimple Artinian",
-                       HOLDS if rad.is_zero() else FAILS,
-                       witness=None if rad.is_zero() else rad.sub))
-    srad = jacobson_radical(ctx.fixed_image().ring)
-    concls = [Clause("fixed-semisimple", "the fixed ring is semisimple Artinian",
-                     HOLDS if srad.is_zero() else FAILS,
-                     witness=None if srad.is_zero() else srad.sub)]
+    hyps = [_invertible_order_clause(ctx),
+            _rad_zero_clause("semisimple", "the ring is semisimple Artinian",
+                             ctx.ring)]
+    concls = [_rad_zero_clause("fixed-semisimple",
+                               "the fixed ring is semisimple Artinian",
+                               ctx.fixed_image().ring)]
     return hyps, concls, []
 
 
 def _chk_th_8apr(ctx: GActionContext, caps: Caps):
-    rad = jacobson_radical(ctx.ring)
-    hyps = [Clause("semisimple", "the ring is semisimple Artinian",
-                   HOLDS if rad.is_zero() else FAILS,
-                   witness=None if rad.is_zero() else rad.sub)]
-    clause, _ = _proper_splitting_clause(
-        ctx, caps, "proper-splitting",
-        "the group splits the ring properly on some side")
-    hyps.append(clause)
-    hyps.append(_torsion_free_clause(
-        "alt1", "the ring has no torsion at the group order", ctx.ring, ctx.n))
-    profile = ctx.bad_primes(caps)
-    hyps.append(Clause("alt2.B", "the set of bad primes is nonempty",
-                       HOLDS if profile.primes else FAILS,
-                       witness={"bad_primes": list(profile.primes)}))
-    cond_clauses, _ = _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
-    hyps.extend(cond_clauses)
-    srad = jacobson_radical(ctx.fixed_image().ring)
-    concls = [Clause("fixed-semisimple", "the fixed ring is semisimple Artinian",
-                     HOLDS if srad.is_zero() else FAILS,
-                     witness=None if srad.is_zero() else srad.sub)]
+    hyps = [_rad_zero_clause("semisimple", "the ring is semisimple Artinian",
+                             ctx.ring)]
+    hyps.extend(_splitting_alternative_hyps(ctx, caps))
+    concls = [_rad_zero_clause("fixed-semisimple",
+                               "the fixed ring is semisimple Artinian",
+                               ctx.fixed_image().ring)]
     return hyps, concls, []
 
 
 def _chk_cor_b8(ctx: GActionContext, caps: Caps):
-    hyps = [_semiprime_clause("semiprime", "the ring is semiprime", ctx.ring)]
-    cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
-    hyps.append(Clause("B", "the set of bad primes is nonempty",
-                       HOLDS if profile.primes else FAILS,
-                       witness={"bad_primes": list(profile.primes)}))
-    hyps.extend(cond_clauses)
+    hyps, _ = _semiprime_bad_prime_hyps(ctx, caps)
     notes = ["the nonzero-set condition on the bad primes is read as "
              "nonemptiness"]
     ss_r = jacobson_radical(ctx.ring).is_zero()
@@ -813,26 +811,10 @@ def _chk_cor_b8(ctx: GActionContext, caps: Caps):
 
 
 def _chk_a5apr(ctx: GActionContext, caps: Caps):
-    rad = jacobson_radical(ctx.ring)
-    hyps = [Clause("rad-zero", "the ring has zero radical",
-                   HOLDS if rad.is_zero() else FAILS,
-                   witness=None if rad.is_zero() else rad.sub)]
-    clause, _ = _proper_splitting_clause(
-        ctx, caps, "proper-splitting",
-        "the group splits the ring properly on some side")
-    hyps.append(clause)
-    hyps.append(_torsion_free_clause(
-        "alt1", "the ring has no torsion at the group order", ctx.ring, ctx.n))
-    profile = ctx.bad_primes(caps)
-    hyps.append(Clause("alt2.B", "the set of bad primes is nonempty",
-                       HOLDS if profile.primes else FAILS,
-                       witness={"bad_primes": list(profile.primes)}))
-    cond_clauses, _ = _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
-    hyps.extend(cond_clauses)
-    srad = jacobson_radical(ctx.fixed_image().ring)
-    concls = [Clause("fixed-rad-zero", "the fixed ring has zero radical",
-                     HOLDS if srad.is_zero() else FAILS,
-                     witness=None if srad.is_zero() else srad.sub)]
+    hyps = [_rad_zero_clause("rad-zero", "the ring has zero radical", ctx.ring)]
+    hyps.extend(_splitting_alternative_hyps(ctx, caps))
+    concls = [_rad_zero_clause("fixed-rad-zero", "the fixed ring has zero radical",
+                               ctx.fixed_image().ring)]
     return hyps, concls, []
 
 

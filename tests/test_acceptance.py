@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is part of the default pytest run.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -325,6 +326,9 @@ def test_criterion_10_byte_determinism(tmp_path):
         assert cli_main(args + ["--out", str(a)]) == 0
         assert cli_main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # the exact bytes are pinned, so refactors cannot change the report
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "32e582f98a3140ed6e43c8c8686a4b6a4687fed731f330aa52877ecda0206f04")
 
 
 def test_criterion_11_roundtrip_identity(named_catalog):

@@ -17,7 +17,6 @@ from ringinv.invariants import (
     splitting_search,
     subgroup_power_nilpotency,
     torsion_ideal,
-    trace,
 )
 from ringinv.ring_core import (
     LEFT,

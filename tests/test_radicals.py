@@ -21,12 +21,14 @@ from ringinv.caps import Caps
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    RingError,
     Subgroup,
     SubringView,
     cyclic_ring,
     direct_product,
     group_ring,
     matrix_ring,
+    unitalize,
     zero_mult_ring,
 )
 
@@ -252,6 +254,14 @@ def test_module_length_additive_on_series():
     assert module_length(m) == module_length(q) + 1
 
 
+def test_module_quotient_rejects_non_submodule():
+    # span{e12} is additive but not a left submodule of M2(F2) over itself
+    r = m2f2()
+    m = ring_as_module(r, LEFT)
+    with pytest.raises(RingError):
+        m.quotient(Subgroup.from_generators(r.additive, [(0, 1, 0, 0)]))
+
+
 def test_module_length_size_cap():
     m = ring_as_module(cyclic_ring(8), LEFT)
     with pytest.raises(SizeCap):
@@ -270,7 +280,9 @@ def test_module_length_choice_independent():
             n += 1
         return n
 
-    for ring in (f3xf3(), cyclic_ring(4), m2f2(), f2c2(), cyclic_ring(12)):
+    for ring in (f3xf3(), cyclic_ring(4), m2f2(), f2c2(), cyclic_ring(12),
+                 two_z8(), zero_mult_ring((4, 2)), unitalize(two_z8()),
+                 direct_product([cyclic_ring(4), cyclic_ring(2)])):
         for side in (LEFT, RIGHT):
             m = ring_as_module(ring, side)
             first = length_with(m, lambda atoms: atoms[0])

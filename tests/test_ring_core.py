@@ -286,6 +286,17 @@ def test_quotient_by_zero_and_whole():
     assert q2.ring.unit == ()
 
 
+@pytest.mark.parametrize("copies", [7, 9])
+def test_quotient_rejects_non_ideal_at_any_order(copies):
+    # span{e12} is not a two-sided ideal of M2(F2) x F2^copies (orders 2048
+    # and 8192); wrapped unverified, it must still not yield a quotient
+    f2 = cyclic_ring(2, name="f2")
+    r = direct_product([m2f2()] + [f2] * copies)
+    sub = Subgroup.from_generators(r.additive, [r.generator(1)])
+    with pytest.raises(RingError):
+        quotient_by_ideal(r, Ideal(r, TWOSIDED, sub))
+
+
 def test_quotient_needs_twosided():
     r = m2f2()
     left_only = generated_ideal(r, [(1, 0, 0, 0)], LEFT)
@@ -349,6 +360,9 @@ def test_subring_view_rejects_non_closed():
     r = m2f2()
     with pytest.raises(RingError):
         SubringView.from_elements(r, [(0, 1, 1, 0)])
+    unverified = SubringView.from_elements(r, [(0, 1, 1, 0)], verify=False)
+    with pytest.raises(RingError):
+        unverified.image()
 
 
 def test_subring_of_nonsplit_additive():
