@@ -43,6 +43,7 @@ from .radicals import (
 )
 from .ring_core import (
     AdditiveGroup,
+    AdditiveMap,
     FiniteRing,
     Ideal,
     Subgroup,
@@ -51,6 +52,7 @@ from .ring_core import (
     direct_product,
     generated_ideal,
     group_ring,
+    inverse,
     matrix_ring,
     quotient_by_ideal,
     unitalize,

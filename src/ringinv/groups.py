@@ -8,6 +8,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .ring_core import (
+    AdditiveMap,
     Element,
     FiniteRing,
     Subgroup,
@@ -100,12 +101,7 @@ class RingAutomorphism:
             cache = self._map = {}
         y = cache.get(x)
         if y is None:
-            ring = self.ring
-            y = ring.zero
-            for c, im in zip(x, self.images):
-                if c:
-                    y = ring.add(y, ring.smul(c, im))
-            cache[x] = y
+            y = cache[x] = self.ring.additive.combine(x, self.images)
         return y
 
     def compose(self, other: "RingAutomorphism") -> "RingAutomorphism":
@@ -291,12 +287,20 @@ def h_constant(n: int) -> int:
 
 
 def fixed_subgroup(ring: FiniteRing, automorphisms) -> Subgroup:
-    """Elements fixed by every automorphism in the collection."""
-    auts = [a for a in automorphisms if not a.is_identity()]
-    if not auts:
-        return Subgroup.from_generators(ring.additive, ring.generators())
-    fixed = [x for x in ring.elements() if all(a.apply(x) == x for a in auts)]
-    return Subgroup.from_generators(ring.additive, fixed)
+    """Elements fixed by every automorphism: the meet of the kernels of a - 1.
+
+    Each kernel is taken on the meet so far (its Hermite key is the source),
+    and an automorphism that fixes the current basis is skipped.
+    """
+    group = ring.additive
+    fixed = Subgroup.from_generators(group, ring.generators())
+    for a in automorphisms:
+        if all(a.apply(b) == b for b in fixed.basis):
+            continue
+        moved = [group.sub(a.apply(group.reduce(row)), group.reduce(row))
+                 for row in fixed.key]
+        fixed = AdditiveMap(group, moved, group.lattice_rows(), sources=fixed.key).kernel
+    return fixed
 
 
 def fixed_ring(ring: FiniteRing, group: AutomorphismGroup) -> SubringView:
@@ -359,7 +363,7 @@ def p_group_fixed_point(pgroup: AutomorphismGroup, module: Subgroup) -> Element 
         for b in module.basis:
             if not module.contains(a.apply(b)):
                 raise NotPModule("subgroup is not invariant under the group")
-    for x in module.sorted_elements():
-        if any(x) and all(a.apply(x) == x for a in pgroup.elements):
-            return x
-    raise GroupError("no nonzero fixed point found on a nonzero module")
+    fixed = fixed_subgroup(pgroup.ring, pgroup.elements).intersect(module)
+    if fixed.is_zero():
+        raise GroupError("no nonzero fixed point found on a nonzero module")
+    return min(x for x in fixed.elements() if any(x))

@@ -18,12 +18,13 @@ from .groups import (
     p_normal_complement,
     quotient_action,
 )
-from .lattices import solve_mod_p
 from .radicals import ideal_lattice, prime_radical
 from .ring_core import (
     LEFT,
     RIGHT,
     TWOSIDED,
+    AdditiveGroup,
+    AdditiveMap,
     Element,
     FiniteRing,
     Ideal,
@@ -32,7 +33,7 @@ from .ring_core import (
     Subgroup,
     SubringView,
     generated_ideal,
-    join_closure,
+    inverse,
 )
 
 
@@ -50,18 +51,19 @@ class NotInFixedRing(RingError):
 class SplittingData:
     """A decomposition R = R^G ⊕ B with B a bimodule over the fixed ring.
 
-    `projection` maps every element to its fixed-ring component; it is the
-    additive idempotent with image R^G and kernel B.
+    `projection` holds the images e(g_x) of the ring generators under the
+    additive idempotent e with image R^G and kernel B; `project` extends
+    them additively.
     """
 
     fixed: Subgroup
     complement: Subgroup
-    projection: dict
+    projection: tuple
     source: str = "search"
     bimodule_checked: bool = True
 
     def project(self, x: Element) -> Element:
-        return self.projection[x]
+        return self.fixed.group.combine(x, self.projection)
 
     @property
     def key(self):
@@ -70,10 +72,16 @@ class SplittingData:
 
 def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup,
                     source: str) -> SplittingData:
-    """Build and verify splitting data from the two subgroups."""
+    """Build and verify splitting data from the two subgroups.
+
+    One map, the inclusion of `fixed` into R/B, gives the meet (its kernel)
+    and each e(g_x) (the preimage of g_x); the bimodule property is checked
+    on generators.
+    """
     if fixed.size * complement.size != ring.order:
         raise RingError("subgroups do not complement each other")
-    if not fixed.intersect(complement).is_zero():
+    along = AdditiveMap(ring.additive, fixed.key, complement.key, sources=fixed.key)
+    if not along.kernel.is_zero():
         raise RingError("subgroups intersect nontrivially")
     for s in fixed.basis:
         for b in complement.basis:
@@ -81,11 +89,9 @@ def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup,
                 raise RingError("complement is not closed under left products")
             if not complement.contains(ring.mul(b, s)):
                 raise RingError("complement is not closed under right products")
-    proj = {}
-    for s in fixed.elements():
-        for b in complement.elements():
-            proj[ring.add(s, b)] = s
-    assert len(proj) == ring.order
+    # sizes multiply and the meet is zero, so fixed + complement = R and
+    # every generator has a preimage
+    proj = tuple(along.preimage(g) for g in ring.generators())
     return SplittingData(fixed, complement, proj, source=source)
 
 
@@ -162,12 +168,12 @@ class GActionContext:
         return out
 
     def trace_image(self, xs=None) -> Subgroup:
-        """Additive span of the traces of the given elements (default: all)."""
+        """Additive span of the traces of the given elements; by default of
+        all elements, which the traces of the generators span (the trace is
+        additive)."""
         if xs is None:
             if "trace_image" not in self._cache:
-                gens = {self.trace(x) for x in self.ring.elements()}
-                self._cache["trace_image"] = Subgroup.from_generators(
-                    self.ring.additive, gens)
+                self._cache["trace_image"] = self.trace_image(self.ring.generators())
             return self._cache["trace_image"]
         return Subgroup.from_generators(
             self.ring.additive, [self.trace(x) for x in xs])
@@ -195,20 +201,15 @@ class GActionContext:
                 sub = SubringView(self.ring,
                                   fixed_subgroup(self.ring, comp.elements))
                 data.fixed_image = sub.image(name=f"{self.ring_name}^N{p}")
-                induced, coset_map = quotient_action(self.group, comp, sub)
-                data.induced = induced
-                cosets = self.group.left_cosets(comp)
-                reps = [c[0] for c in cosets]
-                sring = data.fixed_image.ring
-                traces = set()
-                for y in sring.elements():
-                    x = data.fixed_image.from_image(y)
-                    t = self.ring.zero
-                    for rep in reps:
-                        t = self.ring.add(t, rep.apply(x))
-                    traces.add(data.fixed_image.to_image(t))
-                data.trace_image = Subgroup.from_generators(
-                    sring.additive, traces)
+                data.induced, _ = quotient_action(self.group, comp, sub)
+                image = data.fixed_image
+                sring = image.ring
+                # the relative trace is additive: the traces of the
+                # generators span its image
+                data.trace_image = Subgroup.from_generators(sring.additive, [
+                    image.to_image(relative_trace(self.ring, self.group, comp,
+                                                  image.from_image(y)))
+                    for y in sring.generators()])
                 d, stab = subgroup_power_nilpotency(
                     sring, data.trace_image, caps.d_search)
                 data.d = d
@@ -368,36 +369,26 @@ def subgroup_power_nilpotency(ring: FiniteRing, sub: Subgroup, cap: int):
 def averaging_idempotent(ctx: GActionContext) -> SplittingData:
     """Splitting from averaging over the group, when |G| is invertible.
 
-    The projection is r -> |G|^{-1} * trace(r); its idempotency and image are
-    verified elementwise.
+    The projection is r -> |G|^{-1} * trace(r); being additive, it is given
+    and checked (idempotent, image the fixed ring) on generators.
     """
     ring = ctx.ring
     if not ring.is_unital:
         raise NotInvertible("ring has no identity")
-    n_one = ring.smul(ctx.n, ring.unit)
-    inv = None
-    for x in ring.elements():
-        if ring.mul(x, n_one) == ring.unit and ring.mul(n_one, x) == ring.unit:
-            inv = x
-            break
+    inv = inverse(ring, ring.smul(ctx.n, ring.unit))
     if inv is None:
         raise NotInvertible(f"|G| = {ctx.n} is not a unit")
-    proj = {}
-    image_elems = set()
-    for r in ring.elements():
-        e_r = ring.mul(inv, ctx.trace(r))
-        proj[r] = e_r
-        image_elems.add(e_r)
-    for r in ring.elements():
-        if proj[proj[r]] != proj[r]:
-            raise RingError("averaging map is not idempotent")
-    image = Subgroup.from_generators(ring.additive, image_elems)
-    if image != ctx.fixed.sub:
+    gens = ring.generators()
+    proj = tuple(ring.mul(inv, ctx.trace(g)) for g in gens)
+    if any(ring.mul(inv, ctx.trace(e)) != e for e in proj):
+        raise RingError("averaging map is not idempotent")
+    if Subgroup.from_generators(ring.additive, proj) != ctx.fixed.sub:
         raise RingError("averaging image differs from the fixed ring")
     complement = Subgroup.from_generators(
-        ring.additive, [ring.sub(r, proj[r]) for r in ring.elements()])
+        ring.additive, [ring.sub(g, e) for g, e in zip(gens, proj)])
     sd = _make_splitting(ring, ctx.fixed.sub, complement, source="averaging")
-    assert sd.projection == proj
+    if sd.projection != proj:
+        raise RingError("averaging map differs from the splitting projection")
     return sd
 
 
@@ -427,158 +418,51 @@ def splitting_search(ctx: GActionContext,
 def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     """All complements realizing R = R^G ⊕ B as bimodules, sorted canonically.
 
-    Uses a linear solve over Z/p when the additive group is elementary
-    abelian, otherwise an exhaustive subgroup search; both honor the caps.
+    A bimodule projection e: R -> R^G is fixed by v_x = e(g_x), and every
+    condition on it is linear over ⊕ Z/d_i: d_x·v_x = 0, v_x ∈ R^G (the
+    unknowns range over (R^G)^k), e(s) = s for each basis element s of R^G,
+    and e(u·g_x) = u·v_x, e(g_x·u) = v_x·u for each basis element u.  One
+    `AdditiveMap` gives a particular solution and the solution kernel; the
+    first `caps.splitting_enum` solutions are taken, which is all of them
+    iff the kernel is no larger.  Each complement is the kernel of its e.
     Returns (list, exhaustive).
     """
     ring = ctx.ring
     fixed = ctx.fixed.sub
-    if fixed.size == ring.order:
-        return [_make_splitting(ring, fixed, Subgroup.zero(ring.additive),
-                                source="trivial")], True
-    if fixed.size == 1:
-        whole = Subgroup.from_generators(ring.additive, ring.generators())
-        return [_make_splitting(ring, fixed, whole, source="trivial")], True
-    orders = set(ring.cyclic_orders)
-    if len(orders) == 1 and _is_prime(next(iter(orders))):
-        return _splittings_linear(ctx, next(iter(orders)), caps)
-    return _splittings_subgroup_search(ctx, caps)
+    k, group, gens, sbasis = ring.rank, ring.additive, ring.generators(), fixed.basis
 
+    def split(w):
+        return [group.reduce(w[x * k:(x + 1) * k]) for x in range(k)]
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    def defects(v):
+        """(d_x·v_x)_x, (e(s))_s, then e(u·g_x) - u·v_x and e(g_x·u) - v_x·u."""
+        out = [group.smul(d, vx) for d, vx in zip(ring.cyclic_orders, v)]
+        out += [group.combine(s, v) for s in sbasis]
+        for u in sbasis:
+            for g, vx in zip(gens, v):
+                out.append(group.sub(group.combine(ring.mul(u, g), v), ring.mul(u, vx)))
+                out.append(group.sub(group.combine(ring.mul(g, u), v), ring.mul(vx, u)))
+        return sum(out, ())
 
-
-def _splittings_linear(ctx: GActionContext, p: int, caps: Caps):
-    """Solve the projection constraints over Z/p and enumerate the solutions."""
-    ring = ctx.ring
-    k = ring.rank
-    sbasis = list(ctx.fixed.sub.basis)
-    m = len(sbasis)
-    nvars = k * m  # lambda[x][j]: e(gen_x) = sum_j lambda[x][j] * s_j
-
-    equations = []
-    rhs = []
-
-    def add_equation(coeff_map: dict[int, int], value: int):
-        row = [0] * nvars
-        for idx, c in coeff_map.items():
-            row[idx] = (row[idx] + c) % p
-        equations.append(row)
-        rhs.append(value % p)
-
-    # e fixes the fixed-ring basis: e(s) = s for each s in sbasis
-    for s in sbasis:
-        # e(s) = sum_x s[x] * e(gen_x) = sum_x s[x] sum_j L[x][j] s_j
-        for t in range(k):
-            coeffs: dict[int, int] = {}
-            for x in range(k):
-                if s[x]:
-                    for j in range(m):
-                        idx = x * m + j
-                        coeffs[idx] = (coeffs.get(idx, 0) + s[x] * sbasis[j][t]) % p
-            add_equation(coeffs, s[t])
-    # bimodule map conditions: e(u*gen_x) = u*e(gen_x), e(gen_x*u) = e(gen_x)*u
-    for u in sbasis:
-        for x in range(k):
-            gx = ring.generator(x)
-            left_in = ring.mul(u, gx)     # e applied to this
-            right_in = ring.mul(gx, u)
-            for t in range(k):
-                # e(u*gx)_t - (u * e(gx))_t = 0
-                coeffs = {}
-                for y in range(k):
-                    if left_in[y]:
-                        for j in range(m):
-                            idx = y * m + j
-                            coeffs[idx] = (coeffs.get(idx, 0)
-                                           + left_in[y] * sbasis[j][t]) % p
-                for j in range(m):
-                    us_j = ring.mul(u, sbasis[j])
-                    idx = x * m + j
-                    coeffs[idx] = (coeffs.get(idx, 0) - us_j[t]) % p
-                add_equation(coeffs, 0)
-                coeffs = {}
-                for y in range(k):
-                    if right_in[y]:
-                        for j in range(m):
-                            idx = y * m + j
-                            coeffs[idx] = (coeffs.get(idx, 0)
-                                           + right_in[y] * sbasis[j][t]) % p
-                for j in range(m):
-                    s_ju = ring.mul(sbasis[j], u)
-                    idx = x * m + j
-                    coeffs[idx] = (coeffs.get(idx, 0) - s_ju[t]) % p
-                add_equation(coeffs, 0)
-
-    solved = solve_mod_p(equations, rhs, nvars, p)
-    if solved is None:
+    unknowns = AdditiveGroup(ring.cyclic_orders * k)
+    sources = [ring.zero * x + row + ring.zero * (k - 1 - x)
+               for x in range(k) for row in fixed.key]
+    values = AdditiveGroup(ring.cyclic_orders * (k + len(sbasis) * (1 + 2 * k)))
+    solve = AdditiveMap(unknowns, [defects(split(w)) for w in sources],
+                        values.lattice_rows(), sources=sources)
+    particular = solve.preimage(
+        ring.zero * k + sum(sbasis, ()) + ring.zero * (2 * k * len(sbasis)))
+    if particular is None:
         return [], True
-    particular, nullspace = solved
-    dim = len(nullspace)
-    total = p ** dim
-    exhaustive = total <= caps.splitting_enum
-    count = min(total, caps.splitting_enum)
-    out = {}
-    for idx, coeffs in enumerate(itertools.product(range(p), repeat=dim)):
-        if idx >= count:
-            break
-        lam = list(particular)
-        for c, vec in zip(coeffs, nullspace):
-            if c:
-                lam = [(a + c * b) % p for a, b in zip(lam, vec)]
-        # build the projection matrix rows e(gen_x)
-        rows = []
-        for x in range(k):
-            row = ring.zero
-            for j in range(m):
-                c = lam[x * m + j]
-                if c:
-                    row = ring.add(row, ring.smul(c, sbasis[j]))
-            rows.append(row)
-        # kernel of x -> x·E is the complement
-        kernel = [x for x in ring.elements()
-                  if _apply_rows(ring, rows, x) == ring.zero]
-        comp = Subgroup.from_generators(ring.additive, kernel)
-        if comp.size * ctx.fixed.size != ring.order:
-            continue
-        if comp.key not in out:
-            try:
-                out[comp.key] = _make_splitting(ring, ctx.fixed.sub, comp,
-                                                source="search")
-            except RingError:
-                continue
-    found = sorted(out.values(), key=lambda sd: sd.key)
-    return found, exhaustive
-
-
-def _apply_rows(ring: FiniteRing, rows, x: Element) -> Element:
-    out = ring.zero
-    for c, row in zip(x, rows):
-        if c:
-            out = ring.add(out, ring.smul(c, row))
-    return out
-
-
-def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
-    """Exhaustive complement search over the subgroup lattice, with caps."""
-    ring = ctx.ring
-    fixed = ctx.fixed.sub
-    target = ring.order // fixed.size
-    subgroups, exhaustive = join_closure(
-        (Subgroup.from_generators(ring.additive, [x]) for x in ring.elements()),
-        caps.splitting_enum * 8)
-    out = {}
-    for sub in subgroups:
-        if sub.size != target or not fixed.intersect(sub).is_zero():
-            continue
-        try:
-            sd = _make_splitting(ring, fixed, sub, source="search")
-        except RingError:
-            continue
-        out[sd.key] = sd
-    found = sorted(out.values(), key=lambda sd: sd.key)
-    return found, exhaustive
+    found = []
+    for w in itertools.islice(solve.kernel, caps.splitting_enum):
+        proj = tuple(split(unknowns.add(particular, w)))
+        complement = AdditiveMap(group, proj, group.lattice_rows()).kernel
+        sd = _make_splitting(ring, fixed, complement, source="search")
+        if sd.projection != proj:
+            raise RingError("a solved projection is not its splitting's")
+        found.append(sd)
+    return sorted(found, key=lambda sd: sd.key), solve.kernel.size <= caps.splitting_enum
 
 
 def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
@@ -595,8 +479,8 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
         e_image = Subgroup.from_generators(
             ring.additive, [sd.project(b) for b in ideal.basis])
         meet = ideal.sub.intersect(ctx.fixed.sub)
-        for x in meet.basis:
-            assert e_image.contains(x), "fixed part of an ideal escaped e(I)"
+        if not all(e_image.contains(x) for x in meet.basis):
+            raise RingError("fixed part of an ideal escaped e(I)")
         ok = all(meet.contains(x) for x in e_image.basis)
         if not ok:
             return ProperSplittingReport(status="no", witness=ideal,
@@ -630,8 +514,8 @@ def centralizer_normalizer(ring: FiniteRing, sub: SubringView) -> CentralizerDat
             norm.append(b)
     cview = SubringView.from_elements(ring, cent)
     nview = SubringView.from_elements(ring, norm)
-    for x in cview.basis:
-        assert nview.contains(x), "centralizer escaped the normalizer"
+    if not all(nview.contains(x) for x in cview.basis):
+        raise RingError("centralizer escaped the normalizer")
     units = tuple(sorted(unit_group(ring)))
     central_units = tuple(u for u in units if cview.contains(u))
     normalizing_units = tuple(u for u in units if nview.contains(u))
@@ -641,23 +525,14 @@ def centralizer_normalizer(ring: FiniteRing, sub: SubringView) -> CentralizerDat
 def unit_group(ring: FiniteRing) -> list[Element]:
     if not ring.is_unital:
         return []
-    units = []
-    for x in ring.elements():
-        inv = next((y for y in ring.elements()
-                    if ring.mul(x, y) == ring.unit and ring.mul(y, x) == ring.unit),
-                   None)
-        if inv is not None:
-            units.append(x)
-    return units
+    return [x for x in ring.elements() if inverse(ring, x) is not None]
 
 
 def inner_automorphism(ring: FiniteRing, u: Element) -> RingAutomorphism:
     """Conjugation by a unit, as a validated automorphism."""
     if not ring.is_unital:
         raise NotInvertible("inner automorphisms need a unital ring")
-    uinv = next((y for y in ring.elements()
-                 if ring.mul(u, y) == ring.unit and ring.mul(y, u) == ring.unit),
-                None)
+    uinv = inverse(ring, u)
     if uinv is None:
         raise NotInvertible(f"{u} is not a unit")
     images = [ring.mul(ring.mul(u, g), uinv) for g in ring.generators()]
@@ -677,8 +552,6 @@ def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
         for ideal in ideals:
             if ideal.is_zero():
                 continue
-            t_img = Subgroup.from_generators(
-                ctx.ring.additive, [ctx.trace(x) for x in ideal.basis])
-            if t_img.is_zero():
+            if ctx.trace_image(ideal.basis).is_zero():
                 return "no", ("zero trace on nonzero invariant ideal", ideal)
     return ("capped" if capped else "yes"), None

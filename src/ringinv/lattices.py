@@ -1,9 +1,11 @@
 """Exact integer matrix forms used throughout the package.
 
 Additive subgroups of a finite abelian group ⊕ Z/d_i are canonicalized by the
-Hermite normal form of their preimage lattice in Z^k; quotients and subring
-coordinate systems come from the Smith normal form with tracked column
-transforms.  Everything is arbitrary-precision integer arithmetic.
+Hermite normal form of their preimage lattice in Z^k, which on a graph
+lattice also gives kernels and preimages (`ring_core.AdditiveMap`);
+quotients and subring coordinate systems come from the Smith normal form
+with tracked column transforms.  The engine no longer calls `solve_mod_p`.
+Everything is arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .ring_core import (
     RIGHT,
     TWOSIDED,
     AdditiveGroup,
+    AdditiveMap,
     Coordinates,
     Element,
     FiniteRing,
@@ -29,6 +30,7 @@ from .ring_core import (
     atom_below,
     close_subgroup,
     generated_ideal,
+    inverse,
     join_closure,
     minimal_closures,
 )
@@ -88,7 +90,8 @@ def prime_radical(ring: FiniteRing) -> Ideal:
         if nilpotency_index(ring, ideal.sub) is not None:
             members.append(x)
     out = Ideal.from_basis(ring, TWOSIDED, members, verify=True)
-    assert nilpotency_index(ring, out.sub) is not None
+    if nilpotency_index(ring, out.sub) is None:
+        raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
     ring._extra["prime_radical"] = out
     return out
 
@@ -140,7 +143,8 @@ def radical_profile(ring: FiniteRing) -> RadicalProfile:
             f"prime and Jacobson radicals disagree on {ring.name}: "
             f"{sorted(nil.elements())} vs {sorted(rad.elements())}")
     idx = nilpotency_index(ring, rad.sub)
-    assert idx is not None
+    if idx is None:
+        raise CrossCheckError(f"radical of {ring.name} is not nilpotent")
     return RadicalProfile(
         prime_radical=nil,
         jacobson_radical=rad,
@@ -254,8 +258,9 @@ def uniform_dimension(ring: FiniteRing, side: str,
 def _verify_udim_witness(ring: FiniteRing, cert: UdimCertificate) -> None:
     span = Subgroup.zero(ring.additive)
     for ideal in cert.witness:
-        assert not ideal.is_zero()
-        assert span.intersect(ideal.sub).is_zero()
+        if ideal.is_zero() or not span.intersect(ideal.sub).is_zero():
+            raise CrossCheckError(
+                f"udim witness on {ring.name} is not a direct sum of nonzero ideals")
         span = span.join(ideal.sub)
 
 
@@ -315,20 +320,11 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
     cached = ring._extra.get("regular")
     if cached is not None:
         return cached
-    regular = []
-    elems = list(ring.elements())
-    for r in elems:
-        if all(ring.mul(r, x) != ring.zero and ring.mul(x, r) != ring.zero
-               for x in elems if x != ring.zero):
-            regular.append(r)
+    regular = [r for r in ring.elements()
+               if _multiplication_kernel(ring, [r], LEFT).is_zero()
+               and _multiplication_kernel(ring, [r], RIGHT).is_zero()]
     if ring.is_unital:
-        units = []
-        for r in elems:
-            inv = next((y for y in elems
-                        if ring.mul(r, y) == ring.unit
-                        and ring.mul(y, r) == ring.unit), None)
-            if inv is not None:
-                units.append(r)
+        units = [r for r in ring.elements() if inverse(ring, r) is not None]
         regular_are_units = set(regular) == set(units)
         if not regular_are_units:
             raise CrossCheckError(
@@ -343,12 +339,20 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
     return out
 
 
+def _multiplication_kernel(ring: FiniteRing, rs, side: str) -> Subgroup:
+    """The kernel of x ↦ (r·x)_r (LEFT) or x ↦ (x·r)_r (RIGHT), r in `rs`."""
+    images = [sum((ring.mul(r, g) if side == LEFT else ring.mul(g, r) for r in rs), ())
+              for g in ring.generators()]
+    values = AdditiveGroup(ring.cyclic_orders * len(rs))
+    return AdditiveMap(ring.additive, images, values.lattice_rows()).kernel
+
+
 def left_annihilator(ring: FiniteRing, xs) -> Ideal:
-    """Elements r with r*x = 0 for every x in the set; a left ideal."""
-    xs = list(xs)
-    members = [r for r in ring.elements()
-               if all(ring.mul(r, x) == ring.zero for x in xs)]
-    return Ideal.from_basis(ring, LEFT, members, verify=True)
+    """Elements r with r*x = 0 for every x in the set; a left ideal: the
+    kernel of r ↦ (r·b)_b over a basis of the span of the set."""
+    basis = Subgroup.from_generators(ring.additive, xs).basis
+    return Ideal.from_basis(ring, LEFT, _multiplication_kernel(ring, basis, RIGHT).basis,
+                            verify=True)
 
 
 # -- finite modules and composition length -------------------------------------------

@@ -6,12 +6,15 @@ k×k table of generator products.  Ideals and subrings are additive subgroups
 canonicalized by the Hermite form of their preimage lattice, so equality
 tests never enumerate elements.
 
-The structure theory rests on four primitives over those subgroups:
-`close_subgroup` (closure under additive maps: sided ideals, submodules),
-`join_closure` (lattices of ideals and subgroups), `minimal_closures` and
-`atom_below` (atoms of such lattices), and `Coordinates` (Smith-form
-coordinates on a subquotient: quotient rings, quotient modules, subring
-images), whose one check proves the transported structure correct.
+The structure theory rests on five primitives over those subgroups:
+`AdditiveMap` (kernel and preimages of an additive map from one Hermite
+form: intersections, fixed subgroups, identities, inverses, annihilators,
+splittings), `close_subgroup` (closure under additive maps: sided ideals,
+submodules), `join_closure` (lattices of ideals and subgroups),
+`minimal_closures` and `atom_below` (atoms of such lattices), and
+`Coordinates` (Smith-form coordinates on a subquotient: quotient rings,
+quotient modules, subring images), whose one check proves the transported
+structure correct.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ Element = tuple[int, ...]
 
 # lazy multiplication cache is only kept for rings up to this order
 MUL_CACHE_MAX_ORDER = 4096
-# an identity element is searched for up to this order
-IDENTITY_SEARCH_MAX_ORDER = 65536
 
 LEFT = "left"
 RIGHT = "right"
@@ -113,6 +114,11 @@ class AdditiveGroup:
     def smul(self, n: int, x: Element) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.cyclic_orders))
 
+    def combine(self, coeffs, vectors) -> Element:
+        """Σ_i coeffs[i]·vectors[i], reduced."""
+        terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
+        return self.reduce(sum(c * v[t] for c, v in terms) for t in range(self.rank))
+
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic coordinate order."""
         return itertools.product(*(range(d) for d in self.cyclic_orders))
@@ -134,7 +140,7 @@ class Subgroup:
     `basis` is the human-facing generating set: nonzero key rows reduced.
     """
 
-    __slots__ = ("group", "key", "basis", "size", "_elements", "_sorted")
+    __slots__ = ("group", "key", "basis", "size", "_elements")
 
     def __init__(self, group: AdditiveGroup, key: tuple[tuple[int, ...], ...]):
         self.group = group
@@ -145,7 +151,6 @@ class Subgroup:
         det = prod(key[i][i] for i in range(len(key))) if key else 1
         self.size = group.order // det
         self._elements = None
-        self._sorted = None
 
     @classmethod
     def from_generators(cls, group: AdditiveGroup, gens: Iterable[Element]) -> "Subgroup":
@@ -160,34 +165,41 @@ class Subgroup:
     def contains(self, x: Element) -> bool:
         return in_hermite_span(self.key, x)
 
+    def __iter__(self) -> Iterator[Element]:
+        """Each element once, lazily: Σ c_i·key_i over 0 <= c_i < d_i/key_ii.
+
+        The key is triangular and its diagonal divides the orders, so these
+        sums are distinct modulo the order lattice and there are `size` of
+        them; they come in lexicographic order of (c_i).
+        """
+        add = self.group.add
+        steps = [(self.group.reduce(row), d // row[i]) for i, (row, d)
+                 in enumerate(zip(self.key, self.group.cyclic_orders)) if d // row[i] > 1]
+
+        def walk(i, v):
+            if i == len(steps):
+                yield v
+                return
+            row, n = steps[i]
+            for _ in range(n):
+                yield from walk(i + 1, v)
+                v = add(v, row)
+        return walk(0, self.group.zero)
+
     def elements(self) -> frozenset:
         if self._elements is None:
-            add = self.group.add
-            seen = {self.group.zero}
-            frontier = [self.group.zero]
-            while frontier:
-                v = frontier.pop()
-                for b in self.basis:
-                    w = add(v, b)
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            assert len(seen) == self.size
-            self._elements = frozenset(seen)
+            seen = frozenset(self)
+            if len(seen) != self.size:
+                raise RingError(f"{len(seen)} elements in a subgroup of size {self.size}")
+            self._elements = seen
         return self._elements
-
-    def sorted_elements(self) -> tuple[Element, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements()))
-        return self._sorted
 
     def join(self, other: "Subgroup") -> "Subgroup":
         return Subgroup.from_generators(self.group, self.basis + other.basis)
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        small, big = (self, other) if self.size <= other.size else (other, self)
-        gens = [x for x in small.elements() if big.contains(x)]
-        return Subgroup.from_generators(self.group, gens)
+        """Zassenhaus: the kernel of the inclusion of self into G/other."""
+        return AdditiveMap(self.group, self.key, other.key, sources=self.key).kernel
 
     def is_zero(self) -> bool:
         return self.size == 1
@@ -286,10 +298,6 @@ class FiniteRing:
     def is_unital(self) -> bool:
         return self.unit is not None
 
-    def is_identity(self, u: Element) -> bool:
-        return all(self.mul(u, g) == g and self.mul(g, u) == g
-                   for g in self.generators()) if self.rank else True
-
     def table_key(self):
         return (self.cyclic_orders, self.mul_table, self.unit)
 
@@ -309,7 +317,8 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
     """Validate raw structure constants and return the ring.
 
     Checks bilinear well-definedness and associativity on generator triples
-    (which suffices by biadditivity), then detects a two-sided identity.
+    (which suffices by biadditivity), then solves for a two-sided identity,
+    which must equal `unit_hint` when one is given.
     """
     group = AdditiveGroup(tuple(int(d) for d in cyclic_orders))
     k = group.rank
@@ -336,21 +345,29 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
                 right = ring.mul(gens[i], reduced[j][l])
                 if left != right:
                     raise NonAssociative(i, j, l)
-    unit = None
-    if unit_hint is not None:
-        u = group.reduce(unit_hint)
-        if not ring.is_identity(u):
-            raise NotUnital(f"claimed identity {u} is not one")
-        unit = u
-    elif ring.order <= IDENTITY_SEARCH_MAX_ORDER:
-        for u in ring.elements():
-            if ring.is_identity(u):
-                unit = u
-                break
-    if k == 0:
-        unit = ()
+    # u is the identity iff u·g_j = g_j = g_j·u for every generator g_j
+    images = [sum((reduced[i][j] for j in range(k)), ())
+              + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
+    pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
+    unit = AdditiveMap(group, images, pairs.lattice_rows()).preimage(sum(gens, ()) * 2)
+    if unit_hint is not None and group.reduce(unit_hint) != unit:
+        raise NotUnital(f"claimed identity {group.reduce(unit_hint)} is not one")
     ring.unit = unit
     return ring
+
+
+def inverse(ring: FiniteRing, u: Element) -> Element | None:
+    """The two-sided inverse of u, or None when u is not a unit.
+
+    It is the preimage of 1 under y ↦ u·y, if that is also a left inverse.
+    """
+    if not ring.is_unital:
+        return None
+    y = AdditiveMap(ring.additive, [ring.mul(u, g) for g in ring.generators()],
+                    ring.additive.lattice_rows()).preimage(ring.unit)
+    if y is None or ring.mul(y, u) != ring.unit:
+        return None
+    return y
 
 
 # -- constructors -----------------------------------------------------------
@@ -510,6 +527,52 @@ def group_ring(ring: FiniteRing, cayley, name: str | None = None) -> FiniteRing:
     unit = scatter(ring.unit, ident)
     return validate_ring(orders, table, unit_hint=unit,
                          name=name or f"{ring.name}[H{n}]")
+
+
+# -- kernels and preimages ------------------------------------------------------------
+
+class AdditiveMap:
+    """An additive map into Z^m modulo the full-rank row lattice `relations`.
+
+    It sends `sources[i]` to `images[i]`; `sources` (default: the generators
+    of `group`) span the preimage lattice of a subgroup of `group`, on which
+    the map must be well defined.  One Hermite form of the graph lattice
+    [[images | sources], [relations | 0]] gives the `kernel` (its rows that
+    vanish on the image columns) and every `preimage` (the reduction of
+    [target | 0] by its other rows).
+    """
+
+    __slots__ = ("group", "kernel", "_width", "_pivots")
+
+    def __init__(self, group: AdditiveGroup, images, relations, sources=None):
+        n, m = group.rank, len(relations)
+        if sources is None:
+            sources = [group.generator(i) for i in range(n)]
+        rows = [list(y) + list(x) for y, x in zip(images, sources)]
+        rows.extend(list(r) + [0] * n for r in relations)
+        hnf = hermite_form(rows, m + n)
+        cut = next((t for t, row in enumerate(hnf) if not any(row[:m])), len(hnf))
+        key = tuple(row[m:] for row in hnf[cut:])
+        if not all(in_hermite_span(key, r) for r in group.lattice_rows()):
+            raise RingError("the map is not well defined on the group")
+        self.group = group
+        self.kernel = Subgroup(group, key)
+        self._width = m
+        self._pivots = [(next(c for c, x in enumerate(row) if x), row)
+                        for row in hnf[:cut]]
+
+    def preimage(self, target) -> Element | None:
+        """Some x with f(x) = target, or None when target is not an image."""
+        v = list(target) + [0] * self.group.rank
+        for c, row in self._pivots:
+            q, r = divmod(v[c], row[c])
+            if r:
+                return None
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        if any(v[:self._width]):
+            return None
+        return self.group.reduce(-a for a in v[self._width:])
 
 
 # -- closure, join closure and atoms ----------------------------------------------

@@ -1,6 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ringinv
 
 from ringinv.catalog import named_instances, save
 from ringinv.cli import main
@@ -141,3 +148,41 @@ def test_jobs_parallel_matches_serial(tmp_path):
     assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
     assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _run_python(args, optimize: bool):
+    src = str(Path(ringinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable] + (["-O"] if optimize else []) + args,
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_optimized_mode_report_parity(tmp_path):
+    """`python -O` strips asserts; every soundness check is a raise, so the
+    report bytes must not change."""
+    digests = []
+    for optimize in (True, False):
+        out = tmp_path / f"report-{optimize}.json"
+        run = _run_python(["-m", "ringinv", "check", "--instances",
+                           "two_z8,m2f2,f3xf3", "--out", str(out)], optimize)
+        assert run.returncode in (0, 4), run.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+def test_optimized_mode_rejects_forged_udim_witness():
+    script = (
+        "import sys\n"
+        "from ringinv.radicals import CrossCheckError, UdimCertificate, "
+        "_verify_udim_witness, principal_ideal\n"
+        "from ringinv.ring_core import LEFT, cyclic_ring\n"
+        "ring = cyclic_ring(4)\n"
+        "ideal = principal_ideal(ring, (2,), LEFT)\n"
+        "cert = UdimCertificate(2, [ideal, ideal], 'exhaustive', LEFT)\n"
+        "try:\n"
+        "    _verify_udim_witness(ring, cert)\n"
+        "except CrossCheckError:\n"
+        "    print('raised', sys.flags.optimize)\n")
+    run = _run_python(["-c", script], optimize=True)
+    assert run.stdout.split() == ["raised", "1"], run.stderr

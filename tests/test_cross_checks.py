@@ -1,9 +1,9 @@
 """Cross-validation of independent computation routes on structured rings."""
 
 from ringinv.caps import Caps
-from ringinv.catalog import cayley_cyclic, named_instances
+from ringinv.catalog import cayley_cyclic, named_instances, random_instances
 from ringinv.groups import RingAutomorphism, close_group, p_normal_complement
-from ringinv.invariants import GActionContext, _splittings_subgroup_search
+from ringinv.invariants import GActionContext, _make_splitting
 from ringinv.radicals import (
     jacobson_radical,
     module_length,
@@ -15,11 +15,35 @@ from ringinv.radicals import (
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    RingError,
+    Subgroup,
     cyclic_ring,
     group_ring,
+    join_closure,
     matrix_ring,
     zero_mult_ring,
 )
+
+
+def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
+    """Oracle: every complement of R^G found in the lattice of subgroups."""
+    ring = ctx.ring
+    fixed = ctx.fixed.sub
+    target = ring.order // fixed.size
+    subgroups, exhaustive = join_closure(
+        (Subgroup.from_generators(ring.additive, [x]) for x in ring.elements()),
+        caps.splitting_enum * 8)
+    out = {}
+    for sub in subgroups:
+        if sub.size != target or not fixed.intersect(sub).is_zero():
+            continue
+        try:
+            sd = _make_splitting(ring, fixed, sub, source="search")
+        except RingError:
+            continue
+        out[sd.key] = sd
+    found = sorted(out.values(), key=lambda sd: sd.key)
+    return found, exhaustive
 
 
 def klein_four_cayley():
@@ -131,14 +155,26 @@ def test_c6_has_both_normal_complements():
     assert orders == [1, 2, 3, 3, 6, 6]
 
 
+def _is_elementary_abelian(orders) -> bool:
+    p = orders[0] if orders else 1
+    return len(set(orders)) == 1 and p > 1 and all(p % d for d in range(2, p))
+
+
 def test_linear_splitting_solver_matches_subgroup_search():
-    """The Z/p projection solver and the raw subgroup search must find the
-    same complements on elementary abelian instances."""
+    """The linear splitting solver and the raw subgroup search must find the
+    same complements: on elementary abelian instances, on two_z8, and on
+    the seeded random rings whose additive group is not elementary abelian
+    and whose fixed ring is proper and nonzero."""
     cases = [inst for inst in named_instances()
              if inst.name in ("f3xf3", "f2xf2", "zm_f4", "zm_f9", "m2f2",
-                              "m2f3", "composite_s3")]
+                              "m2f3", "composite_s3", "two_z8")]
+    rand, _ = random_instances(100, seed=20260808)
+    mixed = [inst for inst in rand
+             if not _is_elementary_abelian(inst.ring.cyclic_orders)
+             and 1 < inst.context().fixed.size < inst.ring.order]
+    assert mixed
     big_caps = Caps(splitting_enum=100000)
-    for inst in cases:
+    for inst in cases + mixed:
         ctx_linear = inst.context()
         linear, exh1 = ctx_linear.splittings(big_caps)
         ctx_brute = inst.context()
@@ -146,6 +182,17 @@ def test_linear_splitting_solver_matches_subgroup_search():
         assert exh1 and exh2
         assert {sd.complement.key for sd in linear} == \
                {sd.complement.key for sd in brute}, inst.name
+
+
+def test_no_splitting_of_m2z4_under_unipotent_conjugation():
+    """M2(Z/4) under conjugation by I + e12 has no bimodule complement; the
+    solver proves it exhaustively."""
+    from ringinv.invariants import enumerate_splittings, inner_automorphism
+
+    ring = matrix_ring(cyclic_ring(4), 2, name="m2z4")
+    ctx = GActionContext(ring, close_group([inner_automorphism(ring, (1, 1, 0, 1))]))
+    assert 1 < ctx.fixed.size < ring.order
+    assert enumerate_splittings(ctx, Caps()) == ([], True)
 
 
 def test_udim_branch_and_bound_matches_naive():

@@ -65,6 +65,14 @@ def test_z12_is_unital_cyclic():
     assert r.mul((5,), (7,)) == (11,)
 
 
+def test_identity_found_without_hint_at_any_order():
+    # M2(Z/17) has order 83521; its identity is detected from the table alone
+    m = matrix_ring(cyclic_ring(17), 2)
+    r = validate_ring(m.cyclic_orders, m.mul_table)
+    assert r.unit == (1, 0, 0, 1)
+    assert validate_ring((2, 2), [[(0, 0)] * 2] * 2).unit is None
+
+
 def test_nonassociative_table_rejected():
     # on Z/2 ⊕ Z/2: e1*e1 = e2, e1*e2 = e1, everything else 0 breaks
     # associativity on (e1,e1,e1): (e1e1)e1 = e2e1 = 0 vs e1(e1e1) = e1e2 = e1
