@@ -1,6 +1,7 @@
 """Everything a group action induces on a finite ring: fixed subrings, traces,
-torsion ideals, bad primes, ideal extension/restriction, splitting structures,
-and centralizers/normalizers.
+torsion ideals, bad primes, the ideal correspondence with the fixed ring
+(meet, restriction, extension), splitting structures, and
+centralizers/normalizers.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ class SplittingData:
     fixed: Subgroup
     complement: Subgroup
     projection: tuple
-    source: str = "search"
-    bimodule_checked: bool = True
 
     def project(self, x: Element) -> Element:
         return self.fixed.group.combine(x, self.projection)
@@ -70,8 +69,7 @@ class SplittingData:
         return self.complement.key
 
 
-def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup,
-                    source: str) -> SplittingData:
+def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup) -> SplittingData:
     """Build and verify splitting data from the two subgroups.
 
     One map, the inclusion of `fixed` into R/B, gives the meet (its kernel)
@@ -92,7 +90,7 @@ def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup,
     # sizes multiply and the meet is zero, so fixed + complement = R and
     # every generator has a preimage
     proj = tuple(along.preimage(g) for g in ring.generators())
-    return SplittingData(fixed, complement, proj, source=source)
+    return SplittingData(fixed, complement, proj)
 
 
 @dataclass
@@ -138,8 +136,9 @@ class GActionContext:
     """A finite group acting on a finite ring, with caching for the searches.
 
     The fixed subring is computed and verified at construction; all further
-    data (bad primes, splittings, invariant ideals) is derived lazily and
-    keyed by the caps that shaped it.
+    data (bad primes, splittings, invariant ideals, the ideal correspondence
+    with the fixed ring) is derived lazily and keyed by the caps that shaped
+    it.
     """
 
     def __init__(self, ring: FiniteRing, group: AutomorphismGroup,
@@ -154,12 +153,14 @@ class GActionContext:
         self.fixed = SubringView(ring, fixed_subgroup(ring, group.elements))
         self._cache: dict = {}
 
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     # -- basics -----------------------------------------------------------
     def fixed_image(self) -> RingImage:
-        if "fixed_image" not in self._cache:
-            self._cache["fixed_image"] = self.fixed.image(
-                name=f"{self.ring_name}^G")
-        return self._cache["fixed_image"]
+        return self.fixed.image(name=f"{self.ring_name}^G")
 
     def trace(self, r: Element) -> Element:
         out = self.ring.zero
@@ -172,18 +173,36 @@ class GActionContext:
         all elements, which the traces of the generators span (the trace is
         additive)."""
         if xs is None:
-            if "trace_image" not in self._cache:
-                self._cache["trace_image"] = self.trace_image(self.ring.generators())
-            return self._cache["trace_image"]
+            return self._cached("trace_image",
+                                lambda: self.trace_image(self.ring.generators()))
         return Subgroup.from_generators(
             self.ring.additive, [self.trace(x) for x in xs])
 
+    # -- the ideal correspondence between R and R^G -------------------------
+    def meet(self, sub: Subgroup) -> Subgroup:
+        """sub ∩ R^G, as a subgroup of R."""
+        return self._cached(("meet", sub.key), lambda: sub.intersect(self.fixed.sub))
+
+    def restrict(self, sub: Subgroup) -> Subgroup:
+        """The restriction sub ∩ R^G in the coordinates of the fixed ring."""
+        def compute():
+            image = self.fixed_image()
+            return Subgroup.from_generators(
+                image.ring.additive, [image.to_image(x) for x in self.meet(sub).basis])
+        return self._cached(("restrict", sub.key), compute)
+
+    def extend(self, sub: Subgroup, side: str) -> Ideal:
+        """The extension of a subgroup of the fixed ring (in its coordinates):
+        the sided ideal of R it generates, which contains it by the closure
+        convention."""
+        def compute():
+            image = self.fixed_image()
+            return generated_ideal(self.ring, [image.from_image(b) for b in sub.basis], side)
+        return self._cached(("extend", side, sub.key), compute)
+
     # -- bad primes ---------------------------------------------------------
     def bad_primes(self, caps: Caps = DEFAULT_CAPS) -> BadPrimeProfile:
-        key = ("bad_primes", caps.d_search)
-        if key not in self._cache:
-            self._cache[key] = self._compute_bad_primes(caps)
-        return self._cache[key]
+        return self._cached(("bad_primes", caps), lambda: self._compute_bad_primes(caps))
 
     def _compute_bad_primes(self, caps: Caps) -> BadPrimeProfile:
         profile = BadPrimeProfile(primes=())
@@ -227,13 +246,8 @@ class GActionContext:
         ideals generated by single G-orbits, so join-closure of those
         generators enumerates the lattice.
         """
-        key = ("inv_ideals", side, caps.exhaustive_ideal_order, caps.ideal_count,
-               caps.sample_count)
-        if key not in self._cache:
-            self._cache[key] = ideal_lattice(
-                self.ring, side, lambda x: self.invariant_ideal_from(x, side),
-                31, caps)
-        return self._cache[key]
+        return self._cached(("inv_ideals", side, caps), lambda: ideal_lattice(
+            self.ring, side, lambda x: self.invariant_ideal_from(x, side), 31, caps))
 
     def invariant_ideal_from(self, x: Element, side: str) -> Ideal:
         orbit = {g.apply(x) for g in self.group.elements}
@@ -256,10 +270,7 @@ class GActionContext:
         return out
 
     def splittings(self, caps: Caps = DEFAULT_CAPS):
-        key = ("splittings", caps.splitting_enum)
-        if key not in self._cache:
-            self._cache[key] = enumerate_splittings(self, caps)
-        return self._cache[key]
+        return self._cached(("splittings", caps), lambda: enumerate_splittings(self, caps))
 
     def proper_splitting(self, side: str, caps: Caps = DEFAULT_CAPS):
         """First proper splitting on the given side, with certainty flags.
@@ -268,11 +279,8 @@ class GActionContext:
         status "yes" with the splitting, "no" when certainly none exists,
         "capped" when the search was cut short.
         """
-        key = ("proper", side, caps.splitting_enum, caps.exhaustive_ideal_order,
-               caps.ideal_count)
-        if key not in self._cache:
-            self._cache[key] = self._compute_proper_splitting(side, caps)
-        return self._cache[key]
+        return self._cached(("proper", side, caps),
+                            lambda: self._compute_proper_splitting(side, caps))
 
     def _compute_proper_splitting(self, side: str, caps: Caps):
         candidates, exhaustive = self.splittings(caps)
@@ -329,23 +337,6 @@ def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
     return ideal
 
 
-def extend_ideal(ctx: GActionContext, basis, side: str) -> Ideal:
-    """Extension of a fixed-ring ideal to the ambient ring (it contains the
-    generators by the closure convention)."""
-    for b in basis:
-        if not ctx.fixed.contains(b):
-            raise NotInFixedRing(f"{b} is not in the fixed ring")
-    return generated_ideal(ctx.ring, basis, side)
-
-
-def restrict_ideal(ctx: GActionContext, ideal: Ideal) -> Ideal:
-    """Restriction I ∩ R^G, returned as an ideal of the realized fixed ring."""
-    image = ctx.fixed_image()
-    meet = ideal.sub.intersect(ctx.fixed.sub)
-    gens = [image.to_image(x) for x in meet.basis]
-    return Ideal.from_basis(image.ring, ideal.side, gens, verify=True)
-
-
 def subgroup_power_nilpotency(ring: FiniteRing, sub: Subgroup, cap: int):
     """Least d with sub^d = 0 under span-of-products powers.
 
@@ -386,7 +377,7 @@ def averaging_idempotent(ctx: GActionContext) -> SplittingData:
         raise RingError("averaging image differs from the fixed ring")
     complement = Subgroup.from_generators(
         ring.additive, [ring.sub(g, e) for g, e in zip(gens, proj)])
-    sd = _make_splitting(ring, ctx.fixed.sub, complement, source="averaging")
+    sd = _make_splitting(ring, ctx.fixed.sub, complement)
     if sd.projection != proj:
         raise RingError("averaging map differs from the splitting projection")
     return sd
@@ -458,7 +449,7 @@ def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     for w in itertools.islice(solve.kernel, caps.splitting_enum):
         proj = tuple(split(unknowns.add(particular, w)))
         complement = AdditiveMap(group, proj, group.lattice_rows()).kernel
-        sd = _make_splitting(ring, fixed, complement, source="search")
+        sd = _make_splitting(ring, fixed, complement)
         if sd.projection != proj:
             raise RingError("a solved projection is not its splitting's")
         found.append(sd)
@@ -478,7 +469,7 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
     for ideal in ideals:
         e_image = Subgroup.from_generators(
             ring.additive, [sd.project(b) for b in ideal.basis])
-        meet = ideal.sub.intersect(ctx.fixed.sub)
+        meet = ctx.meet(ideal.sub)
         if not all(e_image.contains(x) for x in meet.basis):
             raise RingError("fixed part of an ideal escaped e(I)")
         ok = all(meet.contains(x) for x in e_image.basis)

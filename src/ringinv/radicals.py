@@ -167,8 +167,7 @@ def is_semisimple_artinian(ring: FiniteRing) -> bool:
 def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
     sample when the ring or the lattice outgrows the caps."""
-    key = ("ideals", side, caps.exhaustive_ideal_order, caps.ideal_count,
-           caps.sample_count)
+    key = ("ideals", side, caps)
     if key not in ring._extra:
         ring._extra[key] = ideal_lattice(
             ring, side, lambda x: principal_ideal(ring, x, side), 17, caps)
@@ -215,7 +214,7 @@ def uniform_dimension(ring: FiniteRing, side: str,
     the search is branch-and-bound over atoms.  Above the exhaustive cap a
     greedy-with-restarts lower bound is reported and flagged.
     """
-    key = ("udim", side, caps.udim_exhaustive_order)
+    key = ("udim", side, caps)
     cached = ring._extra.get(key)
     if cached is not None:
         return cached
@@ -482,3 +481,23 @@ def module_length(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:
         current = current.quotient(atom)
         length += 1
     return length
+
+
+def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
+                    caps: Caps = DEFAULT_CAPS) -> int | None:
+    """Composition length of the sided module R/sub (sub a sided ideal), or
+    None when it is larger than `caps.module_order`.
+
+    Cached on the ring; the ring as a module over itself is built and
+    validated once per side.
+    """
+    key = ("quotient_length", side, sub.key, caps)
+    if key not in ring._extra:
+        module = ring._extra.get(("module", side))
+        if module is None:
+            module = ring._extra[("module", side)] = ring_as_module(ring, side)
+        try:
+            ring._extra[key] = module_length(module.quotient(sub), caps)
+        except SizeCap:
+            ring._extra[key] = None
+    return ring._extra[key]

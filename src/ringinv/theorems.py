@@ -22,14 +22,13 @@ from .invariants import (
     torsion_ideal,
 )
 from .radicals import (
-    SizeCap,
     enumerate_ideals,
     jacobson_radical,
-    module_length,
     nilpotency_index,
     prime_radical,
+    quotient_length,
+    radical_profile,
     regular_elements_quotient,
-    ring_as_module,
     uniform_dimension,
 )
 from .ring_core import (
@@ -39,7 +38,6 @@ from .ring_core import (
     Ideal,
     Subgroup,
     SubringView,
-    generated_ideal,
     inverse,
     quotient_by_ideal,
     validate_ring,
@@ -347,14 +345,9 @@ def _fixed_semiprime_clause(ctx: GActionContext) -> Clause:
 
 
 def _radical_restriction_clause(ctx: GActionContext, cond: str, use_jacobson: bool) -> Clause:
-    ring = ctx.ring
-    image = ctx.fixed_image()
-    rad_r = jacobson_radical(ring) if use_jacobson else prime_radical(ring)
-    rad_s = (jacobson_radical(image.ring) if use_jacobson
-             else prime_radical(image.ring))
-    meet = rad_r.sub.intersect(ctx.fixed.sub)
-    restricted = Subgroup.from_generators(
-        image.ring.additive, [image.to_image(x) for x in meet.basis])
+    radical = jacobson_radical if use_jacobson else prime_radical
+    rad_s = radical(ctx.fixed_image().ring)
+    restricted = ctx.restrict(radical(ctx.ring).sub)
     kind = "radical" if use_jacobson else "prime radical"
     label = f"the {kind} of the fixed ring equals the restriction of the ring's {kind}"
     if restricted == rad_s.sub:
@@ -436,18 +429,19 @@ def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
     return Clause("udim", label, HOLDS, witness=values)
 
 
-def _quotient_context(ctx: GActionContext, rad: Ideal):
-    """Quotient by a radical with the induced action.
+def _quotient_context(ctx: GActionContext):
+    """Quotient by the radical with the induced action.
 
     Returns (quotient, induced_group, bar_ctx, image_of_fixed): the image of
     the fixed ring is the subgroup generated by the projected fixed basis.
-    Cached by the radical's key, so the prime and Jacobson radicals, which
-    agree on finite rings, share one context.
+    The radical comes from `radical_profile`, which raises unless the prime
+    and Jacobson radicals agree, so one cached context serves both.
     """
-    key = ("quotient_ctx", rad.key)
+    key = "quotient_ctx"
     if key in ctx._cache:
         return ctx._cache[key]
     ring = ctx.ring
+    rad = radical_profile(ring).jacobson_radical
     for g in ctx.group.elements:
         for b in rad.basis:
             if not rad.contains(g.apply(b)):
@@ -701,8 +695,7 @@ def _chk_th_1_9(ctx: GActionContext, caps: Caps):
 
 
 def _chk_th_4apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(
-        ctx, prime_radical(ctx.ring))
+    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx)
     bar_profile = bar_ctx.bad_primes(caps)
     hyps = [Clause("alt1", "the induced action on the semiprime quotient has "
                            "no bad primes",
@@ -742,8 +735,7 @@ def _chk_rad_1_4(ctx: GActionContext, caps: Caps):
 
 
 def _chk_b5apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(
-        ctx, jacobson_radical(ctx.ring))
+    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx)
     hyps = []
     compat = fixed_image == bar_ctx.fixed.sub
     hyps.append(Clause(
@@ -855,11 +847,6 @@ def _chk_lem_a6(ctx: GActionContext, caps: Caps):
     return hyps, concls, ([SAMPLED_NOTE] if capped else [])
 
 
-def _ideal_lattice_of_fixed(ctx: GActionContext, side: str, caps: Caps):
-    image = ctx.fixed_image()
-    return enumerate_ideals(image.ring, side, caps)
-
-
 def _chk_lem_b6(ctx: GActionContext, caps: Caps):
     clause, found = _splitting_exists_clause(ctx, caps)
     hyps = [clause]
@@ -870,29 +857,23 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
     len_witness = None
     capped = False
     for side in (LEFT, RIGHT):
-        ideals, exhaustive = _ideal_lattice_of_fixed(ctx, side, caps)
+        ideals, exhaustive = enumerate_ideals(image.ring, side, caps)
         capped = capped or not exhaustive
         for j in ideals:
-            emb = [image.from_image(b) for b in j.basis]
-            j_e = generated_ideal(ctx.ring, emb, side)
-            meet = j_e.sub.intersect(ctx.fixed.sub)
-            back = Subgroup.from_generators(
-                image.ring.additive, [image.to_image(x) for x in meet.basis])
+            j_e = ctx.extend(j.sub, side)
+            back = ctx.restrict(j_e.sub)
             if back != j.sub:
                 er_status = FAILS
                 er_witness = {"side": side, "ideal": j, "restriction": back}
                 break
-            try:
-                m_s = ring_as_module(image.ring, side).quotient(j.sub)
-                m_r = ring_as_module(ctx.ring, side).quotient(j_e.sub)
-                l_s = module_length(m_s, caps)
-                l_r = module_length(m_r, caps)
-                if l_s > l_r:
-                    len_status = FAILS
-                    len_witness = {"side": side, "ideal": j,
-                                   "fixed_length": l_s, "ring_length": l_r}
-            except SizeCap:
+            l_s = quotient_length(image.ring, side, j.sub, caps)
+            l_r = quotient_length(ctx.ring, side, j_e.sub, caps)
+            if l_s is None or l_r is None:
                 len_status = CAPPED if len_status == HOLDS else len_status
+            elif l_s > l_r:
+                len_status = FAILS
+                len_witness = {"side": side, "ideal": j,
+                               "fixed_length": l_s, "ring_length": l_r}
         if er_status == FAILS:
             break
     if er_status == HOLDS and capped:
@@ -914,45 +895,36 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
 def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
     """The invariant-ideal decomposition clauses for one proper splitting."""
     image = ctx.fixed_image()
-    ring = ctx.ring
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
-    fixed_ideals, f_exhaustive = _ideal_lattice_of_fixed(ctx, side, caps)
+    fixed_ideals, f_exhaustive = enumerate_ideals(image.ring, side, caps)
     capped = not (exhaustive and f_exhaustive)
     dec_status, dec_witness = HOLDS, None
     inj_status, inj_witness = HOLDS, None
     len_status, len_witness = HOLDS, None
     for ideal in ideals:
-        meet_s = ideal.sub.intersect(ctx.fixed.sub)
+        meet_s = ctx.meet(ideal.sub)
         meet_b = ideal.sub.intersect(sd.complement)
         if meet_s.join(meet_b) != ideal.sub or not meet_s.intersect(meet_b).is_zero():
             dec_status, dec_witness = FAILS, {"ideal": ideal}
             break
-        restricted = Subgroup.from_generators(
-            image.ring.additive, [image.to_image(x) for x in meet_s.basis])
+        restricted = ctx.restrict(ideal.sub)
         for j in fixed_ideals:
             if not all(j.contains(x) for x in restricted.basis):
                 continue
-            emb = [image.from_image(b) for b in j.basis]
-            extended = generated_ideal(ring, emb, side).sub.join(ideal.sub)
-            back = Subgroup.from_generators(
-                image.ring.additive,
-                [image.to_image(x) for x in extended.intersect(ctx.fixed.sub).basis])
+            back = ctx.restrict(ctx.extend(j.sub, side).sub.join(ideal.sub))
             if back != j.sub:
                 inj_status, inj_witness = FAILS, {
                     "ideal": ideal, "fixed_ideal": j, "restriction": back}
                 break
         if inj_status == FAILS:
             break
-        try:
-            m_s = ring_as_module(image.ring, side).quotient(restricted)
-            m_r = ring_as_module(ring, side).quotient(ideal.sub)
-            l_s = module_length(m_s, caps)
-            l_r = module_length(m_r, caps)
-            if l_s > l_r:
-                len_status, len_witness = FAILS, {
-                    "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}
-        except SizeCap:
+        l_s = quotient_length(image.ring, side, restricted, caps)
+        l_r = quotient_length(ctx.ring, side, ideal.sub, caps)
+        if l_s is None or l_r is None:
             len_status = CAPPED
+        elif l_s > l_r:
+            len_status, len_witness = FAILS, {
+                "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}
     if capped:
         dec_status = CAPPED if dec_status == HOLDS else dec_status
         inj_status = CAPPED if inj_status == HOLDS else inj_status
@@ -1124,16 +1096,12 @@ def background_invariants(ctx: GActionContext) -> list[tuple[str, bool, object]]
     ring = ctx.ring
     image = ctx.fixed_image()
     results = []
-    rad_meet = jacobson_radical(ring).sub.intersect(ctx.fixed.sub)
-    rad_s = jacobson_radical(image.ring)
-    ok = all(rad_s.contains(image.to_image(x)) for x in rad_meet.basis)
-    results.append(("radical restriction is contained in the fixed radical",
-                    ok, None if ok else rad_meet))
-    nil_meet = prime_radical(ring).sub.intersect(ctx.fixed.sub)
-    nil_s = prime_radical(image.ring)
-    ok = all(nil_s.contains(image.to_image(x)) for x in nil_meet.basis)
-    results.append(("prime radical restriction is contained in the fixed "
-                    "prime radical", ok, None if ok else nil_meet))
+    for kind, radical in (("radical", jacobson_radical),
+                          ("prime radical", prime_radical)):
+        rad_r = radical(ring).sub
+        ok = all(radical(image.ring).contains(y) for y in ctx.restrict(rad_r).basis)
+        results.append((f"{kind} restriction is contained in the fixed {kind}",
+                        ok, None if ok else ctx.meet(rad_r)))
     # the trace is additive, so both trace checks hold iff they hold on generators
     ok = all(ctx.fixed.contains(ctx.trace(x)) for x in ring.generators())
     results.append(("traces land in the fixed ring", ok, None))

@@ -38,7 +38,7 @@ def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
         if sub.size != target or not fixed.intersect(sub).is_zero():
             continue
         try:
-            sd = _make_splitting(ring, fixed, sub, source="search")
+            sd = _make_splitting(ring, fixed, sub)
         except RingError:
             continue
         out[sd.key] = sd

@@ -8,12 +8,10 @@ from ringinv.invariants import (
     averaging_idempotent,
     centralizer_normalizer,
     enumerate_splittings,
-    extend_ideal,
     inner_automorphism,
     is_proper_splitting,
     nondegenerate_trace_check,
     relative_trace,
-    restrict_ideal,
     splitting_search,
     subgroup_power_nilpotency,
     torsion_ideal,
@@ -186,30 +184,37 @@ def test_torsion_free_equivalence_on_catalog_like_rings():
 
 # -- extension and restriction ---------------------------------------------------------
 
+def _fixed_subgroup(ctx, elements):
+    """The subgroup of the fixed ring spanned by elements of R^G."""
+    image = ctx.fixed_image()
+    return Subgroup.from_generators(image.ring.additive,
+                                    [image.to_image(x) for x in elements])
+
+
 def test_extend_restrict_zero():
     ctx = f3xf3_ctx()
-    j = extend_ideal(ctx, [], TWOSIDED)
+    j = ctx.extend(_fixed_subgroup(ctx, []), TWOSIDED)
     assert j.is_zero()
 
 
 def test_extend_diagonal_generates_everything():
     ctx = f3xf3_ctx()
-    j_e = extend_ideal(ctx, [(1, 1)], TWOSIDED)
+    j_e = ctx.extend(_fixed_subgroup(ctx, [(1, 1)]), TWOSIDED)
     assert j_e.size == 9
-    restricted = restrict_ideal(ctx, j_e)
+    restricted = ctx.restrict(j_e.sub)
     assert restricted.size == ctx.fixed.size
 
 
 def test_restrict_whole_ring():
     ctx = f3xf3_ctx()
     whole = generated_ideal(ctx.ring, list(ctx.ring.generators()), TWOSIDED)
-    r = restrict_ideal(ctx, whole)
+    r = ctx.restrict(whole.sub)
     assert r.size == ctx.fixed.size
 
 
 def test_extension_contains_generators():
     ctx = two_z8_ctx()
-    j = extend_ideal(ctx, [(2,)], LEFT)
+    j = ctx.extend(_fixed_subgroup(ctx, [(2,)]), LEFT)
     assert j.contains((2,))
 
 

@@ -176,6 +176,16 @@ def test_udim_diag_subring():
     assert uniform_dimension(img.ring, LEFT).value == 1
 
 
+def test_udim_cache_answers_for_the_caps_given():
+    """The greedy branch reads sample_count, so a cached result for one
+    sample count must not answer for another."""
+    few, many = Caps(udim_exhaustive_order=8, sample_count=1), Caps(udim_exhaustive_order=8)
+    fresh = uniform_dimension(matrix_ring(cyclic_ring(3), 2), LEFT, many).value
+    r = matrix_ring(cyclic_ring(3), 2)
+    assert uniform_dimension(r, LEFT, few).value == 1
+    assert uniform_dimension(r, LEFT, many).value == fresh == 2
+
+
 def test_udim_witness_reverified():
     cert = uniform_dimension(m2f2(), RIGHT)
     for ideal in cert.witness:
