@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from math import gcd, prod
 from pathlib import Path
 
 from .caps import Caps, DEFAULT_CAPS
@@ -37,6 +38,7 @@ from .invariants import (
     torsion_ideal,
     unit_group,
 )
+from .lattices import smith_form
 from .radicals import (
     jacobson_radical,
     nilpotency_index,
@@ -215,7 +217,6 @@ def fingerprint(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
 
 
 def _invariant_factors(orders: tuple[int, ...]) -> tuple[int, ...]:
-    from .lattices import smith_form
     k = len(orders)
     if k == 0:
         return ()
@@ -264,7 +265,7 @@ def random_instances(count: int, seed: int, max_order: int = 64,
         else:
             k = rng.randint(1, max_generators)
             orders = sorted(rng.choice(ORDER_CHOICES) for _ in range(k))
-            while _prod(orders) > max_order:
+            while prod(orders) > max_order:
                 orders = orders[:-1]
             if not orders:
                 continue
@@ -289,16 +290,8 @@ def random_instances(count: int, seed: int, max_order: int = 64,
     return out, stats
 
 
-def _prod(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
-
-
 def _random_table(rng: random.Random, orders: tuple[int, ...]):
     """Structure constants that are well-defined by construction."""
-    from math import gcd
     k = len(orders)
     table = []
     for i in range(k):

@@ -23,6 +23,8 @@ from .catalog import (
     random_instances,
     save,
 )
+from .groups import factorize
+from .invariants import torsion_ideal
 from .radicals import (
     jacobson_radical,
     prime_radical,
@@ -115,7 +117,11 @@ def _check_one(args):
 
 
 def cmd_check(ns) -> int:
-    caps = Caps.parse(ns.caps)
+    try:
+        caps = Caps.parse(ns.caps)
+    except ValueError as exc:
+        print(f"bad --caps: {exc}", file=sys.stderr)
+        return 2
     masks = frozenset(m.strip() for m in ns.mask.split(",") if m.strip())
     theorems = (tuple(t.strip() for t in ns.theorems.split(",") if t.strip())
                 if ns.theorems else THEOREM_IDS)
@@ -123,7 +129,10 @@ def cmd_check(ns) -> int:
         if th not in THEOREM_IDS:
             print(f"unknown theorem id {th!r}", file=sys.stderr)
             return 2
-    instances = _resolve_instances(ns.instances, ns.random, ns.seed)
+    try:
+        instances = _resolve_instances(ns.instances, ns.random, ns.seed)
+    except (ParseError, ValidationError, OSError) as exc:
+        return _load_error(exc)
     work = [(inst, theorems, caps, masks, ns.seed) for inst in instances]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
@@ -157,18 +166,22 @@ def _print_summary(instances, theorems, chunks) -> None:
           file=sys.stderr)
 
 
+def _load_error(exc: Exception) -> int:
+    """Report an instance file that failed to load on one stderr line and
+    return its exit code: 3 for a validation error, 2 otherwise."""
+    if isinstance(exc, ValidationError):
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 3
+    kind = "parse error" if isinstance(exc, ParseError) else "cannot read"
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_validate(ns) -> int:
     try:
         instances = load(ns.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"cannot read: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, ValidationError, OSError) as exc:
+        return _load_error(exc)
     for inst in instances:
         print(f"{inst.name}: ring of order {inst.ring.order}, "
               f"group of order {inst.group.order}, tags {sorted(inst.tags)}")
@@ -199,8 +212,6 @@ def cmd_profile(ns) -> int:
     t_img = ctx.trace_image()
     print(f"  trace image: size {t_img.size}")
     profile = ctx.bad_primes()
-    from .invariants import torsion_ideal
-    from .groups import factorize
     for p in sorted(factorize(ctx.n)):
         print(f"  tor_{p}: size {torsion_ideal(ring, p).size}")
     print(f"  bad primes: {list(profile.primes)}")

@@ -33,6 +33,7 @@ from .ring_core import (
     RingImage,
     Subgroup,
     SubringView,
+    cached,
     generated_ideal,
     inverse,
 )
@@ -154,9 +155,7 @@ class GActionContext:
         self._cache: dict = {}
 
     def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+        return cached(self._cache, key, compute)
 
     # -- basics -----------------------------------------------------------
     def fixed_image(self) -> RingImage:
@@ -254,21 +253,6 @@ class GActionContext:
         return generated_ideal(self.ring, orbit, side)
 
     # -- splittings ------------------------------------------------------------
-    def averaging_splitting(self) -> SplittingData:
-        """The splitting cut out by the averaging idempotent; needs |G| a unit."""
-        if "averaging" in self._cache:
-            out = self._cache["averaging"]
-            if isinstance(out, NotInvertible):
-                raise out
-            return out
-        try:
-            out = averaging_idempotent(self)
-        except NotInvertible as exc:
-            self._cache["averaging"] = exc
-            raise
-        self._cache["averaging"] = out
-        return out
-
     def splittings(self, caps: Caps = DEFAULT_CAPS):
         return self._cached(("splittings", caps), lambda: enumerate_splittings(self, caps))
 
@@ -395,15 +379,12 @@ def splitting_search(ctx: GActionContext,
     if not found:
         return SplittingSearchResult(None, exhaustive, 0)
     try:
-        avg = ctx.averaging_splitting()
+        avg = averaging_idempotent(ctx)
     except NotInvertible:
-        avg = None
-    if avg is not None:
-        match = next((sd for sd in found if sd.key == avg.key), None)
-        if match is None and exhaustive:
-            raise RingError("averaging complement missing from enumeration")
-        return SplittingSearchResult(avg, exhaustive, len(found))
-    return SplittingSearchResult(found[0], exhaustive, len(found))
+        return SplittingSearchResult(found[0], exhaustive, len(found))
+    if exhaustive and all(sd.key != avg.key for sd in found):
+        raise RingError("averaging complement missing from enumeration")
+    return SplittingSearchResult(avg, exhaustive, len(found))
 
 
 def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
@@ -530,12 +511,16 @@ def inner_automorphism(ring: FiniteRing, u: Element) -> RingAutomorphism:
     return RingAutomorphism(ring, images)
 
 
-def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
-    """Fixed ring semiprime plus nonzero trace on every nonzero invariant
-    one-sided ideal.  Returns (status, witness)."""
-    image = ctx.fixed_image()
-    if not prime_radical(image.ring).is_zero():
-        return "no", ("fixed ring not semiprime", None)
+def degenerate_trace_ideal(ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
+                           powers: bool = False):
+    """The first nonzero invariant one-sided ideal I (left ideals first)
+    with t(I) = 0, or with `powers` also one with t(I)^d = 0 for some d.
+
+    Returns (ideal, d, capped): d is 1 for a zero trace image, and ideal and
+    d are None when no ideal qualifies.  `capped` is set when an ideal
+    enumeration was sampled or a power search reached `caps.d_search`
+    without stabilizing.
+    """
     capped = False
     for side in (LEFT, RIGHT):
         ideals, exhaustive = ctx.invariant_ideals(side, caps)
@@ -543,6 +528,24 @@ def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
         for ideal in ideals:
             if ideal.is_zero():
                 continue
-            if ctx.trace_image(ideal.basis).is_zero():
-                return "no", ("zero trace on nonzero invariant ideal", ideal)
+            t_img = ctx.trace_image(ideal.basis)
+            if t_img.is_zero():
+                return ideal, 1, capped
+            if powers:
+                d, stabilized = subgroup_power_nilpotency(ctx.ring, t_img, caps.d_search)
+                if d is not None:
+                    return ideal, d, capped
+                capped = capped or not stabilized
+    return None, None, capped
+
+
+def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
+    """Fixed ring semiprime plus nonzero trace on every nonzero invariant
+    one-sided ideal.  Returns (status, witness)."""
+    image = ctx.fixed_image()
+    if not prime_radical(image.ring).is_zero():
+        return "no", ("fixed ring not semiprime", None)
+    ideal, _, capped = degenerate_trace_ideal(ctx, caps)
+    if ideal is not None:
+        return "no", ("zero trace on nonzero invariant ideal", ideal)
     return ("capped" if capped else "yes"), None

@@ -4,8 +4,10 @@ Additive subgroups of a finite abelian group ⊕ Z/d_i are canonicalized by the
 Hermite normal form of their preimage lattice in Z^k, which on a graph
 lattice also gives kernels and preimages (`ring_core.AdditiveMap`);
 quotients and subring coordinate systems come from the Smith normal form
-with tracked column transforms.  The engine no longer calls `solve_mod_p`.
-Everything is arbitrary-precision integer arithmetic.
+with tracked column transforms.  `solve_mod_p`, Gaussian elimination over
+Z/p, has no caller in the engine; it stays as a tested primitive that the
+benchmark tracer also times.  Everything is arbitrary-precision integer
+arithmetic.
 """
 
 from __future__ import annotations

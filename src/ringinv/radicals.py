@@ -28,6 +28,7 @@ from .ring_core import (
     RingError,
     Subgroup,
     atom_below,
+    cached,
     close_subgroup,
     generated_ideal,
     inverse,
@@ -68,12 +69,8 @@ def nilpotency_index(ring: FiniteRing, sub: Subgroup | None = None) -> int | Non
 # -- principal ideals, cached on the ring -----------------------------------------
 
 def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
-    cache = ring._principal.setdefault(side, {})
-    out = cache.get(x)
-    if out is None:
-        out = generated_ideal(ring, [x], side)
-        cache[x] = out
-    return out
+    return cached(ring._extra, ("principal", side, x),
+                  lambda: generated_ideal(ring, [x], side))
 
 
 # -- the two radicals --------------------------------------------------------------
@@ -81,9 +78,10 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
 def prime_radical(ring: FiniteRing) -> Ideal:
     """Largest nilpotent ideal: elements whose principal two-sided ideal is
     nilpotent.  The result is verified to be a nilpotent two-sided ideal."""
-    cached = ring._extra.get("prime_radical")
-    if cached is not None:
-        return cached
+    return cached(ring._extra, "prime_radical", lambda: _compute_prime_radical(ring))
+
+
+def _compute_prime_radical(ring: FiniteRing) -> Ideal:
     members = []
     for x in ring.elements():
         ideal = principal_ideal(ring, x, TWOSIDED)
@@ -92,37 +90,28 @@ def prime_radical(ring: FiniteRing) -> Ideal:
     out = Ideal.from_basis(ring, TWOSIDED, members, verify=True)
     if nilpotency_index(ring, out.sub) is None:
         raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
-    ring._extra["prime_radical"] = out
     return out
 
 
 def is_quasi_regular(ring: FiniteRing, y: Element) -> bool:
     """Left quasi-regularity: some z satisfies z + y + z*y = 0."""
-    cache = ring._extra.setdefault("qr", {})
-    got = cache.get(y)
-    if got is None:
-        got = any(
-            ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero
-            for z in ring.elements()
-        )
-        cache[y] = got
-    return got
+    return cached(ring._extra, ("qr", y), lambda: any(
+        ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero for z in ring.elements()))
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Quasi-regularity radical: x belongs iff every member of the left ideal
     generated by x (unitalization convention) is left quasi-regular."""
-    cached = ring._extra.get("jacobson_radical")
-    if cached is not None:
-        return cached
+    return cached(ring._extra, "jacobson_radical", lambda: _compute_jacobson_radical(ring))
+
+
+def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
     members = []
     for x in ring.elements():
         ideal = principal_ideal(ring, x, LEFT)
         if all(is_quasi_regular(ring, y) for y in ideal.elements()):
             members.append(x)
-    out = Ideal.from_basis(ring, TWOSIDED, members, verify=True)
-    ring._extra["jacobson_radical"] = out
-    return out
+    return Ideal.from_basis(ring, TWOSIDED, members, verify=True)
 
 
 @dataclass
@@ -167,11 +156,8 @@ def is_semisimple_artinian(ring: FiniteRing) -> bool:
 def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
     sample when the ring or the lattice outgrows the caps."""
-    key = ("ideals", side, caps)
-    if key not in ring._extra:
-        ring._extra[key] = ideal_lattice(
-            ring, side, lambda x: principal_ideal(ring, x, side), 17, caps)
-    return ring._extra[key]
+    return cached(ring._extra, ("ideals", side, caps), lambda: ideal_lattice(
+        ring, side, lambda x: principal_ideal(ring, x, side), 17, caps))
 
 
 def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps):
@@ -214,18 +200,15 @@ def uniform_dimension(ring: FiniteRing, side: str,
     the search is branch-and-bound over atoms.  Above the exhaustive cap a
     greedy-with-restarts lower bound is reported and flagged.
     """
-    key = ("udim", side, caps)
-    cached = ring._extra.get(key)
-    if cached is not None:
-        return cached
+    return cached(ring._extra, ("udim", side, caps),
+                  lambda: _compute_uniform_dimension(ring, side, caps))
+
+
+def _compute_uniform_dimension(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:
     if ring.order == 1:
-        out = UdimCertificate(0, [], "exhaustive", side)
-        ring._extra[key] = out
-        return out
+        return UdimCertificate(0, [], "exhaustive", side)
     if ring.order > caps.udim_exhaustive_order:
-        out = _udim_greedy(ring, side, caps)
-        ring._extra[key] = out
-        return out
+        return _udim_greedy(ring, side, caps)
     atoms = minimal_ideals(ring, side, caps)
     best: list = []
 
@@ -250,7 +233,6 @@ def uniform_dimension(ring: FiniteRing, side: str,
             raise CrossCheckError(
                 f"udim disagrees with the semisimple decomposition on "
                 f"{ring.name}: {cert.value} vs {greedy}")
-    ring._extra[key] = cert
     return cert
 
 
@@ -316,9 +298,10 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
     conditions); in a finite unital ring regular elements are units, which
     collapses the quotient ring to the ring itself.
     """
-    cached = ring._extra.get("regular")
-    if cached is not None:
-        return cached
+    return cached(ring._extra, "regular", lambda: _compute_regular_elements(ring))
+
+
+def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
     regular = [r for r in ring.elements()
                if _multiplication_kernel(ring, [r], LEFT).is_zero()
                and _multiplication_kernel(ring, [r], RIGHT).is_zero()]
@@ -329,13 +312,10 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
             raise CrossCheckError(
                 f"regular elements of unital finite {ring.name} are not "
                 f"exactly the units")
-        out = RegularElements(tuple(sorted(regular)), True, "equals-ring",
-                              tuple(sorted(units)), True)
-    else:
-        out = RegularElements(tuple(sorted(regular)), True,
-                              "degenerate-undefined", None, None)
-    ring._extra["regular"] = out
-    return out
+        return RegularElements(tuple(sorted(regular)), True, "equals-ring",
+                               tuple(sorted(units)), True)
+    return RegularElements(tuple(sorted(regular)), True,
+                           "degenerate-undefined", None, None)
 
 
 def _multiplication_kernel(ring: FiniteRing, rs, side: str) -> Subgroup:
@@ -491,13 +471,10 @@ def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
     Cached on the ring; the ring as a module over itself is built and
     validated once per side.
     """
-    key = ("quotient_length", side, sub.key, caps)
-    if key not in ring._extra:
-        module = ring._extra.get(("module", side))
-        if module is None:
-            module = ring._extra[("module", side)] = ring_as_module(ring, side)
+    def compute():
+        module = cached(ring._extra, ("module", side), lambda: ring_as_module(ring, side))
         try:
-            ring._extra[key] = module_length(module.quotient(sub), caps)
+            return module_length(module.quotient(sub), caps)
         except SizeCap:
-            ring._extra[key] = None
-    return ring._extra[key]
+            return None
+    return cached(ring._extra, ("quotient_length", side, sub.key, caps), compute)

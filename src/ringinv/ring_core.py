@@ -219,6 +219,17 @@ class Subgroup:
         return f"Subgroup(size={self.size}, basis={list(self.basis)})"
 
 
+def cached(store: dict, key, compute):
+    """`store[key]`, filled by `compute()` on the first request.
+
+    Derived data is cached this way on a ring (in `FiniteRing._extra`) and
+    on an action context.
+    """
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
 class FiniteRing:
     """A finite ring: additive group plus generator structure constants.
 
@@ -239,7 +250,6 @@ class FiniteRing:
         self.rank = additive.rank
         self.zero = additive.zero
         self._mul_cache: dict | None = {} if self.order <= MUL_CACHE_MAX_ORDER else None
-        self._principal: dict = {}
         self._extra: dict = {}
 
     # -- additive structure ------------------------------------------------
@@ -307,7 +317,6 @@ class FiniteRing:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_mul_cache"] = {} if self._mul_cache is not None else None
-        state["_principal"] = {}
         state["_extra"] = {}
         return state
 

@@ -17,6 +17,7 @@ from .groups import AutomorphismGroup, RingAutomorphism, h_constant
 from .invariants import (
     GActionContext,
     averaging_idempotent,
+    degenerate_trace_ideal,
     is_proper_splitting,
     subgroup_power_nilpotency,
     torsion_ideal,
@@ -34,7 +35,6 @@ from .radicals import (
 from .ring_core import (
     LEFT,
     RIGHT,
-    FiniteRing,
     Ideal,
     Subgroup,
     SubringView,
@@ -114,7 +114,7 @@ class TheoremReport:
     notes: list[str] = field(default_factory=list)
 
     def conclusion_status(self) -> str:
-        return _conclusion_status(self.conclusion)
+        return _worst(c.status for c in self.conclusion)
 
     def as_json(self) -> dict:
         out = {
@@ -181,53 +181,33 @@ def big_power(base: int, exp: int) -> dict:
 
 # -- status algebra ----------------------------------------------------------------
 
-def _and_status(statuses) -> str:
-    statuses = list(statuses)
-    if any(s == FAILS for s in statuses):
-        return FAILS
-    if any(s == CAPPED for s in statuses):
-        return CAPPED
-    return HOLDS
+# clause statuses from best to worst; a conjunction is as bad as its worst part
+_SEVERITY = (HOLDS, DOMINATED, CAPPED, FAILS)
 
 
-def _or_status(statuses) -> str:
-    statuses = list(statuses)
-    if any(s in (HOLDS, DOMINATED) for s in statuses):
-        return HOLDS
-    if any(s == CAPPED for s in statuses):
-        return CAPPED
-    return FAILS
+def _worst(statuses) -> str:
+    return max(statuses, key=_SEVERITY.index, default=HOLDS)
+
+
+def _capped(status: str, capped: bool) -> str:
+    """A status that held over a sampled or cut-short scan is only capped."""
+    return CAPPED if capped and status == HOLDS else status
 
 
 def _branch_status(all_clauses: list[Clause]) -> str:
     """A branch that was never emitted fails; a fully masked one is waived."""
     if not all_clauses:
         return FAILS
-    live = [h.status for h in all_clauses if not h.masked]
-    if not live:
-        return HOLDS
-    return _and_status(live)
+    return _worst(h.status for h in all_clauses if not h.masked)
 
 
 def _hyp_status(hyps: list[Clause]) -> str:
-    base = [h.status for h in hyps if not h.cond.startswith("alt") and not h.masked]
+    parts = [h.status for h in hyps if not h.cond.startswith("alt") and not h.masked]
     alt1 = [h for h in hyps if h.cond.startswith("alt1")]
     alt2 = [h for h in hyps if h.cond.startswith("alt2")]
-    parts = [_and_status(base)]
     if alt1 or alt2:
-        parts.append(_or_status([_branch_status(alt1), _branch_status(alt2)]))
-    return _and_status(parts)
-
-
-def _conclusion_status(concls: list[Clause]) -> str:
-    statuses = [c.status for c in concls]
-    if any(s == FAILS for s in statuses):
-        return FAILS
-    if any(s == CAPPED for s in statuses):
-        return CAPPED
-    if any(s == DOMINATED for s in statuses):
-        return DOMINATED
-    return HOLDS
+        parts.append(min(_branch_status(alt1), _branch_status(alt2), key=_SEVERITY.index))
+    return _worst(parts)
 
 
 def _cond_matches(cond: str, mask: str) -> bool:
@@ -246,44 +226,64 @@ def _apply_masks(theorem: str, hyps: list[Clause], masks) -> None:
 
 # -- shared clause builders -----------------------------------------------------------
 
-def _torsion_free_clause(cond: str, label: str, ring: FiniteRing, n: int) -> Clause:
-    tor = torsion_ideal(ring, n)
-    if tor.is_zero():
-        return Clause(cond, label, HOLDS)
-    return Clause(cond, label, FAILS, witness=tor.sub)
+# the status of a clause read off a proper-splitting search
+_SPLIT_STATUS = {"yes": HOLDS, "capped": CAPPED, "no": FAILS}
 
 
-def _semiprime_clause(cond: str, label: str, ring: FiniteRing) -> Clause:
-    nil = prime_radical(ring)
-    if nil.is_zero():
-        return Clause(cond, label, HOLDS)
-    return Clause(cond, label, FAILS, witness=nil.sub)
+def _zero_ideal_clause(cond: str, label: str, ideal: Ideal) -> Clause:
+    """Holds when the ideal is zero; a nonzero ideal is its own witness."""
+    zero = ideal.is_zero()
+    return Clause(cond, label, HOLDS if zero else FAILS,
+                  witness=None if zero else ideal.sub)
 
 
-def _rad_zero_clause(cond: str, label: str, ring: FiniteRing) -> Clause:
-    rad = jacobson_radical(ring)
-    if rad.is_zero():
-        return Clause(cond, label, HOLDS)
-    return Clause(cond, label, FAILS, witness=rad.sub)
+def _no_group_torsion_clause(ctx: GActionContext, cond: str) -> Clause:
+    return _zero_ideal_clause(cond, "the ring has no torsion at the group order",
+                              torsion_ideal(ctx.ring, ctx.n))
 
 
-def _bad_primes_clause(cond: str, profile) -> Clause:
-    return Clause(cond, "the set of bad primes is nonempty",
-                  HOLDS if profile.primes else FAILS,
+def _semiprime_clause(ctx: GActionContext) -> Clause:
+    return _zero_ideal_clause("semiprime", "the ring is semiprime", prime_radical(ctx.ring))
+
+
+def _fixed_semiprime_clause(ctx: GActionContext) -> Clause:
+    return _zero_ideal_clause("fixed-semiprime", "the fixed ring is semiprime",
+                              prime_radical(ctx.fixed_image().ring))
+
+
+def _semisimple_clauses(ctx: GActionContext) -> tuple[Clause, Clause]:
+    """The ring is semisimple (a hypothesis) and so is the fixed ring (the
+    conclusion)."""
+    return (_zero_ideal_clause("semisimple", "the ring is semisimple Artinian",
+                               jacobson_radical(ctx.ring)),
+            _zero_ideal_clause("fixed-semisimple", "the fixed ring is semisimple Artinian",
+                               jacobson_radical(ctx.fixed_image().ring)))
+
+
+def _bad_primes_clause(cond: str, profile,
+                       label: str = "the set of bad primes is nonempty") -> Clause:
+    return Clause(cond, label, HOLDS if profile.primes else FAILS,
                   witness={"bad_primes": list(profile.primes)})
+
+
+def _complement_clause(cond: str, p: int, complement, witness) -> Clause:
+    return Clause(cond, f"condition 1 (p={p}): the group has a {p}-normal complement",
+                  FAILS if complement is None else HOLDS, witness=witness)
 
 
 def _invertible_order_clause(ctx: GActionContext) -> Clause:
     ring = ctx.ring
-    label = "the group order is invertible in the ring"
     if not ring.is_unital:
-        return Clause("invertible", label, FAILS, witness="ring has no identity")
-    n_one = ring.smul(ctx.n, ring.unit)
-    inv = inverse(ring, n_one)
-    if inv is None:
-        return Clause("invertible", label, FAILS,
-                      witness={"n_times_one": list(n_one)})
-    return Clause("invertible", label, HOLDS, witness={"inverse": list(inv)})
+        status, witness = FAILS, "ring has no identity"
+    else:
+        n_one = ring.smul(ctx.n, ring.unit)
+        inv = inverse(ring, n_one)
+        if inv is None:
+            status, witness = FAILS, {"n_times_one": list(n_one)}
+        else:
+            status, witness = HOLDS, {"inverse": list(inv)}
+    return Clause("invertible", "the group order is invertible in the ring", status,
+                  witness=witness)
 
 
 def _bad_prime_condition_clauses(ctx: GActionContext, caps: Caps, prefix: str,
@@ -297,28 +297,20 @@ def _bad_prime_condition_clauses(ctx: GActionContext, caps: Caps, prefix: str,
     profile = ctx.bad_primes(caps)
     clauses = []
     for p in profile.primes:
-        data = profile.data[p]
-        if data.complement is not None:
-            clauses.append(Clause(
-                f"{prefix}1(p={p})",
-                f"condition 1 (p={p}): the group has a {p}-normal complement",
-                HOLDS, witness={"complement_order": data.complement.order}))
-        else:
-            clauses.append(Clause(
-                f"{prefix}1(p={p})",
-                f"condition 1 (p={p}): the group has a {p}-normal complement",
-                FAILS, witness="order census is not a subgroup of the right size"))
-    fixed_ring = ctx.fixed_image().ring
-    clauses.append(_torsion_free_clause(
+        comp = profile.data[p].complement
+        witness = ("order census is not a subgroup of the right size" if comp is None
+                   else {"complement_order": comp.order})
+        clauses.append(_complement_clause(f"{prefix}1(p={p})", p, comp, witness))
+    clauses.append(_zero_ideal_clause(
         f"{prefix}2",
         f"condition 2: the fixed ring is {torsion_index}-torsion free",
-        fixed_ring, torsion_index))
+        torsion_ideal(ctx.fixed_image().ring, torsion_index)))
     return clauses, profile
 
 
 def _semiprime_bad_prime_hyps(ctx: GActionContext, caps: Caps):
     """Semiprimeness, nonempty bad primes and the two numbered conditions."""
-    hyps = [_semiprime_clause("semiprime", "the ring is semiprime", ctx.ring)]
+    hyps = [_semiprime_clause(ctx)]
     cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
     hyps.append(_bad_primes_clause("B", profile))
     hyps.extend(cond_clauses)
@@ -331,17 +323,11 @@ def _splitting_alternative_hyps(ctx: GActionContext, caps: Caps) -> list[Clause]
     hyps = [
         _proper_splitting_clause(ctx, caps, "proper-splitting",
                                  "the group splits the ring properly on some side"),
-        _torsion_free_clause("alt1", "the ring has no torsion at the group order",
-                             ctx.ring, ctx.n),
+        _no_group_torsion_clause(ctx, "alt1"),
         _bad_primes_clause("alt2.B", ctx.bad_primes(caps)),
     ]
     cond_clauses, _ = _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
     return hyps + cond_clauses
-
-
-def _fixed_semiprime_clause(ctx: GActionContext) -> Clause:
-    return _semiprime_clause("fixed-semiprime", "the fixed ring is semiprime",
-                             ctx.fixed_image().ring)
 
 
 def _radical_restriction_clause(ctx: GActionContext, cond: str, use_jacobson: bool) -> Clause:
@@ -349,14 +335,13 @@ def _radical_restriction_clause(ctx: GActionContext, cond: str, use_jacobson: bo
     rad_s = radical(ctx.fixed_image().ring)
     restricted = ctx.restrict(radical(ctx.ring).sub)
     kind = "radical" if use_jacobson else "prime radical"
-    label = f"the {kind} of the fixed ring equals the restriction of the ring's {kind}"
     if restricted == rad_s.sub:
-        return Clause(cond, label, HOLDS,
-                      witness={"radical_size": rad_s.size})
-    return Clause(cond, label, FAILS, witness={
-        "fixed_ring_radical": rad_s.sub,
-        "restricted_radical": restricted,
-    })
+        status, witness = HOLDS, {"radical_size": rad_s.size}
+    else:
+        status, witness = FAILS, {"fixed_ring_radical": rad_s.sub,
+                                  "restricted_radical": restricted}
+    return Clause(cond, f"the {kind} of the fixed ring equals the restriction of the "
+                        f"ring's {kind}", status, witness=witness)
 
 
 def _proper_splitting_clause(ctx: GActionContext, caps: Caps, cond: str,
@@ -369,41 +354,27 @@ def _proper_splitting_clause(ctx: GActionContext, caps: Caps, cond: str,
         if sd is not None:
             found[side] = sd
     if found:
-        return Clause(cond, label, HOLDS,
-                      witness={side: sd.complement for side, sd in found.items()})
-    if "capped" in statuses:
-        return Clause(cond, label, CAPPED)
-    return Clause(cond, label, FAILS, witness="no proper splitting on either side")
+        status, witness = HOLDS, {side: sd.complement for side, sd in found.items()}
+    elif "capped" in statuses:
+        status, witness = CAPPED, None
+    else:
+        status, witness = FAILS, "no proper splitting on either side"
+    return Clause(cond, label, status, witness=witness)
 
 
 SAMPLED_NOTE = ("invariant ideal enumeration was sampled, not exhaustive "
                 "(above the configured caps)")
 
 
-def _trace_on_invariant_ideals(ctx: GActionContext, caps: Caps, powers: bool):
-    """Check t(I) != 0 (and optionally all powers) over nonzero invariant
-    one-sided ideals; returns (status, witness)."""
-    ring = ctx.ring
-    capped = False
-    for side in (LEFT, RIGHT):
-        ideals, exhaustive = ctx.invariant_ideals(side, caps)
-        capped = capped or not exhaustive
-        for ideal in ideals:
-            if ideal.is_zero():
-                continue
-            t_img = Subgroup.from_generators(
-                ring.additive, [ctx.trace(b) for b in ideal.basis])
-            if t_img.is_zero():
-                return FAILS, {"ideal": ideal, "reason": "zero trace"}
-            if powers:
-                d, stabilized = subgroup_power_nilpotency(
-                    ring, t_img, caps.d_search)
-                if d is not None and d > 1:
-                    return FAILS, {"ideal": ideal,
-                                   "reason": f"trace image power {d} vanishes"}
-                if d is None and not stabilized:
-                    capped = True
-    return (CAPPED if capped else HOLDS), None
+def _trace_clause(ctx: GActionContext, caps: Caps, cond: str, label: str,
+                  powers: bool) -> Clause:
+    """t(I) != 0 (and with `powers`, no power of t(I) vanishes) on every
+    nonzero invariant one-sided ideal I."""
+    ideal, d, capped = degenerate_trace_ideal(ctx, caps, powers)
+    if ideal is None:
+        return Clause(cond, label, _capped(HOLDS, capped))
+    reason = "zero trace" if d == 1 else f"trace image power {d} vanishes"
+    return Clause(cond, label, FAILS, witness={"ideal": ideal, "reason": reason})
 
 
 def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
@@ -419,14 +390,14 @@ def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
                         "fixed_flag": cert_s.maximality}
         if cert_r.maximality != "exhaustive" or cert_s.maximality != "exhaustive":
             capped = True
-    label = "udim(fixed) <= udim(ring) <= |G|*udim(fixed) on both sides"
     if capped:
-        return Clause("udim", label, CAPPED, witness=values)
-    for side in (LEFT, RIGHT):
-        lo, hi = values[side]["fixed"], values[side]["ring"]
-        if not (lo <= hi <= ctx.n * lo):
-            return Clause("udim", label, FAILS, witness=values)
-    return Clause("udim", label, HOLDS, witness=values)
+        status = CAPPED
+    elif all(v["fixed"] <= v["ring"] <= ctx.n * v["fixed"] for v in values.values()):
+        status = HOLDS
+    else:
+        status = FAILS
+    return Clause("udim", "udim(fixed) <= udim(ring) <= |G|*udim(fixed) on both sides",
+                  status, witness=values)
 
 
 def _quotient_context(ctx: GActionContext):
@@ -437,66 +408,52 @@ def _quotient_context(ctx: GActionContext):
     The radical comes from `radical_profile`, which raises unless the prime
     and Jacobson radicals agree, so one cached context serves both.
     """
-    key = "quotient_ctx"
-    if key in ctx._cache:
-        return ctx._cache[key]
-    ring = ctx.ring
-    rad = radical_profile(ring).jacobson_radical
-    for g in ctx.group.elements:
-        for b in rad.basis:
-            if not rad.contains(g.apply(b)):
-                raise RuntimeError("radical is not invariant; engine bug")
-    quot = quotient_by_ideal(ring, rad, name=f"{ctx.ring_name}_bar")
-    induced = {}
-    qgens = quot.ring.generators()
-    for g in ctx.group.elements:
-        images = tuple(quot.project(g.apply(quot.lift(e))) for e in qgens)
-        if images not in induced:
-            induced[images] = RingAutomorphism(quot.ring, images)
-    bar_group = AutomorphismGroup(quot.ring, induced.values())
-    bar_ctx = GActionContext(quot.ring, bar_group,
-                             ring_name=f"{ctx.ring_name}_bar",
-                             group_name=f"{ctx.group_name}_bar")
-    fixed_image = Subgroup.from_generators(
-        quot.ring.additive, [quot.project(x) for x in ctx.fixed.sub.basis])
-    out = (quot, bar_group, bar_ctx, fixed_image)
-    ctx._cache[key] = out
-    return out
+    def compute():
+        ring = ctx.ring
+        rad = radical_profile(ring).jacobson_radical
+        for g in ctx.group.elements:
+            for b in rad.basis:
+                if not rad.contains(g.apply(b)):
+                    raise RuntimeError("radical is not invariant; engine bug")
+        quot = quotient_by_ideal(ring, rad, name=f"{ctx.ring_name}_bar")
+        induced = {}
+        qgens = quot.ring.generators()
+        for g in ctx.group.elements:
+            images = tuple(quot.project(g.apply(quot.lift(e))) for e in qgens)
+            if images not in induced:
+                induced[images] = RingAutomorphism(quot.ring, images)
+        bar_group = AutomorphismGroup(quot.ring, induced.values())
+        bar_ctx = GActionContext(quot.ring, bar_group,
+                                 ring_name=f"{ctx.ring_name}_bar",
+                                 group_name=f"{ctx.group_name}_bar")
+        fixed_image = Subgroup.from_generators(
+            quot.ring.additive, [quot.project(x) for x in ctx.fixed.sub.basis])
+        return quot, bar_group, bar_ctx, fixed_image
+    return ctx._cached("quotient_ctx", compute)
 
 
 # -- the checkers ----------------------------------------------------------------------
 
 def _chk_bi_1_4(ctx: GActionContext, caps: Caps):
     ring = ctx.ring
-    hyps = [_torsion_free_clause(
-        "1", "the ring has no torsion at the group order", ring, ctx.n)]
-    t_img = ctx.trace_image()
-    d, stabilized = subgroup_power_nilpotency(ring, t_img, caps.d_search)
-    if d is not None:
-        hyps.append(Clause("2", "some power of the trace image vanishes",
-                           HOLDS, witness={"d": d}))
-    else:
-        hyps.append(Clause(
-            "2", "some power of the trace image vanishes", FAILS,
-            witness={"d_cap": caps.d_search, "stabilized_nonzero": stabilized}))
-    concls = []
+    hyps = [_no_group_torsion_clause(ctx, "1")]
+    d, stabilized = subgroup_power_nilpotency(ring, ctx.trace_image(), caps.d_search)
+    hyps.append(Clause(
+        "2", "some power of the trace image vanishes", FAILS if d is None else HOLDS,
+        witness={"d_cap": caps.d_search, "stabilized_nonzero": stabilized}
+        if d is None else {"d": d}))
     if d is None:
-        concls.append(Clause("bound", "the ring power at h(|G|)^d vanishes",
-                             CAPPED, witness="no trace nilpotency degree found"))
+        status, witness = CAPPED, "no trace nilpotency degree found"
     else:
         idx = nilpotency_index(ring)
         h = h_constant(ctx.n)
         if idx is None:
-            concls.append(Clause("bound", "the ring power at h(|G|)^d vanishes",
-                                 FAILS, witness="the ring is not nilpotent"))
-        elif power_at_least(h, d, idx):
-            concls.append(Clause(
-                "bound", "the ring power at h(|G|)^d vanishes", DOMINATED,
-                witness={"nilpotency_index": idx, "bound": big_power(h, d)}))
+            status, witness = FAILS, "the ring is not nilpotent"
         else:
-            concls.append(Clause(
-                "bound", "the ring power at h(|G|)^d vanishes", FAILS,
-                witness={"nilpotency_index": idx, "bound": big_power(h, d)}))
+            status = DOMINATED if power_at_least(h, d, idx) else FAILS
+            witness = {"nilpotency_index": idx, "bound": big_power(h, d)}
+    concls = [Clause("bound", "the ring power at h(|G|)^d vanishes", status,
+                     witness=witness)]
     return hyps, concls, []
 
 
@@ -506,19 +463,14 @@ def _chk_mont_1_7(ctx: GActionContext, caps: Caps):
                    witness=None if ctx.fixed.size == 1 else ctx.fixed.sub)]
     profile = ctx.bad_primes(caps)
     missing = [p for p in profile.primes if profile.data[p].complement is None]
-    if not missing:
-        hyps.append(Clause("2", "every bad prime admits a normal complement",
-                           HOLDS, witness={"bad_primes": list(profile.primes)}))
-    else:
-        hyps.append(Clause("2", "every bad prime admits a normal complement",
-                           FAILS, witness={"missing": missing}))
+    hyps.append(Clause("2", "every bad prime admits a normal complement",
+                       FAILS if missing else HOLDS,
+                       witness={"missing": missing} if missing
+                       else {"bad_primes": list(profile.primes)}))
     idx = nilpotency_index(ctx.ring)
-    if idx is not None:
-        concl = [Clause("nilpotent", "the ring is nilpotent", HOLDS,
-                        witness={"nilpotency_index": idx})]
-    else:
-        concl = [Clause("nilpotent", "the ring is nilpotent", FAILS,
-                        witness="powers stabilize at a nonzero ideal")]
+    concl = [Clause("nilpotent", "the ring is nilpotent", FAILS if idx is None else HOLDS,
+                    witness="powers stabilize at a nonzero ideal" if idx is None
+                    else {"nilpotency_index": idx})]
     return hyps, concl, []
 
 
@@ -529,52 +481,46 @@ def _chk_n1(ctx: GActionContext, caps: Caps):
     notes: list[str] = []
     for p in profile.primes:
         data = profile.data[p]
-        if data.complement is not None:
-            comp = data.complement
-            hyps.append(Clause(
-                f"1(p={p})",
-                f"condition 1 (p={p}): the group has a {p}-normal complement",
-                HOLDS, witness={"complement_order": comp.order,
-                                "cyclic": _is_cyclic(comp)}))
-        else:
-            hyps.append(Clause(
-                f"1(p={p})",
-                f"condition 1 (p={p}): the group has a {p}-normal complement",
-                FAILS))
-        hyps.append(_torsion_free_clause(
-            f"2(p={p})",
-            f"condition 2 (p={p}): the fixed ring is {p}-torsion free",
-            fixed_ring, p))
-        if data.complement is None:
-            hyps.append(Clause(
-                f"3(p={p})",
-                f"condition 3 (p={p}): the relative trace image is nilpotent",
-                CAPPED, witness="not evaluable without the normal complement"))
+        comp = data.complement
+        hyps.append(_complement_clause(
+            f"1(p={p})", p, comp,
+            None if comp is None else {"complement_order": comp.order,
+                                       "cyclic": _is_cyclic(comp)}))
+        hyps.append(_zero_ideal_clause(
+            f"2(p={p})", f"condition 2 (p={p}): the fixed ring is {p}-torsion free",
+            torsion_ideal(fixed_ring, p)))
+        if comp is None:
+            status, witness = CAPPED, "not evaluable without the normal complement"
         elif data.d is not None:
-            hyps.append(Clause(
-                f"3(p={p})",
-                f"condition 3 (p={p}): the relative trace image is nilpotent",
-                HOLDS, witness={"d": data.d}))
+            status, witness = HOLDS, {"d": data.d}
         else:
-            hyps.append(Clause(
-                f"3(p={p})",
-                f"condition 3 (p={p}): the relative trace image is nilpotent",
-                FAILS, witness={"d_cap": data.d_cap,
-                                "stabilized_nonzero": data.d_stabilized}))
+            status, witness = FAILS, {"d_cap": data.d_cap,
+                                      "stabilized_nonzero": data.d_stabilized}
             notes.append(
                 f"no trace nilpotency degree up to {data.d_cap} for p={p}; "
                 f"recorded as hypothesis failure with the cap")
-    concls = []
+        hyps.append(Clause(
+            f"3(p={p})", f"condition 3 (p={p}): the relative trace image is nilpotent",
+            status, witness=witness))
     evaluable = profile.primes and all(
         profile.data[p].complement is not None and profile.data[p].d is not None
         for p in profile.primes)
     if not evaluable:
-        concls.append(Clause("power", "the ring power at the maximal bound vanishes",
-                             CAPPED, witness="bound data incomplete"))
-        concls.append(Clause("fixed-rings",
-                             "complement-fixed subrings are torsion free and nilpotent",
-                             CAPPED, witness="bound data incomplete"))
-        return hyps, concls, notes
+        power = fixed = (CAPPED, "bound data incomplete")
+    else:
+        power, fixed = _n1_bounds(ctx, profile)
+    concls = [
+        Clause("power", "the ring power at the maximal bound vanishes", *power),
+        Clause("fixed-rings",
+               "complement-fixed subrings are torsion free and nilpotent"
+               + (" within the bound" if evaluable else ""), *fixed),
+    ]
+    return hyps, concls, notes
+
+
+def _n1_bounds(ctx: GActionContext, profile):
+    """(status, witness) of N1's two conclusions once every bad prime has its
+    complement and its trace nilpotency degree."""
     idx = nilpotency_index(ctx.ring)
     bounds = {}
     dominated = False
@@ -587,17 +533,10 @@ def _chk_n1(ctx: GActionContext, caps: Caps):
         if idx is not None and power_at_least(h_n, m_p, idx):
             dominated = True
     if idx is None:
-        concls.append(Clause("power", "the ring power at the maximal bound vanishes",
-                             FAILS, witness={"bounds": bounds,
-                                             "reason": "ring not nilpotent"}))
-    elif dominated:
-        concls.append(Clause("power", "the ring power at the maximal bound vanishes",
-                             DOMINATED,
-                             witness={"nilpotency_index": idx, "bounds": bounds}))
+        power = FAILS, {"bounds": bounds, "reason": "ring not nilpotent"}
     else:
-        concls.append(Clause("power", "the ring power at the maximal bound vanishes",
-                             FAILS, witness={"nilpotency_index": idx,
-                                             "bounds": bounds}))
+        power = (DOMINATED if dominated else FAILS), {"nilpotency_index": idx,
+                                                      "bounds": bounds}
     per_prime = {}
     ok = True
     for p in profile.primes:
@@ -612,12 +551,7 @@ def _chk_n1(ctx: GActionContext, caps: Caps):
         per_prime[p] = entry
         if not tor.is_zero() or sidx is None or sidx > m_p:
             ok = False
-    status = DOMINATED if ok else FAILS
-    concls.append(Clause(
-        "fixed-rings",
-        "complement-fixed subrings are torsion free and nilpotent within the bound",
-        status, witness=per_prime))
-    return hyps, concls, notes
+    return power, (DOMINATED if ok else FAILS, per_prime)
 
 
 def _is_cyclic(group: AutomorphismGroup) -> bool:
@@ -625,18 +559,11 @@ def _is_cyclic(group: AutomorphismGroup) -> bool:
 
 
 def _chk_c1_5(ctx: GActionContext, caps: Caps):
-    hyps = [
-        _semiprime_clause("semiprime", "the ring is semiprime", ctx.ring),
-        _torsion_free_clause("torsion-free",
-                             "the ring has no torsion at the group order",
-                             ctx.ring, ctx.n),
-    ]
-    concls = [_fixed_semiprime_clause(ctx)]
-    status, witness = _trace_on_invariant_ideals(ctx, caps, powers=False)
-    concls.append(Clause("trace-nonzero",
-                         "every nonzero invariant one-sided ideal has nonzero trace",
-                         status, witness=witness))
-    notes = [SAMPLED_NOTE] if status == CAPPED else []
+    hyps = [_semiprime_clause(ctx), _no_group_torsion_clause(ctx, "torsion-free")]
+    concls = [_fixed_semiprime_clause(ctx), _trace_clause(
+        ctx, caps, "trace-nonzero",
+        "every nonzero invariant one-sided ideal has nonzero trace", powers=False)]
+    notes = [SAMPLED_NOTE] if concls[-1].status == CAPPED else []
     return hyps, concls, notes
 
 
@@ -649,13 +576,11 @@ def _chk_n2(ctx: GActionContext, caps: Caps):
             "systematic vacuity at finite scale: a finite semiprime ring is "
             "unital, so any bad prime places p-torsion on the identity inside "
             "the fixed ring and condition 2 must fail")
-    concls = [_fixed_semiprime_clause(ctx)]
-    status, witness = _trace_on_invariant_ideals(ctx, caps, powers=True)
-    concls.append(Clause(
-        "trace-powers",
+    concls = [_fixed_semiprime_clause(ctx), _trace_clause(
+        ctx, caps, "trace-powers",
         "nonzero invariant one-sided ideals have nonzero trace with nonzero powers",
-        status, witness=witness))
-    if status == CAPPED:
+        powers=True)]
+    if concls[-1].status == CAPPED:
         notes.append(SAMPLED_NOTE)
     return hyps, concls, notes
 
@@ -672,23 +597,19 @@ def _chk_cor_a8(ctx: GActionContext, caps: Caps):
     reg_s = regular_elements_quotient(image.ring)
     reg_r_set = set(reg_r.regular)
     bad = [s for s in reg_s.regular if image.from_image(s) not in reg_r_set]
-    goldie_label = ("both rings are Goldie together and fixed-ring regular "
-                    "elements stay regular")
     if bad:
-        concl1 = Clause("goldie", goldie_label, FAILS,
-                        witness={"escaping_regular": [list(b) for b in bad]})
+        status, witness = FAILS, {"escaping_regular": [list(b) for b in bad]}
     else:
-        concl1 = Clause("goldie", goldie_label, HOLDS,
-                        witness={"ring_quotient": reg_r.quotient_status,
-                                 "fixed_quotient": reg_s.quotient_status})
-    concls = [concl1, _udim_bounds_clause(ctx, caps)]
+        status, witness = HOLDS, {"ring_quotient": reg_r.quotient_status,
+                                  "fixed_quotient": reg_s.quotient_status}
+    concls = [Clause("goldie", "both rings are Goldie together and fixed-ring regular "
+                               "elements stay regular", status, witness=witness),
+              _udim_bounds_clause(ctx, caps)]
     return hyps, concls, notes
 
 
 def _chk_th_1_9(ctx: GActionContext, caps: Caps):
-    hyps = [_torsion_free_clause(
-        "torsion-free", "the ring has no torsion at the group order",
-        ctx.ring, ctx.n)]
+    hyps = [_no_group_torsion_clause(ctx, "torsion-free")]
     concls = [_radical_restriction_clause(ctx, "prime-radical-restriction",
                                           use_jacobson=False)]
     return hyps, concls, []
@@ -747,14 +668,11 @@ def _chk_b5apr(ctx: GActionContext, caps: Caps):
     hyps.append(_proper_splitting_clause(
         bar_ctx, caps, "proper-splitting",
         "the induced group splits the radical quotient properly on some side"))
-    hyps.append(_torsion_free_clause(
+    hyps.append(_zero_ideal_clause(
         "alt1", "the radical quotient has no torsion at the induced group order",
-        quot.ring, bar_group.order))
-    bar_profile = bar_ctx.bad_primes(caps)
-    hyps.append(Clause("alt2.B",
-                       "the induced action on the quotient has bad primes",
-                       HOLDS if bar_profile.primes else FAILS,
-                       witness={"bad_primes": list(bar_profile.primes)}))
+        torsion_ideal(quot.ring, bar_group.order)))
+    hyps.append(_bad_primes_clause("alt2.B", bar_ctx.bad_primes(caps),
+                                   "the induced action on the quotient has bad primes"))
     cond_clauses, _ = _bad_prime_condition_clauses(
         bar_ctx, caps, "alt2.", bar_group.order)
     hyps.extend(cond_clauses)
@@ -764,23 +682,13 @@ def _chk_b5apr(ctx: GActionContext, caps: Caps):
 
 
 def _chk_levitzki(ctx: GActionContext, caps: Caps):
-    hyps = [_invertible_order_clause(ctx),
-            _rad_zero_clause("semisimple", "the ring is semisimple Artinian",
-                             ctx.ring)]
-    concls = [_rad_zero_clause("fixed-semisimple",
-                               "the fixed ring is semisimple Artinian",
-                               ctx.fixed_image().ring)]
-    return hyps, concls, []
+    semisimple, fixed_semisimple = _semisimple_clauses(ctx)
+    return [_invertible_order_clause(ctx), semisimple], [fixed_semisimple], []
 
 
 def _chk_th_8apr(ctx: GActionContext, caps: Caps):
-    hyps = [_rad_zero_clause("semisimple", "the ring is semisimple Artinian",
-                             ctx.ring)]
-    hyps.extend(_splitting_alternative_hyps(ctx, caps))
-    concls = [_rad_zero_clause("fixed-semisimple",
-                               "the fixed ring is semisimple Artinian",
-                               ctx.fixed_image().ring)]
-    return hyps, concls, []
+    semisimple, fixed_semisimple = _semisimple_clauses(ctx)
+    return [semisimple, *_splitting_alternative_hyps(ctx, caps)], [fixed_semisimple], []
 
 
 def _chk_cor_b8(ctx: GActionContext, caps: Caps):
@@ -802,24 +710,22 @@ def _chk_cor_b8(ctx: GActionContext, caps: Caps):
 
 
 def _chk_a5apr(ctx: GActionContext, caps: Caps):
-    hyps = [_rad_zero_clause("rad-zero", "the ring has zero radical", ctx.ring)]
+    hyps = [_zero_ideal_clause("rad-zero", "the ring has zero radical",
+                               jacobson_radical(ctx.ring))]
     hyps.extend(_splitting_alternative_hyps(ctx, caps))
-    concls = [_rad_zero_clause("fixed-rad-zero", "the fixed ring has zero radical",
-                               ctx.fixed_image().ring)]
+    concls = [_zero_ideal_clause("fixed-rad-zero", "the fixed ring has zero radical",
+                                 jacobson_radical(ctx.fixed_image().ring))]
     return hyps, concls, []
 
 
 def _splitting_exists_clause(ctx: GActionContext, caps: Caps) -> tuple[Clause, list]:
     found, exhaustive = ctx.splittings(caps)
     if found:
-        return Clause("splitting", "a splitting over the fixed ring exists",
-                      HOLDS, witness={"count": len(found),
-                                      "first": found[0].complement}), found
-    if exhaustive:
-        return Clause("splitting", "a splitting over the fixed ring exists",
-                      FAILS), []
-    return Clause("splitting", "a splitting over the fixed ring exists",
-                  CAPPED), []
+        status, witness = HOLDS, {"count": len(found), "first": found[0].complement}
+    else:
+        status, witness = FAILS if exhaustive else CAPPED, None
+    return Clause("splitting", "a splitting over the fixed ring exists", status,
+                  witness=witness), found
 
 
 def _chk_lem_a6(ctx: GActionContext, caps: Caps):
@@ -837,13 +743,11 @@ def _chk_lem_a6(ctx: GActionContext, caps: Caps):
             if report.status == "yes" and report.equality_holds is False:
                 status = FAILS
                 witness = {"complement": sd.complement, "side": side}
-    if status == HOLDS and capped:
-        status = CAPPED
     concls.append(Clause(
         "equivalence",
         "containment of projections in ideal meets for all invariant ideals "
         "is equivalent to equality for all (reverse containment is automatic)",
-        status, witness=witness))
+        _capped(status, capped), witness=witness))
     return hyps, concls, ([SAMPLED_NOTE] if capped else [])
 
 
@@ -869,25 +773,21 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
             l_s = quotient_length(image.ring, side, j.sub, caps)
             l_r = quotient_length(ctx.ring, side, j_e.sub, caps)
             if l_s is None or l_r is None:
-                len_status = CAPPED if len_status == HOLDS else len_status
+                len_status = _capped(len_status, True)
             elif l_s > l_r:
                 len_status = FAILS
                 len_witness = {"side": side, "ideal": j,
                                "fixed_length": l_s, "ring_length": l_r}
         if er_status == FAILS:
             break
-    if er_status == HOLDS and capped:
-        er_status = CAPPED
-    if len_status == HOLDS and capped:
-        len_status = CAPPED
     concls = [
         Clause("restriction-identity",
                "extension then restriction is the identity on fixed-ring "
                "one-sided ideals",
-               er_status, witness=er_witness),
+               _capped(er_status, capped), witness=er_witness),
         Clause("length-bound",
                "fixed-ring quotient lengths never exceed ring quotient lengths",
-               len_status, witness=len_witness),
+               _capped(len_status, capped), witness=len_witness),
     ]
     return hyps, concls, ([SAMPLED_NOTE] if capped else [])
 
@@ -925,23 +825,19 @@ def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
         elif l_s > l_r:
             len_status, len_witness = FAILS, {
                 "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}
-    if capped:
-        dec_status = CAPPED if dec_status == HOLDS else dec_status
-        inj_status = CAPPED if inj_status == HOLDS else inj_status
-        len_status = CAPPED if len_status == HOLDS else len_status
     return [
         Clause(f"decompose[{tag}]",
                f"every invariant {side} ideal is the direct sum of its fixed "
                f"part and its complement part",
-               dec_status, witness=dec_witness),
+               _capped(dec_status, capped), witness=dec_witness),
         Clause(f"lattice-injection[{tag}]",
                f"(extension + ideal) meets the fixed ring exactly in the "
                f"fixed-ring ideal, for {side} ideals",
-               inj_status, witness=inj_witness),
+               _capped(inj_status, capped), witness=inj_witness),
         Clause(f"length[{tag}]",
                f"fixed-ring length of the meet quotient is at most the ring "
                f"length of the {side} quotient",
-               len_status, witness=len_witness),
+               _capped(len_status, capped), witness=len_witness),
         Clause(f"chain-conditions[{tag}]",
                "Artinian/Noetherian descent holds (finite modules have both)",
                HOLDS),
@@ -953,14 +849,10 @@ def _chk_lem_c6(ctx: GActionContext, caps: Caps):
     sides = {}
     for cond, side in (("alt1", LEFT), ("alt2", RIGHT)):
         sd, status = ctx.proper_splitting(side, caps)
-        if status == "yes":
-            hyps.append(Clause(cond, f"a {side} proper splitting exists", HOLDS,
-                               witness={"complement": sd.complement}))
+        if sd is not None:
             sides[side] = sd
-        elif status == "capped":
-            hyps.append(Clause(cond, f"a {side} proper splitting exists", CAPPED))
-        else:
-            hyps.append(Clause(cond, f"a {side} proper splitting exists", FAILS))
+        hyps.append(Clause(cond, f"a {side} proper splitting exists", _SPLIT_STATUS[status],
+                           witness=None if sd is None else {"complement": sd.complement}))
     concls = []
     for side, sd in sides.items():
         concls.extend(_c6_clauses(ctx, sd, side, caps, side))
@@ -977,26 +869,20 @@ def _chk_lem_c6(ctx: GActionContext, caps: Caps):
 
 def _chk_cor_c8(ctx: GActionContext, caps: Caps):
     hyps = [_invertible_order_clause(ctx)]
-    concls = []
-    notes = []
-    if hyps[0].status == HOLDS:
-        sd = averaging_idempotent(ctx)
-        proper = {}
-        for side in (LEFT, RIGHT):
-            report = is_proper_splitting(ctx, sd, side, caps)
-            proper[side] = report.status
-        status = (HOLDS if all(v == "yes" for v in proper.values())
-                  else CAPPED if "capped" in proper.values() else FAILS)
-        concls.append(Clause("averaging-proper",
-                             "the averaging splitting is proper on both sides",
-                             status, witness=proper))
+    sd = averaging_idempotent(ctx) if hyps[0].status == HOLDS else None
+    if sd is None:
+        status, witness = CAPPED, "averaging idempotent unavailable"
+    else:
+        witness = {side: is_proper_splitting(ctx, sd, side, caps).status
+                   for side in (LEFT, RIGHT)}
+        status = (HOLDS if all(v == "yes" for v in witness.values())
+                  else CAPPED if "capped" in witness.values() else FAILS)
+    concls = [Clause("averaging-proper", "the averaging splitting is proper on both sides",
+                     status, witness=witness)]
+    if sd is not None:
         for side in (LEFT, RIGHT):
             concls.extend(_c6_clauses(ctx, sd, side, caps, f"avg-{side}"))
-    else:
-        concls.append(Clause("averaging-proper",
-                             "the averaging splitting is proper on both sides",
-                             CAPPED, witness="averaging idempotent unavailable"))
-    return hyps, concls, notes
+    return hyps, concls, []
 
 
 _CHECKERS = {
@@ -1029,7 +915,7 @@ def check(theorem: str, ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
     hyps, concls, notes = _CHECKERS[theorem](ctx, caps)
     _apply_masks(theorem, hyps, masks)
     hstat = _hyp_status(hyps)
-    cstat = _conclusion_status(concls)
+    cstat = _worst(c.status for c in concls)
     if hstat == FAILS:
         verdict = VACUOUS
     elif hstat == CAPPED:

@@ -96,6 +96,41 @@ def test_check_rejects_unknown_theorem():
     assert main(["check", "--theorems", "NOT_A_THEOREM"]) == 2
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--caps", "foo=1"], 2),
+    (["--caps", "ideal_count=x"], 2),
+    (["--instances", "{tmp}/nosuchfile"], 2),
+    (["--instances", "{tmp}/bad.ring"], 2),
+    (["--instances", "{tmp}/nonassoc.ring"], 3),
+])
+def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
+    """Bad caps or instance files exit 2 (3 for a ring that fails validation)
+    with one stderr line and no report."""
+    (tmp_path / "bad.ring").write_text("ring x\nadd 2\nmul 1 -> 0\n")
+    (tmp_path / "nonassoc.ring").write_text(
+        "ring x\nadd 2 2\n"
+        "mul 1 1 -> 0 1\nmul 1 2 -> 1 0\nmul 2 1 -> 0 0\nmul 2 2 -> 0 0\n"
+        "group g =\n")
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert main(["check", "--theorems", "N1"] + args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+MASKS = Path(__file__).resolve().parents[1] / "ringbench" / "masks.json"
+
+
+def test_masked_named_catalog_report_bytes(tmp_path):
+    """Every hypothesis masked at once: the condition ids, labels and
+    counterexample witnesses of all eighteen checkers are pinned."""
+    out = tmp_path / "masked.json"
+    masks = ",".join(json.loads(MASKS.read_text()))
+    assert main(["check", "--mask", masks, "--out", str(out)]) == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d88d704dd379c87746fa6f47495b22ad349bd9d35eddd9bae3a5be9a04e82fef")
+
+
 def test_check_from_file(catalog_dir, tmp_path):
     out = tmp_path / "file.json"
     code = main(["check", "--instances", str(catalog_dir / "zm_f4.ring"),
