@@ -539,8 +539,12 @@ def load(path) -> list[Instance]:
     if path.is_dir():
         path = path / "manifest.json"
     if path.name == "manifest.json":
-        manifest = json.loads(path.read_text())
-        return [load_text((path.parent / entry["file"]).read_text(),
-                          default_name=entry["name"])
-                for entry in manifest]
+        try:
+            entries = [(path.parent / e["file"], e["name"])
+                       for e in json.loads(path.read_text())]
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"manifest is not JSON: {exc.msg}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ParseError(0, "every manifest entry needs a 'file' and a 'name'") from exc
+        return [load_text(file.read_text(), default_name=name) for file, name in entries]
     return [load_text(path.read_text(), default_name=path.stem)]

@@ -63,19 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated named instances or file paths "
                             "(default: whole named catalog)")
     p_chk.add_argument("--random", type=int,
-                       default=int(_env_default("random", 0)),
+                       default=_env_default("random", 0),
                        help="add this many seeded random instances")
     p_chk.add_argument("--theorems", default=_env_default("theorems", None),
                        help="comma-separated theorem ids (default: all)")
     p_chk.add_argument("--caps", default=_env_default("caps", ""),
                        help="cap overrides k=v,k=v")
     p_chk.add_argument("--seed", type=int,
-                       default=int(_env_default("seed", 0)))
+                       default=_env_default("seed", 0))
     p_chk.add_argument("--mask", default=_env_default("mask", ""),
                        help="comma-separated THEOREM:condition masks")
     p_chk.add_argument("--out", default=_env_default("out", None),
                        help="report JSON path")
-    p_chk.add_argument("--jobs", type=int, default=int(_env_default("jobs", 1)))
+    p_chk.add_argument("--jobs", type=int, default=_env_default("jobs", 1))
 
     p_prof = sub.add_parser("profile", help="print an instance profile")
     p_prof.add_argument("instance", help="named instance or file path")

@@ -21,14 +21,13 @@ from .ring_core import (
     TWOSIDED,
     AdditiveGroup,
     AdditiveMap,
-    Coordinates,
     Element,
     FiniteRing,
     Ideal,
     RingError,
     Subgroup,
-    atom_below,
     cached,
+    chain_length,
     close_subgroup,
     generated_ideal,
     inverse,
@@ -179,8 +178,7 @@ def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps
 
 def minimal_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """Atoms of the sided ideal lattice: minimal nonzero principal ideals."""
-    atoms = minimal_closures(ring.elements(),
-                             lambda x: principal_ideal(ring, x, side).sub)
+    atoms = minimal_closures(ring.additive, lambda x: principal_ideal(ring, x, side).sub)
     return [Ideal(ring, side, s) for s in atoms]
 
 
@@ -196,9 +194,11 @@ def uniform_dimension(ring: FiniteRing, side: str,
                       caps: Caps = DEFAULT_CAPS) -> UdimCertificate:
     """Largest direct sum of nonzero sided ideals.
 
-    A maximal independent family can always be chosen among the atoms, so
-    the search is branch-and-bound over atoms.  Above the exhaustive cap a
-    greedy-with-restarts lower bound is reported and flagged.
+    A finite module is Artinian, so this is the length of its socle (the
+    sum of the atoms): one greedy pass over the atoms finds a direct family
+    spanning the socle, and no direct family is longer.  Above the
+    exhaustive cap a greedy-with-restarts lower bound over sampled principal
+    ideals is reported and flagged.
     """
     return cached(ring._extra, ("udim", side, caps),
                   lambda: _compute_uniform_dimension(ring, side, caps))
@@ -209,53 +209,38 @@ def _compute_uniform_dimension(ring: FiniteRing, side: str, caps: Caps) -> UdimC
         return UdimCertificate(0, [], "exhaustive", side)
     if ring.order > caps.udim_exhaustive_order:
         return _udim_greedy(ring, side, caps)
-    atoms = minimal_ideals(ring, side, caps)
-    best: list = []
-
-    def extend(start: int, family: list, span: Subgroup):
-        nonlocal best
-        if len(family) > len(best):
-            best = family[:]
-        remaining_room = (ring.order // span.size).bit_length() - 1
-        if len(family) + remaining_room <= len(best):
-            return
-        for idx in range(start, len(atoms)):
-            atom = atoms[idx]
-            if span.intersect(atom.sub).is_zero():
-                extend(idx + 1, family + [atom], span.join(atom.sub))
-
-    extend(0, [], Subgroup.zero(ring.additive))
-    cert = UdimCertificate(len(best), best, "exhaustive", side)
+    family, span = _greedy_family(ring, minimal_ideals(ring, side, caps))
+    if is_semisimple_artinian(ring) and span.size != ring.order:
+        raise CrossCheckError(
+            f"semisimple ring {ring.name} is not a direct sum of its atoms")
+    cert = UdimCertificate(len(family), family, "exhaustive", side)
     _verify_udim_witness(ring, cert)
-    if is_semisimple_artinian(ring):
-        greedy = _greedy_semisimple_count(ring, side, atoms)
-        if greedy != cert.value:
-            raise CrossCheckError(
-                f"udim disagrees with the semisimple decomposition on "
-                f"{ring.name}: {cert.value} vs {greedy}")
     return cert
+
+
+def _greedy_family(ring: FiniteRing, ideals):
+    """(the ideals taken in order whenever the sum stays direct, their sum).
+
+    A ∩ B = 0 iff |A + B| = |A|·|B|, so the join decides directness.
+    """
+    span = Subgroup.zero(ring.additive)
+    family = []
+    for ideal in ideals:
+        joined = span.join(ideal.sub)
+        if joined.size == span.size * ideal.size:
+            family.append(ideal)
+            span = joined
+    return family, span
 
 
 def _verify_udim_witness(ring: FiniteRing, cert: UdimCertificate) -> None:
     span = Subgroup.zero(ring.additive)
     for ideal in cert.witness:
-        if ideal.is_zero() or not span.intersect(ideal.sub).is_zero():
+        joined = span.join(ideal.sub)
+        if ideal.is_zero() or joined.size != span.size * ideal.size:
             raise CrossCheckError(
                 f"udim witness on {ring.name} is not a direct sum of nonzero ideals")
-        span = span.join(ideal.sub)
-
-
-def _greedy_semisimple_count(ring: FiniteRing, side: str, atoms) -> int:
-    span = Subgroup.zero(ring.additive)
-    count = 0
-    for atom in atoms:
-        if span.intersect(atom.sub).is_zero():
-            span = span.join(atom.sub)
-            count += 1
-    if span.size != ring.order:
-        raise CrossCheckError(
-            f"semisimple ring {ring.name} is not a direct sum of its atoms")
-    return count
+        span = joined
 
 
 def _udim_greedy(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:
@@ -264,15 +249,9 @@ def _udim_greedy(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:
     best: list = []
     for _ in range(8):
         rng.shuffle(elems)
-        span = Subgroup.zero(ring.additive)
-        family = []
-        for x in elems[:caps.sample_count]:
-            if x == ring.zero:
-                continue
-            ideal = principal_ideal(ring, x, side)
-            if span.intersect(ideal.sub).is_zero():
-                family.append(ideal)
-                span = span.join(ideal.sub)
+        family, _ = _greedy_family(ring, (principal_ideal(ring, x, side)
+                                          for x in elems[:caps.sample_count]
+                                          if x != ring.zero))
         if len(family) > len(best):
             best = family
     cert = UdimCertificate(len(best), best, "capped", side)
@@ -343,36 +322,18 @@ class FiniteModule:
     always lies in the submodule it generates.
     """
 
-    def __init__(self, ring: FiniteRing, side: str, add: AdditiveGroup, action,
-                 name: str = "M", validate: bool = True):
+    def __init__(self, ring: FiniteRing, side: str, add: AdditiveGroup, action):
         if side not in (LEFT, RIGHT):
             raise RingError("module side must be left or right")
         self.ring = ring
         self.side = side
         self.add_group = add
         self.action = tuple(tuple(add.reduce(v) for v in row) for row in action)
-        self.name = name
         self.size = add.order
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
-        self._validate_table()
-        ring, add = self.ring, self.add_group
-        for a in range(ring.rank):
-            for b in range(ring.rank):
-                sc = (ring.mul_table[a][b] if self.side == LEFT
-                      else ring.mul_table[b][a])
-                for j in range(add.rank):
-                    lhs = self._act_vec(sc, self.add_group.generator(j))
-                    rhs = self._act_vec(ring.generator(a),
-                                        self._act_vec(ring.generator(b),
-                                                      self.add_group.generator(j)))
-                    if lhs != rhs:
-                        raise RingError("module action is not associative")
-
-    def _validate_table(self) -> None:
-        """Shape and orders: the action is well defined on generators."""
+        """The action is well defined and associative on generators."""
         ring, add = self.ring, self.add_group
         if len(self.action) != ring.rank or any(
                 len(row) != add.rank for row in self.action):
@@ -384,6 +345,16 @@ class FiniteModule:
                     raise RingError("action not killed by scalar order")
                 if any(add.smul(add.cyclic_orders[j], v)):
                     raise RingError("action not killed by module order")
+        for a in range(ring.rank):
+            for b in range(ring.rank):
+                sc = (ring.mul_table[a][b] if self.side == LEFT
+                      else ring.mul_table[b][a])
+                for j in range(add.rank):
+                    lhs = self._act_vec(sc, add.generator(j))
+                    rhs = self._act_vec(ring.generator(a),
+                                        self._act_vec(ring.generator(b), add.generator(j)))
+                    if lhs != rhs:
+                        raise RingError("module action is not associative")
 
     def _act_vec(self, s: Element, m: Element) -> Element:
         add = self.add_group
@@ -395,30 +366,12 @@ class FiniteModule:
                         out = add.add(out, add.smul(si * mj, self.action[i][j]))
         return out
 
-    def act(self, s: Element, m: Element) -> Element:
-        """s·m for left modules, m·s for right modules (s is a ring element)."""
-        return self._act_vec(s, m)
-
     def submodule(self, gens) -> Subgroup:
         maps = [partial(self._act_vec, s) for s in self.ring.generators()]
         return close_subgroup(self.add_group, gens, maps)
 
-    def quotient(self, sub: Subgroup) -> "FiniteModule":
-        """Quotient by a submodule, with the projection checked to be a
-        module map (so the quotient needs no associativity check)."""
-        coords = Coordinates(self.add_group, sub.key)
-        scalars = self.ring.generators()
-        action = [[coords.project(self._act_vec(s, g)) for g in coords.generators]
-                  for s in scalars]
-        out = FiniteModule(self.ring, self.side, coords.image, action,
-                           name=f"{self.name}/sub", validate=False)
-        out._validate_table()
-        coords.check(self._act_vec, out._act_vec, scalars=scalars)
-        return out
-
     def minimal_submodules(self) -> list[Subgroup]:
-        return minimal_closures(self.add_group.elements(),
-                                lambda x: self.submodule([x]))
+        return minimal_closures(self.add_group, lambda x: self.submodule([x]))
 
 
 def ring_as_module(ring: FiniteRing, side: str,
@@ -441,40 +394,29 @@ def ring_as_module(ring: FiniteRing, side: str,
             g = ring.generator(j)
             row.append(ring.mul(s, g) if side == LEFT else ring.mul(g, s))
         action.append(row)
-    return FiniteModule(scalars, side, ring.additive, action, name=ring.name)
+    return FiniteModule(scalars, side, ring.additive, action)
 
 
 def module_length(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:
-    """Composition length, splitting off one minimal submodule each step.
-
-    The minimal submodule is reached by descent from the cyclic submodule of
-    the first generator; by Jordan–Hölder the length does not depend on
-    which one is split off.
-    """
+    """Composition length: the length of a chain of submodules climbed from
+    zero one cover at a time."""
     if module.size > caps.module_order:
         raise SizeCap(f"module of size {module.size} exceeds the cap")
-    length = 0
-    current = module
-    while current.size > 1:
-        cyclic = lambda x, m=current: m.submodule([x])  # noqa: E731
-        atom = atom_below(cyclic(current.add_group.generator(0)), cyclic)
-        current = current.quotient(atom)
-        length += 1
-    return length
+    return chain_length(Subgroup.zero(module.add_group), lambda x: module.submodule([x]))
 
 
 def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
                     caps: Caps = DEFAULT_CAPS) -> int | None:
-    """Composition length of the sided module R/sub (sub a sided ideal), or
-    None when it is larger than `caps.module_order`.
+    """Composition length of the sided module R/sub, or None when it is
+    larger than `caps.module_order`; RingError unless `sub` is a sided ideal.
 
-    Cached on the ring; the ring as a module over itself is built and
-    validated once per side.
+    It is the length of a chain of sided ideals climbed from `sub` to R one
+    cover at a time.  Cached on the ring by side, ideal and `Caps`.
     """
     def compute():
-        module = cached(ring._extra, ("module", side), lambda: ring_as_module(ring, side))
-        try:
-            return module_length(module.quotient(sub), caps)
-        except SizeCap:
+        if not Ideal(ring, side, sub).verify_closure():
+            raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
+        if ring.order // sub.size > caps.module_order:
             return None
+        return chain_length(sub, lambda x: principal_ideal(ring, x, side).sub)
     return cached(ring._extra, ("quotient_length", side, sub.key, caps), compute)

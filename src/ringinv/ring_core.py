@@ -10,11 +10,11 @@ The structure theory rests on five primitives over those subgroups:
 `AdditiveMap` (kernel and preimages of an additive map from one Hermite
 form: intersections, fixed subgroups, identities, inverses, annihilators,
 splittings), `close_subgroup` (closure under additive maps: sided ideals,
-submodules), `join_closure` (lattices of ideals and subgroups),
-`minimal_closures` and `atom_below` (atoms of such lattices), and
-`Coordinates` (Smith-form coordinates on a subquotient: quotient rings,
-quotient modules, subring images), whose one check proves the transported
-structure correct.
+submodules), `join_closure` (lattices of ideals and subgroups), `cover`
+(one step up such a lattice, searching one element per coset; atoms by
+`minimal_closures`, composition lengths by `chain_length`), and
+`Coordinates` (Smith-form coordinates on a subquotient: quotient rings and
+subring images), whose one check proves the transported ring correct.
 """
 
 from __future__ import annotations
@@ -166,15 +166,21 @@ class Subgroup:
         return in_hermite_span(self.key, x)
 
     def __iter__(self) -> Iterator[Element]:
-        """Each element once, lazily: Σ c_i·key_i over 0 <= c_i < d_i/key_ii.
+        return self.transversal()
 
-        The key is triangular and its diagonal divides the orders, so these
-        sums are distinct modulo the order lattice and there are `size` of
-        them; they come in lexicographic order of (c_i).
+    def transversal(self, below: "Subgroup | None" = None) -> Iterator[Element]:
+        """One element per coset of `below` (of zero when None), zero first,
+        lazily: Σ c_i·key_i over 0 <= c_i < below.key_ii / key_ii.
+
+        Both keys are triangular and below ⊆ self, so key_ii divides
+        below.key_ii and these sums are distinct modulo `below`; there are
+        |self|/|below| of them, in lexicographic order of (c_i).
         """
+        bounds = (self.group.cyclic_orders if below is None
+                  else [row[i] for i, row in enumerate(below.key)])
         add = self.group.add
-        steps = [(self.group.reduce(row), d // row[i]) for i, (row, d)
-                 in enumerate(zip(self.key, self.group.cyclic_orders)) if d // row[i] > 1]
+        steps = [(self.group.reduce(row), b // row[i]) for i, (row, b)
+                 in enumerate(zip(self.key, bounds)) if b // row[i] > 1]
 
         def walk(i, v):
             if i == len(steps):
@@ -195,6 +201,10 @@ class Subgroup:
         return self._elements
 
     def join(self, other: "Subgroup") -> "Subgroup":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Subgroup.from_generators(self.group, self.basis + other.basis)
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
@@ -628,28 +638,43 @@ def join_closure(base: Iterable[Subgroup], count_cap: int):
     return sorted(found.values(), key=lambda s: s.key), exhaustive
 
 
-def atom_below(sub: Subgroup, close) -> Subgroup:
-    """An atom of the lattice of closed subgroups inside the nonzero `sub`.
+def cover(base: Subgroup, sub: Subgroup, close) -> Subgroup:
+    """A closed subgroup in `sub` that covers the closed `base` ⊊ sub.
 
-    `close(x)` is the least closed subgroup containing x; an atom is the
-    closure of each of its nonzero elements.
+    `close(x)` is the least closed subgroup containing x, and joins of
+    closed subgroups are closed; so the closed subgroups just above `base`
+    are base + close(y) for y outside it, one y per coset of `base`.
     """
-    for y in sub.elements():
-        if any(y):
-            smaller = close(y)
-            if smaller != sub:
-                return atom_below(smaller, close)
+    for y in itertools.islice(sub.transversal(base), 1, None):
+        smaller = base.join(close(y))
+        if smaller != sub:
+            return cover(base, smaller, close)
     return sub
 
 
-def minimal_closures(elements: Iterable[Element], close) -> list[Subgroup]:
-    """All atoms (see `atom_below`), sorted by key; `elements` is the group."""
+def chain_length(start: Subgroup, close) -> int:
+    """Length of a maximal chain of closed subgroups from the closed `start`
+    up to the whole group, one cover per step; by Jordan–Hölder every
+    maximal chain has this length."""
+    group = start.group
+    top = Subgroup.from_generators(group, map(group.generator, range(group.rank)))
+    length = 0
+    while start != top:
+        start = cover(start, top, close)
+        length += 1
+    return length
+
+
+def minimal_closures(group: AdditiveGroup, close) -> list[Subgroup]:
+    """All atoms of the lattice of closed subgroups of `group`, sorted by
+    key: the closures of single elements that cover zero (see `cover`)."""
+    zero = Subgroup.zero(group)
     closures: dict = {}
-    for x in elements:
+    for x in group.elements():
         if any(x):
             c = close(x)
             closures.setdefault(c.key, c)
-    return sorted((c for c in closures.values() if atom_below(c, close) == c),
+    return sorted((c for c in closures.values() if cover(zero, c, close) == c),
                   key=lambda s: s.key)
 
 
@@ -780,23 +805,20 @@ class Coordinates:
         return tuple(sum(a * c for a, c in zip(y, col)) % d
                      for col, d in zip(self._lift, self.group.cyclic_orders))
 
-    def check(self, op, image_op, scalars=None) -> None:
+    def check(self, op, image_op) -> None:
         """Raise RingError unless `project` is an isomorphism for `op`.
 
         Round trips on the coordinate generators make `project` a bijection
-        of A/L onto `image`.  Without `scalars`, `project` must turn `op` on
-        every pair of generators of A into `image_op`; with them, `op` is an
-        action and `project` must commute with each scalar.  `image_op` is
-        well defined (a validated table), so by biadditivity this proves a
-        ring or module isomorphism.
+        of A/L onto `image`, and `project` must turn `op` on every pair of
+        generators of A into `image_op`.  `image_op` is well defined (a
+        validated table), so by biadditivity this proves a ring isomorphism.
         """
         for t, g in enumerate(self.generators):
             if self.project(g) != self.image.generator(t):
                 raise RingError("coordinate maps do not round-trip")
-        for a in self._domain if scalars is None else scalars:
-            a_image = self.project(a) if scalars is None else a
+        for a in self._domain:
             for b in self._domain:
-                if self.project(op(a, b)) != image_op(a_image, self.project(b)):
+                if self.project(op(a, b)) != image_op(self.project(a), self.project(b)):
                     raise RingError(f"coordinates do not preserve {a}·{b}")
 
 

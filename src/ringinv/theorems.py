@@ -804,7 +804,8 @@ def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
     for ideal in ideals:
         meet_s = ctx.meet(ideal.sub)
         meet_b = ideal.sub.intersect(sd.complement)
-        if meet_s.join(meet_b) != ideal.sub or not meet_s.intersect(meet_b).is_zero():
+        joined = meet_s.join(meet_b)
+        if joined != ideal.sub or joined.size != meet_s.size * meet_b.size:
             dec_status, dec_witness = FAILS, {"ideal": ideal}
             break
         restricted = ctx.restrict(ideal.sub)

@@ -45,6 +45,24 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/path.ring"]) == 2
 
 
+@pytest.mark.parametrize("manifest", ["[{not json", '[{"name": "z12"}]'])
+def test_validate_malformed_manifest(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["validate", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["RANDOM", "SEED", "JOBS"])
+def test_bad_env_integer_fails_only_check(catalog_dir, monkeypatch, name):
+    """A non-integer RINGINV_* default is an argument error of `check` (exit 2)
+    and does not reach the other subcommands."""
+    monkeypatch.setenv("RINGINV_" + name, "x")
+    assert main(["validate", str(catalog_dir / "two_z8.ring")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--instances", "z12", "--theorems", "N1"])
+    assert exc.value.code == 2
+
+
 def test_check_named_catalog(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["check", "--out", str(out), "--seed", "1"])
@@ -102,6 +120,8 @@ def test_check_rejects_unknown_theorem():
     (["--instances", "{tmp}/nosuchfile"], 2),
     (["--instances", "{tmp}/bad.ring"], 2),
     (["--instances", "{tmp}/nonassoc.ring"], 3),
+    (["--instances", "{tmp}/notjson"], 2),
+    (["--instances", "{tmp}/nofile"], 2),
 ])
 def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
     """Bad caps or instance files exit 2 (3 for a ring that fails validation)
@@ -111,6 +131,9 @@ def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
         "ring x\nadd 2 2\n"
         "mul 1 1 -> 0 1\nmul 1 2 -> 1 0\nmul 2 1 -> 0 0\nmul 2 2 -> 0 0\n"
         "group g =\n")
+    for name, manifest in (("notjson", "[{not json"), ("nofile", '[{"name": "z12"}]')):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(manifest)
     args = [a.format(tmp=tmp_path) for a in args]
     assert main(["check", "--theorems", "N1"] + args) == code
     captured = capsys.readouterr()

@@ -1,20 +1,20 @@
 """The ideal correspondence between R and R^G on the action context (meet,
-restriction, extension) and the cached quotient length, against their
-elementwise definitions on the named catalog and a seeded random sample."""
+restriction, extension) against its elementwise definition, and composition
+lengths against the longest chains of the exhaustive ideal lattices, on the
+named catalog and a seeded random sample."""
 
 import pytest
 
 from ringinv.caps import Caps
 from ringinv.catalog import named_instances, random_instances
 from ringinv.radicals import (
-    SizeCap,
     enumerate_ideals,
     jacobson_radical,
     module_length,
     quotient_length,
     ring_as_module,
 )
-from ringinv.ring_core import LEFT, RIGHT, generated_ideal
+from ringinv.ring_core import LEFT, RIGHT, Subgroup, generated_ideal
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +51,35 @@ def test_extend_is_the_ideal_generated_by_the_embedded_elements(contexts):
                     ctx.ring, embedded, side), ctx.ring_name
 
 
-def _fresh_length(ring, side, sub, caps):
-    try:
-        return module_length(ring_as_module(ring, side).quotient(sub), caps)
-    except SizeCap:
-        return None
+def _chain_lengths(ring, side):
+    """{key of I: longest chain of sided ideals from I up to R}, computed over
+    the exhaustive ideal lattice (largest ideals first)."""
+    ideals, exhaustive = enumerate_ideals(ring, side)
+    assert exhaustive, ring.name
+    done = []
+    longest = {}
+    for sub in sorted((i.sub for i in ideals), key=lambda s: -s.size):
+        longest[sub.key] = max((1 + longest[t.key] for t in done if t.size > sub.size
+                                and all(t.contains(x) for x in sub.basis)), default=0)
+        done.append(sub)
+    return longest
 
 
-def test_quotient_length_matches_a_fresh_quotient_module(contexts):
+def test_lengths_match_the_longest_ideal_chain(contexts):
     small = Caps(module_order=4)
     capped = 0
     for ctx in contexts:
         image = ctx.fixed_image()
         for side in (LEFT, RIGHT):
-            pairs = [(ctx.ring, i.sub) for i in _ring_ideals(ctx, side)]
-            pairs += [(image.ring, j.sub) for j in enumerate_ideals(image.ring, side)[0]]
-            for ring, sub in pairs:
-                for caps in (Caps(), small):
-                    expected = _fresh_length(ring, side, sub, caps)
-                    assert quotient_length(ring, side, sub, caps) == expected, ring.name
+            for ring, ideals in ((ctx.ring, _ring_ideals(ctx, side)),
+                                 (image.ring, enumerate_ideals(image.ring, side)[0])):
+                longest = _chain_lengths(ring, side)
+                zero = Subgroup.zero(ring.additive)
+                assert module_length(ring_as_module(ring, side)) == longest[zero.key]
+                for ideal in ideals:
+                    expected = longest[ideal.key]
+                    assert quotient_length(ring, side, ideal.sub) == expected, ring.name
+                    expected = expected if ring.order // ideal.size <= 4 else None
+                    assert quotient_length(ring, side, ideal.sub, small) == expected
                     capped += expected is None
     assert capped > 0

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from ringinv.catalog import named_instances
+from ringinv.radicals import enumerate_ideals
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
@@ -346,6 +348,28 @@ def test_subgroup_join_intersect():
     b = Subgroup.from_generators(g, [(0, 1, 0)])
     assert a.join(b).size == 4
     assert a.intersect(b).is_zero()
+
+
+def test_subgroup_transversal_one_element_per_coset():
+    """For below ⊆ A in the named catalog's ideal lattices, A.transversal(below)
+    yields |A|/|below| elements of A, zero first, in distinct cosets."""
+    pairs = 0
+    for inst in named_instances():
+        ring = inst.ring
+        for side in (LEFT, RIGHT):
+            subs = [i.sub for i in enumerate_ideals(ring, side)[0]]
+            for below in subs:
+                for a in subs:
+                    if not all(a.contains(x) for x in below.basis):
+                        continue
+                    reps = list(a.transversal(below))
+                    assert len(reps) == a.size // below.size, ring.name
+                    assert reps[0] == ring.zero
+                    assert all(a.contains(x) for x in reps)
+                    cosets = {min(ring.add(x, b) for b in below.elements()) for x in reps}
+                    assert len(cosets) == len(reps), ring.name
+                    pairs += 1
+    assert pairs > 100
 
 
 def test_subring_view_image_roundtrip():
