@@ -59,9 +59,11 @@ from .ring_core import (
 
 
 class ParseError(Exception):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, source: str | None = None):
+        where = f"line {line}" if source is None else f"{source}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
+        self.message = message
 
 
 class ValidationError(Exception):
@@ -546,5 +548,13 @@ def load(path) -> list[Instance]:
             raise ParseError(exc.lineno, f"manifest is not JSON: {exc.msg}") from exc
         except (KeyError, TypeError) as exc:
             raise ParseError(0, "every manifest entry needs a 'file' and a 'name'") from exc
-        return [load_text(file.read_text(), default_name=name) for file, name in entries]
+        return [_load_entry(file, name) for file, name in entries]
     return [load_text(path.read_text(), default_name=path.stem)]
+
+
+def _load_entry(file: Path, name: str) -> Instance:
+    """One manifest entry; a parse error names the entry's file."""
+    try:
+        return load_text(file.read_text(), default_name=name)
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.message, source=file.name) from None

@@ -299,7 +299,7 @@ def fixed_subgroup(ring: FiniteRing, automorphisms) -> Subgroup:
             continue
         moved = [group.sub(a.apply(group.reduce(row)), group.reduce(row))
                  for row in fixed.key]
-        fixed = AdditiveMap(group, moved, group.lattice_rows(), sources=fixed.key).kernel
+        fixed = AdditiveMap(group, moved, group.relations, sources=fixed.key).kernel
     return fixed
 
 

@@ -421,7 +421,7 @@ def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
                for x in range(k) for row in fixed.key]
     values = AdditiveGroup(ring.cyclic_orders * (k + len(sbasis) * (1 + 2 * k)))
     solve = AdditiveMap(unknowns, [defects(split(w)) for w in sources],
-                        values.lattice_rows(), sources=sources)
+                        values.relations, sources=sources)
     particular = solve.preimage(
         ring.zero * k + sum(sbasis, ()) + ring.zero * (2 * k * len(sbasis)))
     if particular is None:
@@ -429,7 +429,7 @@ def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     found = []
     for w in itertools.islice(solve.kernel, caps.splitting_enum):
         proj = tuple(split(unknowns.add(particular, w)))
-        complement = AdditiveMap(group, proj, group.lattice_rows()).kernel
+        complement = AdditiveMap(group, proj, group.relations).kernel
         sd = _make_splitting(ring, fixed, complement)
         if sd.projection != proj:
             raise RingError("a solved projection is not its splitting's")

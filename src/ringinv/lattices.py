@@ -1,8 +1,12 @@
 """Exact integer matrix forms used throughout the package.
 
 Additive subgroups of a finite abelian group ⊕ Z/d_i are canonicalized by the
-Hermite normal form of their preimage lattice in Z^k, which on a graph
-lattice also gives kernels and preimages (`ring_core.AdditiveMap`);
+Hermite normal form of their preimage lattice in Z^k.  One kernel, `_insert`,
+adds a vector to echelon rows by extended-gcd row steps; `hermite_extend`
+grows a full-rank key by the vectors outside its span (the key itself when
+there are none), so subgroup keys are never rebuilt from scratch.  The one
+from-scratch `hermite_form` left is that of a graph lattice, which gives
+kernels and preimages (`ring_core.AdditiveMap`);
 quotients and subring coordinate systems come from the Smith normal form
 with tracked column transforms.  `solve_mod_p`, Gaussian elimination over
 Z/p, has no caller in the engine; it stays as a tested primitive that the
@@ -31,6 +35,64 @@ def mat_mul(a, b) -> list[list]:
     return [list(vec_mat(row, b)) for row in a]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s·a + t·b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _insert(piv: list, v) -> None:
+    """Add the integer vector `v` to the echelon rows `piv`, indexed by pivot
+    column (None where a column has no pivot), by unimodular steps.
+
+    At the first column c where v has an entry x: an empty slot takes v; a
+    pivot p dividing x clears it by subtracting a multiple of its row;
+    otherwise [row; v] <- [[s, t], [-x/g, p/g]]·[row; v] with s·p + t·x = g,
+    which leaves g in the slot and clears x.  Entries are not reduced here.
+    """
+    v = list(v)
+    n = len(v)
+    for c in range(n):
+        x = v[c]
+        if not x:
+            continue
+        row = piv[c]
+        if row is None:
+            piv[c] = v
+            return
+        p = row[c]
+        if x % p == 0:
+            q = x // p
+            for j in range(c, n):
+                v[j] -= q * row[j]
+        else:
+            g, s, t = _xgcd(p, x)
+            a, b = -x // g, p // g
+            piv[c] = [s * r + t * y for r, y in zip(row, v)]
+            v = [a * r + b * y for r, y in zip(row, v)]
+
+
+def _reduced(piv: list) -> tuple[Row, ...]:
+    """The canonical Hermite form of echelon rows from `_insert`: pivots made
+    positive and entries above each pivot reduced into [0, pivot)."""
+    rows = [(c, row) for c, row in enumerate(piv) if row is not None]
+    for t, (c, row) in enumerate(rows):
+        if row[c] < 0:
+            row[:] = [-x for x in row]
+        p = row[c]
+        for _, above in rows[:t]:
+            q = above[c] // p
+            if q:
+                for j in range(c, len(row)):
+                    above[j] -= q * row[j]
+    return tuple(tuple(row) for _, row in rows)
+
+
 def hermite_form(rows, width: int) -> tuple[Row, ...]:
     """Canonical row Hermite form of the integer span of `rows`.
 
@@ -38,49 +100,49 @@ def hermite_form(rows, width: int) -> tuple[Row, ...]:
     above each pivot reduced into [0, pivot).  Two row sets span the same
     lattice iff their Hermite forms are equal.
     """
-    a = [list(r) for r in rows if any(r)]
-    m = len(a)
-    r = 0
-    for c in range(width):
-        if not any(a[i][c] for i in range(r, m)):
-            continue
-        while True:
-            nz = [i for i in range(r, m) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            clean = True
-            for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c]:
-                        clean = False
-            if clean:
-                break
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return tuple(tuple(row) for row in a[:r])
+    piv: list = [None] * width
+    for r in rows:
+        _insert(piv, r)
+    return _reduced(piv)
+
+
+def hermite_extend(key: tuple[Row, ...], vectors) -> tuple[Row, ...]:
+    """Hermite form of the span of the full-rank Hermite form `key` (pivot i
+    in row i) and `vectors`.
+
+    Returns `key` itself, the same object, when every vector already lies in
+    its span; from the first vector outside it on, the vectors are inserted
+    into a copy.
+    """
+    piv = None
+    for v in vectors:
+        if piv is None:
+            if in_hermite_span(key, v):
+                continue
+            piv = [list(row) for row in key]
+        _insert(piv, v)
+    return key if piv is None else _reduced(piv)
 
 
 def in_hermite_span(hnf: tuple[Row, ...], v) -> bool:
     """Membership of an integer vector in the row span given by a Hermite form."""
     vec = list(v)
-    pivots = []
+    n = len(vec)
+    if len(hnf) == n:
+        # square, hence full rank: the pivot of row i is in column i
+        for c, row in enumerate(hnf):
+            q, r = divmod(vec[c], row[c])
+            if r:
+                return False
+            if q:
+                for j in range(c + 1, n):
+                    vec[j] -= q * row[j]
+        return True
     for row in hnf:
         c = next(i for i, x in enumerate(row) if x)
-        pivots.append((c, row))
-    for c, row in pivots:
-        if vec[c] % row[c]:
+        q, r = divmod(vec[c], row[c])
+        if r:
             return False
-        q = vec[c] // row[c]
         if q:
             vec = [x - q * y for x, y in zip(vec, row)]
     return not any(vec)

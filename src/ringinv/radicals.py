@@ -302,7 +302,7 @@ def _multiplication_kernel(ring: FiniteRing, rs, side: str) -> Subgroup:
     images = [sum((ring.mul(r, g) if side == LEFT else ring.mul(g, r) for r in rs), ())
               for g in ring.generators()]
     values = AdditiveGroup(ring.cyclic_orders * len(rs))
-    return AdditiveMap(ring.additive, images, values.lattice_rows()).kernel
+    return AdditiveMap(ring.additive, images, values.relations).kernel
 
 
 def left_annihilator(ring: FiniteRing, xs) -> Ideal:

@@ -4,7 +4,10 @@ A ring lives on an additive group ⊕_i Z/d_i; elements are coordinate tuples
 in canonical reduced form and multiplication is the bilinear extension of a
 k×k table of generator products.  Ideals and subrings are additive subgroups
 canonicalized by the Hermite form of their preimage lattice, so equality
-tests never enumerate elements.
+tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
+adds the generators outside a key to it and returns the subgroup itself when
+there are none, so generating, joining and closing never rebuild a key;
+`AdditiveMap` holds the one Hermite form still computed from scratch.
 
 The structure theory rests on five primitives over those subgroups:
 `AdditiveMap` (kernel and preimages of an additive map from one Hermite
@@ -26,6 +29,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator
 
 from .lattices import (
+    hermite_extend,
     hermite_form,
     in_hermite_span,
     invert_matrix,
@@ -126,10 +130,12 @@ class AdditiveGroup:
     def generator(self, i: int) -> Element:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def lattice_rows(self) -> list[list[int]]:
+    @cached_property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """diag(d_i): the order relations, the Hermite key of zero."""
         k = self.rank
-        return [[self.cyclic_orders[i] if j == i else 0 for j in range(k)]
-                for i in range(k)]
+        return tuple(tuple(self.cyclic_orders[i] if j == i else 0 for j in range(k))
+                     for i in range(k))
 
 
 class Subgroup:
@@ -137,30 +143,39 @@ class Subgroup:
 
     `key` is the full-rank Hermite form of the preimage lattice (generators
     plus the order relations); two subgroups are equal iff keys are equal.
+    Keys grow from keys: `extend` inserts only the vectors outside the span.
     `basis` is the human-facing generating set: nonzero key rows reduced.
     """
 
-    __slots__ = ("group", "key", "basis", "size", "_elements")
+    __slots__ = ("group", "key", "size", "_basis", "_elements")
 
     def __init__(self, group: AdditiveGroup, key: tuple[tuple[int, ...], ...]):
         self.group = group
         self.key = key
-        self.basis = tuple(
-            r for r in (group.reduce(row) for row in key) if any(r)
-        )
         det = prod(key[i][i] for i in range(len(key))) if key else 1
         self.size = group.order // det
+        self._basis = None
         self._elements = None
+
+    @property
+    def basis(self) -> tuple[Element, ...]:
+        if self._basis is None:
+            self._basis = tuple(
+                r for r in (self.group.reduce(row) for row in self.key) if any(r))
+        return self._basis
 
     @classmethod
     def from_generators(cls, group: AdditiveGroup, gens: Iterable[Element]) -> "Subgroup":
-        rows = [list(group.reduce(g)) for g in gens]
-        rows.extend(group.lattice_rows())
-        return cls(group, hermite_form(rows, group.rank))
+        return cls(group, hermite_extend(group.relations, gens))
 
     @classmethod
     def zero(cls, group: AdditiveGroup) -> "Subgroup":
-        return cls.from_generators(group, ())
+        return cls(group, group.relations)
+
+    def extend(self, gens: Iterable[Element]) -> "Subgroup":
+        """The subgroup generated by self and `gens`; `self` when they lie in it."""
+        key = hermite_extend(self.key, gens)
+        return self if key is self.key else Subgroup(self.group, key)
 
     def contains(self, x: Element) -> bool:
         return in_hermite_span(self.key, x)
@@ -201,14 +216,15 @@ class Subgroup:
         return self._elements
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        return Subgroup.from_generators(self.group, self.basis + other.basis)
+        return other if self.is_zero() else self.extend(other.basis)
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        """Zassenhaus: the kernel of the inclusion of self into G/other."""
+        """The smaller operand when one lies in the other (zero and the whole
+        group among them); otherwise Zassenhaus: the kernel of the inclusion
+        of self into G/other."""
+        small, big = (other, self) if other.size <= self.size else (self, other)
+        if big.size % small.size == 0 and big.extend(small.basis) is big:
+            return small
         return AdditiveMap(self.group, self.key, other.key, sources=self.key).kernel
 
     def is_zero(self) -> bool:
@@ -368,7 +384,7 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
     images = [sum((reduced[i][j] for j in range(k)), ())
               + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
     pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
-    unit = AdditiveMap(group, images, pairs.lattice_rows()).preimage(sum(gens, ()) * 2)
+    unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
     if unit_hint is not None and group.reduce(unit_hint) != unit:
         raise NotUnital(f"claimed identity {group.reduce(unit_hint)} is not one")
     ring.unit = unit
@@ -383,7 +399,7 @@ def inverse(ring: FiniteRing, u: Element) -> Element | None:
     if not ring.is_unital:
         return None
     y = AdditiveMap(ring.additive, [ring.mul(u, g) for g in ring.generators()],
-                    ring.additive.lattice_rows()).preimage(ring.unit)
+                    ring.additive.relations).preimage(ring.unit)
     if y is None or ring.mul(y, u) != ring.unit:
         return None
     return y
@@ -572,7 +588,7 @@ class AdditiveMap:
         hnf = hermite_form(rows, m + n)
         cut = next((t for t, row in enumerate(hnf) if not any(row[:m])), len(hnf))
         key = tuple(row[m:] for row in hnf[cut:])
-        if not all(in_hermite_span(key, r) for r in group.lattice_rows()):
+        if not all(in_hermite_span(key, r) for r in group.relations):
             raise RingError("the map is not well defined on the group")
         self.group = group
         self.kernel = Subgroup(group, key)
@@ -601,15 +617,10 @@ def close_subgroup(group: AdditiveGroup, gens: Iterable[Element],
     """Least subgroup containing `gens` that every (additive) map keeps inside."""
     sub = Subgroup.from_generators(group, gens)
     while True:
-        new = []
-        for b in sub.basis:
-            for f in maps:
-                y = f(b)
-                if not sub.contains(y):
-                    new.append(y)
-        if not new:
+        grown = sub.extend([f(b) for b in sub.basis for f in maps])
+        if grown is sub:
             return sub
-        sub = Subgroup.from_generators(group, sub.basis + tuple(new))
+        sub = grown
 
 
 def join_closure(base: Iterable[Subgroup], count_cap: int):
@@ -884,7 +895,7 @@ class SubringView:
         """
         if self._image is None:
             group = self.ring.additive
-            coords = Coordinates(group, group.lattice_rows(), basis=self.sub.key)
+            coords = Coordinates(group, group.relations, basis=self.sub.key)
             ring = _coordinate_ring(self.ring, coords, self.sub.size,
                                     name or f"{self.ring.name}^sub")
             self._image = RingImage(ring, coords.project, coords.lift)

@@ -49,7 +49,7 @@ def test_kernel_and_preimage_match_elementwise(instances):
     for inst in instances:
         ring = inst.ring
         for codomain, images in _maps(ring, inst.group):
-            f = AdditiveMap(ring.additive, images, codomain.lattice_rows())
+            f = AdditiveMap(ring.additive, images, codomain.relations)
             values = {x: _apply(codomain, images, x) for x in ring.elements()}
             assert f.kernel.elements() == frozenset(
                 x for x, y in values.items() if not any(y)), inst.name
@@ -65,7 +65,7 @@ def test_kernel_and_preimage_match_elementwise(instances):
 def test_map_must_be_well_defined():
     # Z/2 -> Z/3 sending the generator to 1 is not additive
     with pytest.raises(RingError):
-        AdditiveMap(AdditiveGroup((2,)), [(1,)], AdditiveGroup((3,)).lattice_rows())
+        AdditiveMap(AdditiveGroup((2,)), [(1,)], AdditiveGroup((3,)).relations)
 
 
 def test_intersect_matches_elementwise(instances):

@@ -52,6 +52,16 @@ def test_validate_malformed_manifest(tmp_path, capsys, manifest):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_validate_manifest_entry_parse_error_names_file(tmp_path, capsys):
+    (tmp_path / "good.ring").write_text("ring g\nadd 2\nmul 1 1 -> 1\n")
+    (tmp_path / "a.ring").write_text("ring x\nadd 2\nmul 1 -> 0\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        [{"name": "g", "file": "good.ring"}, {"name": "x", "file": "a.ring"}]))
+    assert main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: a.ring: line 3: mul needs two indices\n"
+
+
 @pytest.mark.parametrize("name", ["RANDOM", "SEED", "JOBS"])
 def test_bad_env_integer_fails_only_check(catalog_dir, monkeypatch, name):
     """A non-integer RINGINV_* default is an argument error of `check` (exit 2)

@@ -8,8 +8,10 @@ from ringinv.radicals import enumerate_ideals
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    SIDES,
     TWOSIDED,
     AdditiveGroup,
+    AdditiveMap,
     Ideal,
     IllDefined,
     NonAssociative,
@@ -18,6 +20,8 @@ from ringinv.ring_core import (
     Subgroup,
     SubringView,
     WrongSide,
+    _side_maps,
+    close_subgroup,
     cyclic_ring,
     direct_product,
     generated_ideal,
@@ -28,6 +32,8 @@ from ringinv.ring_core import (
     validate_ring,
     zero_mult_ring,
 )
+
+from test_lattices import min_pivot_hermite
 
 
 def cayley_cyclic(n):
@@ -348,6 +354,62 @@ def test_subgroup_join_intersect():
     b = Subgroup.from_generators(g, [(0, 1, 0)])
     assert a.join(b).size == 4
     assert a.intersect(b).is_zero()
+
+
+def _rebuilt(group, gens):
+    """Subgroup keyed by the oracle Hermite form, built from scratch."""
+    rows = [list(g) for g in gens] + [list(r) for r in group.relations]
+    return Subgroup(group, min_pivot_hermite(rows, group.rank))
+
+
+def test_close_subgroup_matches_rebuild_loop():
+    """Closure by insertion equals the fixed-point loop that tests membership
+    and rebuilds the key from scratch, for every element on every side."""
+    for inst in named_instances():
+        ring = inst.ring
+        for side in SIDES:
+            maps = _side_maps(ring, side)
+            for x in ring.elements():
+                sub = _rebuilt(ring.additive, [x])
+                while True:
+                    images = [f(b) for b in sub.basis for f in maps]
+                    new = [y for y in images if not sub.contains(y)]
+                    if not new:
+                        break
+                    sub = _rebuilt(ring.additive, sub.basis + tuple(new))
+                assert close_subgroup(ring.additive, [x], maps).key == sub.key, ring.name
+
+
+def test_subgroup_extend_returns_self_inside():
+    g = AdditiveGroup((4, 6))
+    s = Subgroup.from_generators(g, [(2, 3)])
+    assert s.extend([(0, 0), (2, 3), (4, 6), (-2, 3)]) is s
+    assert s.extend([(1, 0)]) == Subgroup.from_generators(g, [(2, 3), (1, 0)])
+    assert Subgroup.zero(g).join(s) is s
+    assert s.join(Subgroup.zero(g)) is s
+
+
+def test_intersect_short_circuits_match_zassenhaus():
+    """Whole, zero and nested operands from the named catalog's ideal
+    lattices meet as the Zassenhaus kernel says."""
+    nested = 0
+    for inst in named_instances():
+        ring = inst.ring
+        whole = Subgroup.from_generators(ring.additive, ring.generators())
+        zero = Subgroup.zero(ring.additive)
+        for side in (LEFT, RIGHT):
+            subs = [i.sub for i in enumerate_ideals(ring, side)[0]] + [whole, zero]
+            for a in subs:
+                for b in subs:
+                    zassenhaus = AdditiveMap(ring.additive, a.key, b.key, sources=a.key).kernel
+                    meet = a.intersect(b)
+                    assert meet == zassenhaus, ring.name
+                    if a.extend(b.basis) is a:
+                        assert meet is b
+                        nested += 1
+                    elif b.extend(a.basis) is b:
+                        assert meet is a
+    assert nested > 100
 
 
 def test_subgroup_transversal_one_element_per_coset():
