@@ -2,8 +2,11 @@
 
 The prime radical (largest nilpotent ideal) and the Jacobson radical
 (quasi-regularity) are computed by genuinely independent algorithms; their
-agreement on finite rings is asserted whenever a profile is built, never
-assumed.  Uniform dimension, regular elements, annihilators, and composition
+agreement on finite rings is checked whenever a profile is built, never
+assumed.  Both decide each distinct principal ideal once: the prime radical
+by one nilpotency test per two-sided principal ideal, the Jacobson radical
+by one verdict per principal left ideal, where quasi-regularity of an
+element is one preimage solve of an additive map.  Uniform dimension, regular elements, annihilators, and composition
 lengths of finite modules round out the structure data the checkers need.
 """
 
@@ -81,11 +84,15 @@ def prime_radical(ring: FiniteRing) -> Ideal:
 
 
 def _compute_prime_radical(ring: FiniteRing) -> Ideal:
-    members = []
+    members, verdicts = set(), {}
     for x in ring.elements():
+        if x in members:
+            continue
         ideal = principal_ideal(ring, x, TWOSIDED)
-        if nilpotency_index(ring, ideal.sub) is not None:
-            members.append(x)
+        if cached(verdicts, ideal.key,
+                  lambda: nilpotency_index(ring, ideal.sub) is not None):
+            # every y in a nilpotent ideal generates a nilpotent subideal
+            members.update(ideal.elements())
     out = Ideal.from_basis(ring, TWOSIDED, members, verify=True)
     if nilpotency_index(ring, out.sub) is None:
         raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
@@ -93,23 +100,54 @@ def _compute_prime_radical(ring: FiniteRing) -> Ideal:
 
 
 def is_quasi_regular(ring: FiniteRing, y: Element) -> bool:
-    """Left quasi-regularity: some z satisfies z + y + z*y = 0."""
-    return cached(ring._extra, ("qr", y), lambda: any(
-        ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero for z in ring.elements()))
+    """Left quasi-regularity: some z satisfies z + y + z*y = 0.
+
+    z ↦ z + z·y is additive, so one preimage solve of −y decides it; the
+    quasi-inverse it returns is checked before it is believed.
+    """
+    return cached(ring._extra, ("qr", y), lambda: _solve_quasi_inverse(ring, y))
+
+
+def _solve_quasi_inverse(ring: FiniteRing, y: Element) -> bool:
+    images = [ring.add(g, ring.mul(g, y)) for g in ring.generators()]
+    z = AdditiveMap(ring.additive, images, ring.additive.relations).preimage(ring.neg(y))
+    if z is None:
+        return False
+    if ring.add(ring.add(z, y), ring.mul(z, y)) != ring.zero:
+        raise CrossCheckError(f"quasi-inverse of {y} in {ring.name} does not check")
+    return True
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Quasi-regularity radical: x belongs iff every member of the left ideal
-    generated by x (unitalization convention) is left quasi-regular."""
+    generated by x (unitalization convention) is left quasi-regular.
+
+    Each element costs one preimage solve, and each distinct principal left
+    ideal one verdict: an ideal holding a known non-quasi-regular element
+    fails without a scan, and a passing ideal puts all its elements in.
+    """
     return cached(ring._extra, "jacobson_radical", lambda: _compute_jacobson_radical(ring))
 
 
 def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
-    members = []
+    members, witnesses, verdicts = set(), [], {}
+
+    def passes(ideal: Ideal) -> bool:
+        if any(ideal.contains(w) for w in witnesses):
+            return False
+        for y in ideal.sub:
+            if not is_quasi_regular(ring, y):
+                witnesses.append(y)
+                return False
+        return True
+
     for x in ring.elements():
+        if x in members:
+            continue
         ideal = principal_ideal(ring, x, LEFT)
-        if all(is_quasi_regular(ring, y) for y in ideal.elements()):
-            members.append(x)
+        if cached(verdicts, ideal.key, lambda: passes(ideal)):
+            # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
+            members.update(ideal.elements())
     return Ideal.from_basis(ring, TWOSIDED, members, verify=True)
 
 

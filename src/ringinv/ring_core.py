@@ -128,7 +128,13 @@ class AdditiveGroup:
         return itertools.product(*(range(d) for d in self.cyclic_orders))
 
     def generator(self, i: int) -> Element:
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        return self.generators[i]
+
+    @cached_property
+    def generators(self) -> tuple[Element, ...]:
+        """The unit vectors, in coordinate order."""
+        k = self.rank
+        return tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
 
     @cached_property
     def relations(self) -> tuple[tuple[int, ...], ...]:
@@ -327,8 +333,8 @@ class FiniteRing:
     def generator(self, i: int) -> Element:
         return self.additive.generator(i)
 
-    def generators(self) -> list[Element]:
-        return [self.additive.generator(i) for i in range(self.rank)]
+    def generators(self) -> tuple[Element, ...]:
+        return self.additive.generators
 
     @property
     def is_unital(self) -> bool:
@@ -582,7 +588,7 @@ class AdditiveMap:
     def __init__(self, group: AdditiveGroup, images, relations, sources=None):
         n, m = group.rank, len(relations)
         if sources is None:
-            sources = [group.generator(i) for i in range(n)]
+            sources = group.generators
         rows = [list(y) + list(x) for y, x in zip(images, sources)]
         rows.extend(list(r) + [0] * n for r in relations)
         hnf = hermite_form(rows, m + n)
@@ -668,7 +674,7 @@ def chain_length(start: Subgroup, close) -> int:
     up to the whole group, one cover per step; by Jordan–Hölder every
     maximal chain has this length."""
     group = start.group
-    top = Subgroup.from_generators(group, map(group.generator, range(group.rank)))
+    top = Subgroup.from_generators(group, group.generators)
     length = 0
     while start != top:
         start = cover(start, top, close)

@@ -5,8 +5,10 @@ from ringinv.catalog import cayley_cyclic, named_instances, random_instances
 from ringinv.groups import RingAutomorphism, close_group, p_normal_complement
 from ringinv.invariants import GActionContext, _make_splitting
 from ringinv.radicals import (
+    is_quasi_regular,
     jacobson_radical,
     module_length,
+    nilpotency_index,
     prime_radical,
     principal_ideal,
     ring_as_module,
@@ -15,9 +17,11 @@ from ringinv.radicals import (
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    TWOSIDED,
     RingError,
     Subgroup,
     cyclic_ring,
+    generated_ideal,
     group_ring,
     join_closure,
     matrix_ring,
@@ -392,3 +396,44 @@ def test_radical_metamorphic_laws():
             assert rad.contains(tuple(x) + b.zero)
         for y in rad_b.basis:
             assert rad.contains(a.zero + tuple(y))
+
+
+# -- the radical oracles against element scans ------------------------------------
+
+def _qr_by_scan(ring, y) -> bool:
+    """Oracle: y is left quasi-regular iff some z in R has z + y + z*y = 0."""
+    return any(ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero
+               for z in ring.elements())
+
+
+def _jacobson_by_scan(ring, qr) -> set:
+    """Oracle: x is in J(R) iff every element of its own R¹x is quasi-regular."""
+    return {x for x in ring.elements()
+            if all(qr[y] for y in generated_ideal(ring, [x], LEFT).elements())}
+
+
+def _prime_by_scan(ring) -> set:
+    """Oracle: x is in the prime radical iff its own two-sided ideal is nilpotent."""
+    return {x for x in ring.elements()
+            if nilpotency_index(ring, generated_ideal(ring, [x], TWOSIDED).sub) is not None}
+
+
+def _radical_oracle_rings():
+    rand, _ = random_instances(40, seed=20260808)
+    return ([inst.ring for inst in named_instances()] + [inst.ring for inst in rand]
+            + [matrix_ring(cyclic_ring(4), 2, name="m2z4"),
+               group_ring(cyclic_ring(2), s3_cayley(), name="f2s3")])
+
+
+def test_radical_oracles_match_element_scans():
+    """One preimage solve per element and one verdict per principal ideal
+    give the same quasi-regular elements and radicals as the full scans."""
+    nonzero = 0
+    for ring in _radical_oracle_rings():
+        qr = {y: _qr_by_scan(ring, y) for y in ring.elements()}
+        assert {y: is_quasi_regular(ring, y) for y in ring.elements()} == qr, ring.name
+        rad = jacobson_radical(ring)
+        assert rad.elements() == _jacobson_by_scan(ring, qr), ring.name
+        assert prime_radical(ring).elements() == _prime_by_scan(ring), ring.name
+        nonzero += not rad.is_zero()
+    assert nonzero >= 10
