@@ -429,6 +429,8 @@ def load_text(text: str, default_name: str = "ring") -> Instance:
                 name = parts[1] if len(parts) > 1 else default_name
             elif kind == "add":
                 orders = tuple(int(x) for x in parts[1:])
+                if min(orders, default=2) < 2:
+                    raise ParseError(lineno, f"cyclic order {min(orders)} < 2")
             elif kind == "mul":
                 if orders is None:
                     raise ParseError(lineno, "mul before add")

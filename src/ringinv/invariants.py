@@ -105,7 +105,6 @@ class SplittingSearchResult:
 class ProperSplittingReport:
     status: str                      # "yes" | "no" | "capped"
     witness: Ideal | None = None     # violating invariant ideal, when "no"
-    exhaustive: bool = True
     equality_holds: bool | None = None   # e(I) == I ∩ R^G over the scanned ideals
 
 
@@ -259,9 +258,9 @@ class GActionContext:
     def proper_splitting(self, side: str, caps: Caps = DEFAULT_CAPS):
         """First proper splitting on the given side, with certainty flags.
 
-        Returns (splitting | None, report: ProperSplittingReport-ish status):
-        status "yes" with the splitting, "no" when certainly none exists,
-        "capped" when the search was cut short.
+        Returns (splitting | None, status): status "yes" with the splitting,
+        "no" when certainly none exists, "capped" when the search was cut
+        short.
         """
         return self._cached(("proper", side, caps),
                             lambda: self._compute_proper_splitting(side, caps))
@@ -456,13 +455,12 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
         ok = all(meet.contains(x) for x in e_image.basis)
         if not ok:
             return ProperSplittingReport(status="no", witness=ideal,
-                                         exhaustive=exhaustive,
                                          equality_holds=False)
         if e_image != meet:
             equality = False
     status = "yes" if exhaustive else "capped"
     return ProperSplittingReport(status=status, witness=None,
-                                 exhaustive=exhaustive, equality_holds=equality)
+                                 equality_holds=equality)
 
 
 @dataclass

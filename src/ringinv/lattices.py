@@ -16,8 +16,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Row = tuple[int, ...]
 
 
@@ -222,25 +220,6 @@ def smith_form(rows, width: int):
         t += 1
     d = [a[i][i] if i < t else 0 for i in range(n)]
     return d, v, vinv
-
-
-def invert_matrix(m) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square integer matrix."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def solve_mod_p(equations, rhs, nvars: int, p: int):

@@ -155,7 +155,6 @@ def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
 class RadicalProfile:
     prime_radical: Ideal
     jacobson_radical: Ideal
-    nilpotency_index_of_rad: int
     semiprime: bool
     semisimple_artinian: bool
 
@@ -168,13 +167,11 @@ def radical_profile(ring: FiniteRing) -> RadicalProfile:
         raise CrossCheckError(
             f"prime and Jacobson radicals disagree on {ring.name}: "
             f"{sorted(nil.elements())} vs {sorted(rad.elements())}")
-    idx = nilpotency_index(ring, rad.sub)
-    if idx is None:
+    if nilpotency_index(ring, rad.sub) is None:
         raise CrossCheckError(f"radical of {ring.name} is not nilpotent")
     return RadicalProfile(
         prime_radical=nil,
         jacobson_radical=rad,
-        nilpotency_index_of_rad=idx,
         semiprime=nil.is_zero(),
         semisimple_artinian=rad.is_zero(),
     )

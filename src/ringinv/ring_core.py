@@ -16,8 +16,10 @@ splittings), `close_subgroup` (closure under additive maps: sided ideals,
 submodules), `join_closure` (lattices of ideals and subgroups), `cover`
 (one step up such a lattice, searching one element per coset; atoms by
 `minimal_closures`, composition lengths by `chain_length`), and
-`Coordinates` (Smith-form coordinates on a subquotient: quotient rings and
-subring images), whose one check proves the transported ring correct.
+`Coordinates` (Smith-form coordinates on a subquotient A/L given by two
+Hermite keys, reached by integer back-substitution down A's key: quotient
+rings and subring images), whose one check proves the transported ring
+correct.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from .lattices import (
     hermite_extend,
     hermite_form,
     in_hermite_span,
-    invert_matrix,
     mat_mul,
     smith_form,
-    vec_mat,
 )
 
 Element = tuple[int, ...]
@@ -777,46 +777,46 @@ def generated_ideal(ring: FiniteRing, gens: Iterable[Element], side: str) -> Ide
 class Coordinates:
     """Smith-form coordinates on a subquotient A/L of the group ⊕_i Z/d_i.
 
-    A is the row lattice of `basis` (Z^k when omitted) and L ⊆ A that of
-    `rows`, both of full rank.  `project` (a reduced element of A to its
-    coordinates in `image` = ⊕_t Z/c_t) and `lift` are precomputed integer
-    matrices; `generators` lift the coordinate generators.
+    A and L ⊆ A are the row lattices of the full-rank Hermite keys `above`
+    and `below` (pivot i in row i).  Elements are written in A's coordinates
+    by integer back-substitution down `above`; a remainder means the element
+    is not in A.  The Smith form of `below` in those coordinates gives
+    `image` = ⊕_t Z/c_t and the integer matrices of `project` (a reduced
+    element of A to its image coordinates) and `lift`; `generators` lift the
+    coordinate generators.
     """
 
-    def __init__(self, group: AdditiveGroup, rows, basis=None):
+    def __init__(self, group: AdditiveGroup, above, below):
         k = group.rank
-        lattice, den = [list(r) for r in rows], 1
-        if basis is not None:
-            to_basis = invert_matrix(basis)
-            lattice = [vec_mat(r, to_basis) for r in lattice]
-            if any(f.denominator != 1 for r in lattice for f in r):
-                raise RingError("lattice does not lie in the basis lattice")
-            lattice = [[int(f) for f in r] for r in lattice]
-            den = lcm(*(f.denominator for r in to_basis for f in r))
-        diag, v, vinv = smith_form(lattice, k)
-        kept = [j for j in range(k) if diag[j] > 1]
-        lift = [vinv[j] for j in kept]
-        if basis is not None:
-            v = [[int(den * f) for f in r] for r in mat_mul(to_basis, v)]
-            lift = mat_mul(lift, basis)
-        # with a basis, the dropped columns still decide membership in A
-        cols = kept + ([j for j in range(k) if j not in kept] if den > 1 else [])
         self.group = group
+        self._above = [(row[c], [(j, row[j]) for j in range(c + 1, k) if row[j]])
+                       for c, row in enumerate(above)]
+        diag, v, vinv = smith_form([self._solve(r) for r in below], k)
+        kept = [j for j in range(k) if diag[j] > 1]
+        lift = mat_mul([vinv[j] for j in kept], above)
         self.image = AdditiveGroup(tuple(diag[j] for j in kept))
-        self._den = den
-        self._project = [tuple(r[j] for r in v) for j in cols]
+        self._project = [tuple(r[j] for r in v) for j in kept]
         self._lift = [tuple(r[i] for r in lift) for i in range(k)]
         self.generators = [group.reduce(r) for r in lift]
-        self._domain = ([group.generator(i) for i in range(k)] if basis is None
-                        else [g for g in map(group.reduce, basis) if any(g)])
+        self._domain = [g for g in map(group.reduce, above) if any(g)]
+
+    def _solve(self, x) -> list[int]:
+        """The integer y with y·above = x, or RingError when x is not in A."""
+        rest, y = list(x), []
+        for c, (pivot, tail) in enumerate(self._above):
+            q, r = divmod(rest[c], pivot)
+            if r:
+                raise RingError(f"{tuple(x)} is not in the subgroup")
+            if q:
+                for j, h in tail:
+                    rest[j] -= q * h
+            y.append(q)
+        return y
 
     def project(self, x: Element) -> Element:
-        y = [sum(a * c for a, c in zip(x, col)) for col in self._project]
-        if self._den > 1:
-            if any(c % self._den for c in y):
-                raise RingError(f"{x} is not in the subgroup")
-            y = [c // self._den for c in y]
-        return tuple(c % d for c, d in zip(y, self.image.cyclic_orders))
+        y = self._solve(x)
+        return tuple(sum(a * c for a, c in zip(y, col)) % d
+                     for col, d in zip(self._project, self.image.cyclic_orders))
 
     def lift(self, y: Element) -> Element:
         return tuple(sum(a * c for a, c in zip(y, col)) % d
@@ -896,12 +896,12 @@ class SubringView:
     def image(self, name: str | None = None) -> RingImage:
         """Realize the subring as a FiniteRing of its own, with maps.
 
-        The coordinates are those of the order lattice written in the
-        subgroup's Hermite basis.
+        The coordinates are those of the order relations written in the
+        subgroup's Hermite key.
         """
         if self._image is None:
             group = self.ring.additive
-            coords = Coordinates(group, group.relations, basis=self.sub.key)
+            coords = Coordinates(group, self.sub.key, group.relations)
             ring = _coordinate_ring(self.ring, coords, self.sub.size,
                                     name or f"{self.ring.name}^sub")
             self._image = RingImage(ring, coords.project, coords.lift)
@@ -911,21 +911,17 @@ class SubringView:
         return f"SubringView(size={self.size}, basis={list(self.basis)})"
 
 
-@dataclass
-class Quotient:
-    """Quotient ring together with the projection and a canonical section."""
+def quotient_by_ideal(parent: FiniteRing, ideal: Ideal, name: str | None = None) -> RingImage:
+    """Quotient by a two-sided ideal; the projection is a verified ring map.
 
-    ring: FiniteRing
-    project: Callable[[Element], Element]
-    lift: Callable[[Element], Element]
-
-
-def quotient_by_ideal(parent: FiniteRing, ideal: Ideal, name: str | None = None) -> Quotient:
-    """Quotient by a two-sided ideal; the projection is a verified ring map."""
+    Its coordinates are those of the ideal's key under the whole group's
+    key, the unit vectors.
+    """
     if ideal.side != TWOSIDED:
         raise WrongSide("can only quotient by a two-sided ideal")
-    coords = Coordinates(parent.additive, ideal.sub.key)
+    group = parent.additive
+    coords = Coordinates(group, group.generators, ideal.sub.key)
     unit = coords.project(parent.unit) if parent.is_unital else None
     ring = _coordinate_ring(parent, coords, parent.order // ideal.size,
                             name or f"{parent.name}/I", unit)
-    return Quotient(ring, coords.project, coords.lift)
+    return RingImage(ring, coords.project, coords.lift)

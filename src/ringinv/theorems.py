@@ -403,10 +403,11 @@ def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
 def _quotient_context(ctx: GActionContext):
     """Quotient by the radical with the induced action.
 
-    Returns (quotient, induced_group, bar_ctx, image_of_fixed): the image of
-    the fixed ring is the subgroup generated by the projected fixed basis.
-    The radical comes from `radical_profile`, which raises unless the prime
-    and Jacobson radicals agree, so one cached context serves both.
+    Returns (bar_ctx, image_of_fixed): the context of the quotient ring under
+    the induced group, and the image of the fixed ring, the subgroup
+    generated by the projected fixed basis.  The radical comes from
+    `radical_profile`, which raises unless the prime and Jacobson radicals
+    agree, so one cached context serves both.
     """
     def compute():
         ring = ctx.ring
@@ -419,7 +420,7 @@ def _quotient_context(ctx: GActionContext):
         induced = {}
         qgens = quot.ring.generators()
         for g in ctx.group.elements:
-            images = tuple(quot.project(g.apply(quot.lift(e))) for e in qgens)
+            images = tuple(quot.to_image(g.apply(quot.from_image(e))) for e in qgens)
             if images not in induced:
                 induced[images] = RingAutomorphism(quot.ring, images)
         bar_group = AutomorphismGroup(quot.ring, induced.values())
@@ -427,8 +428,8 @@ def _quotient_context(ctx: GActionContext):
                                  ring_name=f"{ctx.ring_name}_bar",
                                  group_name=f"{ctx.group_name}_bar")
         fixed_image = Subgroup.from_generators(
-            quot.ring.additive, [quot.project(x) for x in ctx.fixed.sub.basis])
-        return quot, bar_group, bar_ctx, fixed_image
+            quot.ring.additive, [quot.to_image(x) for x in ctx.fixed.sub.basis])
+        return bar_ctx, fixed_image
     return ctx._cached("quotient_ctx", compute)
 
 
@@ -616,7 +617,7 @@ def _chk_th_1_9(ctx: GActionContext, caps: Caps):
 
 
 def _chk_th_4apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx)
+    bar_ctx, fixed_image = _quotient_context(ctx)
     bar_profile = bar_ctx.bad_primes(caps)
     hyps = [Clause("alt1", "the induced action on the semiprime quotient has "
                            "no bad primes",
@@ -630,11 +631,11 @@ def _chk_th_4apr(ctx: GActionContext, caps: Caps):
                                           use_jacobson=False)]
     bar_fixed_ring = bar_ctx.fixed_image().ring
     sp1 = prime_radical(bar_fixed_ring).is_zero()
-    image_view = SubringView(quot.ring, fixed_image)
+    image_view = SubringView(bar_ctx.ring, fixed_image)
     image_ring = image_view.image(name="im_fixed").ring
     sp2 = prime_radical(image_ring).is_zero()
     scaled_ok = all(
-        fixed_image.contains(quot.ring.smul(ctx.n, x))
+        fixed_image.contains(bar_ctx.ring.smul(ctx.n, x))
         for x in bar_ctx.fixed.sub.basis)
     sandwich_ok = all(bar_ctx.fixed.sub.contains(x) for x in fixed_image.basis)
     witness = {"quotient_fixed_semiprime": sp1, "image_semiprime": sp2,
@@ -656,7 +657,7 @@ def _chk_rad_1_4(ctx: GActionContext, caps: Caps):
 
 
 def _chk_b5apr(ctx: GActionContext, caps: Caps):
-    quot, bar_group, bar_ctx, fixed_image = _quotient_context(ctx)
+    bar_ctx, fixed_image = _quotient_context(ctx)
     hyps = []
     compat = fixed_image == bar_ctx.fixed.sub
     hyps.append(Clause(
@@ -670,11 +671,11 @@ def _chk_b5apr(ctx: GActionContext, caps: Caps):
         "the induced group splits the radical quotient properly on some side"))
     hyps.append(_zero_ideal_clause(
         "alt1", "the radical quotient has no torsion at the induced group order",
-        torsion_ideal(quot.ring, bar_group.order)))
+        torsion_ideal(bar_ctx.ring, bar_ctx.n)))
     hyps.append(_bad_primes_clause("alt2.B", bar_ctx.bad_primes(caps),
                                    "the induced action on the quotient has bad primes"))
     cond_clauses, _ = _bad_prime_condition_clauses(
-        bar_ctx, caps, "alt2.", bar_group.order)
+        bar_ctx, caps, "alt2.", bar_ctx.n)
     hyps.extend(cond_clauses)
     concls = [_radical_restriction_clause(ctx, "radical-restriction",
                                           use_jacobson=True)]

@@ -26,10 +26,18 @@ def test_validate_ok(catalog_dir, capsys):
     assert "two_z8" in out
 
 
-def test_validate_parse_error(tmp_path):
+ORDER_1 = ("ring x\nadd 1 2\n"
+           "mul 1 1 -> 0 0\nmul 1 2 -> 0 0\nmul 2 1 -> 0 0\nmul 2 2 -> 0 0\n")
+ORDER_0 = "ring x\nadd 0\nmul 1 1 -> 0\n"
+
+
+@pytest.mark.parametrize("text", ["ring x\nadd 2\nmul 1 -> 0\n", ORDER_1, ORDER_0],
+                         ids=["mul-arity", "order-1", "order-0"])
+def test_validate_parse_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.ring"
-    bad.write_text("ring x\nadd 2\nmul 1 -> 0\n")
+    bad.write_text(text)
     assert main(["validate", str(bad)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_validate_validation_error(tmp_path):
@@ -132,6 +140,8 @@ def test_check_rejects_unknown_theorem():
     (["--instances", "{tmp}/nonassoc.ring"], 3),
     (["--instances", "{tmp}/notjson"], 2),
     (["--instances", "{tmp}/nofile"], 2),
+    (["--instances", "{tmp}/order1.ring"], 2),
+    (["--instances", "{tmp}/order0.ring"], 2),
 ])
 def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
     """Bad caps or instance files exit 2 (3 for a ring that fails validation)
@@ -141,6 +151,8 @@ def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
         "ring x\nadd 2 2\n"
         "mul 1 1 -> 0 1\nmul 1 2 -> 1 0\nmul 2 1 -> 0 0\nmul 2 2 -> 0 0\n"
         "group g =\n")
+    (tmp_path / "order1.ring").write_text(ORDER_1)
+    (tmp_path / "order0.ring").write_text(ORDER_0)
     for name, manifest in (("notjson", "[{not json"), ("nofile", '[{"name": "z12"}]')):
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(manifest)

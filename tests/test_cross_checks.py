@@ -319,9 +319,9 @@ def test_subquotient_machinery_randomized():
         ideal = ideals[rng.randrange(len(ideals))]
         q = quotient_by_ideal(ring, ideal)
         for y in q.ring.elements():
-            assert q.project(q.lift(y)) == y
+            assert q.to_image(q.from_image(y)) == y
         for a in elems[:12]:
-            assert ideal.contains(ring.sub(a, q.lift(q.project(a))))
+            assert ideal.contains(ring.sub(a, q.from_image(q.to_image(a))))
 
 
 def test_composite_instance_is_properly_splitting():

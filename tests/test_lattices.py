@@ -5,7 +5,6 @@ from ringinv.lattices import (
     hermite_form,
     identity_matrix,
     in_hermite_span,
-    invert_matrix,
     mat_mul,
     smith_form,
     solve_mod_p,
@@ -180,21 +179,6 @@ def test_smith_transforms_are_inverse_and_preserve_lattice():
 def test_smith_of_diagonal():
     d, _, _ = smith_form([[4, 0], [0, 6]], 2)
     assert d == [2, 12]
-
-
-def test_invert_matrix_roundtrip():
-    rng = random.Random(5)
-    done = 0
-    while done < 25:
-        n = rng.randint(1, 4)
-        m = random_matrix(rng, n, n)
-        try:
-            inv = invert_matrix(m)
-        except ValueError:
-            continue
-        prod = mat_mul(m, inv)
-        assert prod == identity_matrix(n)
-        done += 1
 
 
 def test_vec_mat():

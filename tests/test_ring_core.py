@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from ringinv.catalog import named_instances
-from ringinv.radicals import enumerate_ideals
+from ringinv.catalog import named_instances, random_instances
+from ringinv.groups import fixed_subgroup
+from ringinv.radicals import enumerate_ideals, jacobson_radical
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
@@ -287,8 +288,8 @@ def test_quotient_z12_by_6():
     # projection respects both operations everywhere
     for x in r.elements():
         for y in r.elements():
-            assert q.project(r.mul(x, y)) == q.ring.mul(q.project(x), q.project(y))
-            assert q.project(r.add(x, y)) == q.ring.add(q.project(x), q.project(y))
+            assert q.to_image(r.mul(x, y)) == q.ring.mul(q.to_image(x), q.to_image(y))
+            assert q.to_image(r.add(x, y)) == q.ring.add(q.to_image(x), q.to_image(y))
 
 
 def test_quotient_by_zero_and_whole():
@@ -434,6 +435,17 @@ def test_subgroup_transversal_one_element_per_coset():
     assert pairs > 100
 
 
+def _assert_coordinate_maps(ring, img, basis):
+    """`to_image` is a left inverse of `from_image` on the image generators
+    and additive on pairs from `basis`."""
+    for g in img.ring.generators():
+        assert img.to_image(img.from_image(g)) == g
+    for x in basis:
+        for y in basis:
+            assert img.to_image(ring.add(x, y)) == img.ring.add(
+                img.to_image(x), img.to_image(y))
+
+
 def test_subring_view_image_roundtrip():
     r = direct_product([cyclic_ring(3), cyclic_ring(3)])
     diag = SubringView.from_elements(r, [(1, 1)])
@@ -448,6 +460,25 @@ def test_subring_view_image_roundtrip():
         for y in diag.elements():
             assert img.to_image(r.mul(x, y)) == img.ring.mul(
                 img.to_image(x), img.to_image(y))
+    # an element outside the subring has no coordinates
+    with pytest.raises(RingError):
+        SubringView.from_elements(cyclic_ring(8), [(2,)]).image().to_image((1,))
+    # every fixed subring and radical quotient of the catalog
+    rand, _ = random_instances(40, 20260808)
+    for inst in named_instances() + rand:
+        ring = inst.ring
+        fixed = SubringView(ring, fixed_subgroup(ring, inst.group.elements))
+        img = fixed.image()
+        for x in fixed.basis:
+            assert img.from_image(img.to_image(x)) == x
+        _assert_coordinate_maps(ring, img, fixed.basis)
+        outside = next((g for g in ring.generators() if not fixed.contains(g)), None)
+        assert (outside is None) == (fixed.size == ring.order)
+        if outside is not None:
+            with pytest.raises(RingError):
+                img.to_image(outside)
+        quot = quotient_by_ideal(ring, jacobson_radical(ring))
+        _assert_coordinate_maps(ring, quot, ring.generators())
 
 
 def test_subring_view_rejects_non_closed():
