@@ -17,7 +17,6 @@ from .groups import (
     factorize,
     fixed_subgroup,
     p_normal_complement,
-    quotient_action,
 )
 from .radicals import ideal_lattice, prime_radical
 from .ring_core import (
@@ -117,7 +116,6 @@ class PrimeData:
     complement: AutomorphismGroup | None
     quotient_order: int | None = None
     fixed_image: RingImage | None = None
-    induced: AutomorphismGroup | None = None
     trace_image: Subgroup | None = None
     d: int | None = None
     d_stabilized: bool = False
@@ -218,7 +216,6 @@ class GActionContext:
                 sub = SubringView(self.ring,
                                   fixed_subgroup(self.ring, comp.elements))
                 data.fixed_image = sub.image(name=f"{self.ring_name}^N{p}")
-                data.induced, _ = quotient_action(self.group, comp, sub)
                 image = data.fixed_image
                 sring = image.ring
                 # the relative trace is additive: the traces of the
@@ -316,28 +313,13 @@ def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
         # n-primary component of the i-th cyclic factor
         if cop != d:
             gens.append(ring.smul(cop, ring.generator(i)))
-    ideal = Ideal.from_basis(ring, TWOSIDED, gens, verify=True)
-    return ideal
+    return Ideal.from_basis(ring, TWOSIDED, gens)
 
 
 def subgroup_power_nilpotency(ring: FiniteRing, sub: Subgroup, cap: int):
-    """Least d with sub^d = 0 under span-of-products powers.
-
-    Returns (d, stabilized): d is None when no power <= cap vanishes;
-    stabilized is True when a repeated nonzero power proves none ever will.
-    """
-    if sub.is_zero():
-        return 1, False
-    current = sub
-    seen = {sub.key}
-    for d in range(2, cap + 1):
-        current = ring.power_of_subgroup(sub, current)
-        if current.is_zero():
-            return d, False
-        if current.key in seen:
-            return None, True
-        seen.add(current.key)
-    return None, False
+    """Least d <= cap with sub^d = 0, as (d, stabilized); see
+    `FiniteRing.power_chain`."""
+    return ring.power_chain(sub, cap)
 
 
 def averaging_idempotent(ctx: GActionContext) -> SplittingData:

@@ -6,8 +6,10 @@ adds a vector to echelon rows by extended-gcd row steps; `hermite_extend`
 grows a full-rank key by the vectors outside its span (the key itself when
 there are none), so subgroup keys are never rebuilt from scratch.  The one
 from-scratch `hermite_form` left is that of a graph lattice, which gives
-kernels and preimages (`ring_core.AdditiveMap`);
-quotients and subring coordinate systems come from the Smith normal form
+kernels and preimages (`ring_core.AdditiveMap`).  One back-substitution down
+echelon rows with pivot i in row i, `hermite_solve`, gives membership in a
+key, coordinates in a key (`ring_core.Coordinates`) and those preimages.
+Quotients and subring coordinate systems come from the Smith normal form
 with tracked column transforms.  `solve_mod_p`, Gaussian elimination over
 Z/p, has no caller in the engine; it stays as a tested primitive that the
 benchmark tracer also times.  Everything is arbitrary-precision integer
@@ -122,28 +124,30 @@ def hermite_extend(key: tuple[Row, ...], vectors) -> tuple[Row, ...]:
     return key if piv is None else _reduced(piv)
 
 
-def in_hermite_span(hnf: tuple[Row, ...], v) -> bool:
-    """Membership of an integer vector in the row span given by a Hermite form."""
-    vec = list(v)
-    n = len(vec)
-    if len(hnf) == n:
-        # square, hence full rank: the pivot of row i is in column i
-        for c, row in enumerate(hnf):
-            q, r = divmod(vec[c], row[c])
-            if r:
-                return False
-            if q:
-                for j in range(c + 1, n):
-                    vec[j] -= q * row[j]
-        return True
-    for row in hnf:
-        c = next(i for i, x in enumerate(row) if x)
-        q, r = divmod(vec[c], row[c])
+def hermite_solve(rows, v):
+    """Back-substitution of the integer vector `v` down echelon `rows` whose
+    row i has its pivot in column i.
+
+    Returns (y, rest) with rest = v − y·rows, zero in the pivot columns, or
+    None at the first pivot that does not divide what is left of v there.
+    """
+    rest, y = list(v), []
+    for c, row in enumerate(rows):
+        q, r = divmod(rest[c], row[c])
         if r:
-            return False
+            return None
         if q:
-            vec = [x - q * y for x, y in zip(vec, row)]
-    return not any(vec)
+            for j in range(c, len(rest)):
+                rest[j] -= q * row[j]
+        y.append(q)
+    return y, rest
+
+
+def in_hermite_span(key: tuple[Row, ...], v) -> bool:
+    """Membership of an integer vector in the span of a square Hermite key."""
+    if len(key) != len(v):
+        raise ValueError(f"{len(key)} key rows for width {len(v)}: not square")
+    return hermite_solve(key, v) is not None
 
 
 def smith_form(rows, width: int):

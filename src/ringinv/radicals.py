@@ -50,22 +50,11 @@ class CrossCheckError(RingError):
 # -- nilpotency ------------------------------------------------------------------
 
 def nilpotency_index(ring: FiniteRing, sub: Subgroup | None = None) -> int | None:
-    """Least k with the k-fold product span zero; None when it stabilizes
-    at a nonzero value (descending chains of ideal powers must stabilize)."""
+    """Least k with the k-fold product span zero (of the whole ring by
+    default); None when a nonzero power repeats, so none ever vanishes."""
     if sub is None:
         sub = Subgroup.from_generators(ring.additive, ring.generators())
-    if sub.is_zero():
-        return 1
-    current = sub
-    k = 1
-    while True:
-        nxt = ring.power_of_subgroup(sub, current)
-        k += 1
-        if nxt.is_zero():
-            return k
-        if nxt == current:
-            return None
-        current = nxt
+    return ring.power_chain(sub)[0]
 
 
 # -- principal ideals, cached on the ring -----------------------------------------
@@ -93,7 +82,7 @@ def _compute_prime_radical(ring: FiniteRing) -> Ideal:
                   lambda: nilpotency_index(ring, ideal.sub) is not None):
             # every y in a nilpotent ideal generates a nilpotent subideal
             members.update(ideal.elements())
-    out = Ideal.from_basis(ring, TWOSIDED, members, verify=True)
+    out = Ideal.from_basis(ring, TWOSIDED, members)
     if nilpotency_index(ring, out.sub) is None:
         raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
     return out
@@ -148,7 +137,7 @@ def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
         if cached(verdicts, ideal.key, lambda: passes(ideal)):
             # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
             members.update(ideal.elements())
-    return Ideal.from_basis(ring, TWOSIDED, members, verify=True)
+    return Ideal.from_basis(ring, TWOSIDED, members)
 
 
 @dataclass
@@ -344,8 +333,7 @@ def left_annihilator(ring: FiniteRing, xs) -> Ideal:
     """Elements r with r*x = 0 for every x in the set; a left ideal: the
     kernel of r ↦ (r·b)_b over a basis of the span of the set."""
     basis = Subgroup.from_generators(ring.additive, xs).basis
-    return Ideal.from_basis(ring, LEFT, _multiplication_kernel(ring, basis, RIGHT).basis,
-                            verify=True)
+    return Ideal.from_basis(ring, LEFT, _multiplication_kernel(ring, basis, RIGHT).basis)
 
 
 # -- finite modules and composition length -------------------------------------------

@@ -7,7 +7,8 @@ canonicalized by the Hermite form of their preimage lattice, so equality
 tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
 adds the generators outside a key to it and returns the subgroup itself when
 there are none, so generating, joining and closing never rebuild a key;
-`AdditiveMap` holds the one Hermite form still computed from scratch.
+`AdditiveMap` holds the one Hermite form still computed from scratch, and
+`lattices.hermite_solve` the one back-substitution down a key.
 
 The structure theory rests on five primitives over those subgroups:
 `AdditiveMap` (kernel and preimages of an additive map from one Hermite
@@ -17,9 +18,9 @@ submodules), `join_closure` (lattices of ideals and subgroups), `cover`
 (one step up such a lattice, searching one element per coset; atoms by
 `minimal_closures`, composition lengths by `chain_length`), and
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
-Hermite keys, reached by integer back-substitution down A's key: quotient
-rings and subring images), whose one check proves the transported ring
-correct.
+Hermite keys, reached by back-substitution down A's key: quotient rings and
+subring images), whose one check proves the transported ring correct.
+`FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable, Iterable, Iterator
 from .lattices import (
     hermite_extend,
     hermite_form,
+    hermite_solve,
     in_hermite_span,
     mat_mul,
     smith_form,
@@ -321,10 +323,24 @@ class FiniteRing:
             cache[(x, y)] = out
         return out
 
-    def power_of_subgroup(self, sub: Subgroup, other: Subgroup) -> Subgroup:
-        """Additive span of pairwise products of two subgroups."""
-        prods = [self.mul(a, b) for a in sub.basis for b in other.basis]
-        return Subgroup.from_generators(self.additive, prods)
+    def power_chain(self, sub: Subgroup, cap: int | None = None):
+        """(d, repeated): the least d <= cap (unbounded when None) with
+        sub^d = 0, where sub^d is the span of sub·sub^(d-1), else None; and
+        whether a nonzero power repeated, which proves none ever vanishes.
+        There are finitely many subgroups, so without a cap d or repeated is
+        set."""
+        if sub.is_zero():
+            return 1, False
+        current, seen = sub, {sub.key}
+        for d in (itertools.count(2) if cap is None else range(2, cap + 1)):
+            current = Subgroup.from_generators(
+                self.additive, [self.mul(a, b) for a in sub.basis for b in current.basis])
+            if current.is_zero():
+                return d, False
+            if current.key in seen:
+                return None, True
+            seen.add(current.key)
+        return None, False
 
     # -- enumeration ---------------------------------------------------------
     def elements(self) -> Iterator[Element]:
@@ -577,13 +593,14 @@ class AdditiveMap:
 
     It sends `sources[i]` to `images[i]`; `sources` (default: the generators
     of `group`) span the preimage lattice of a subgroup of `group`, on which
-    the map must be well defined.  One Hermite form of the graph lattice
-    [[images | sources], [relations | 0]] gives the `kernel` (its rows that
-    vanish on the image columns) and every `preimage` (the reduction of
-    [target | 0] by its other rows).
+    the map must be well defined.  The Hermite form of the graph lattice
+    [[images | sources], [relations | 0]] has full rank m + n, so it is m
+    rows with pivots on the image columns and then n rows that vanish
+    there.  Those n rows give the `kernel`; every `preimage` is the
+    back-substitution of [target | 0] down the first m.
     """
 
-    __slots__ = ("group", "kernel", "_width", "_pivots")
+    __slots__ = ("group", "kernel", "_graph")
 
     def __init__(self, group: AdditiveGroup, images, relations, sources=None):
         n, m = group.rank, len(relations)
@@ -592,28 +609,21 @@ class AdditiveMap:
         rows = [list(y) + list(x) for y, x in zip(images, sources)]
         rows.extend(list(r) + [0] * n for r in relations)
         hnf = hermite_form(rows, m + n)
-        cut = next((t for t, row in enumerate(hnf) if not any(row[:m])), len(hnf))
-        key = tuple(row[m:] for row in hnf[cut:])
+        if len(hnf) != m + n:
+            raise RingError("the graph lattice is not of full rank")
+        key = tuple(row[m:] for row in hnf[m:])
         if not all(in_hermite_span(key, r) for r in group.relations):
             raise RingError("the map is not well defined on the group")
         self.group = group
         self.kernel = Subgroup(group, key)
-        self._width = m
-        self._pivots = [(next(c for c, x in enumerate(row) if x), row)
-                        for row in hnf[:cut]]
+        self._graph = hnf[:m]
 
     def preimage(self, target) -> Element | None:
         """Some x with f(x) = target, or None when target is not an image."""
-        v = list(target) + [0] * self.group.rank
-        for c, row in self._pivots:
-            q, r = divmod(v[c], row[c])
-            if r:
-                return None
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        if any(v[:self._width]):
+        solved = hermite_solve(self._graph, list(target) + [0] * self.group.rank)
+        if solved is None:
             return None
-        return self.group.reduce(-a for a in v[self._width:])
+        return self.group.reduce(-a for a in solved[1][len(self._graph):])
 
 
 # -- closure, join closure and atoms ----------------------------------------------
@@ -746,9 +756,9 @@ class Ideal:
         return all(self.contains(f(b)) for b in self.basis for f in maps)
 
     @classmethod
-    def from_basis(cls, ring: FiniteRing, side: str, gens, verify: bool = True) -> "Ideal":
+    def from_basis(cls, ring: FiniteRing, side: str, gens) -> "Ideal":
         ideal = cls(ring, side, Subgroup.from_generators(ring.additive, gens))
-        if verify and not ideal.verify_closure():
+        if not ideal.verify_closure():
             raise RingError("generators do not span a sided ideal")
         return ideal
 
@@ -789,8 +799,7 @@ class Coordinates:
     def __init__(self, group: AdditiveGroup, above, below):
         k = group.rank
         self.group = group
-        self._above = [(row[c], [(j, row[j]) for j in range(c + 1, k) if row[j]])
-                       for c, row in enumerate(above)]
+        self._above = above
         diag, v, vinv = smith_form([self._solve(r) for r in below], k)
         kept = [j for j in range(k) if diag[j] > 1]
         lift = mat_mul([vinv[j] for j in kept], above)
@@ -802,16 +811,10 @@ class Coordinates:
 
     def _solve(self, x) -> list[int]:
         """The integer y with y·above = x, or RingError when x is not in A."""
-        rest, y = list(x), []
-        for c, (pivot, tail) in enumerate(self._above):
-            q, r = divmod(rest[c], pivot)
-            if r:
-                raise RingError(f"{tuple(x)} is not in the subgroup")
-            if q:
-                for j, h in tail:
-                    rest[j] -= q * h
-            y.append(q)
-        return y
+        solved = hermite_solve(self._above, x)
+        if solved is None:
+            raise RingError(f"{tuple(x)} is not in the subgroup")
+        return solved[0]
 
     def project(self, x: Element) -> Element:
         y = self._solve(x)

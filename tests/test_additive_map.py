@@ -68,6 +68,17 @@ def test_map_must_be_well_defined():
         AdditiveMap(AdditiveGroup((2,)), [(1,)], AdditiveGroup((3,)).relations)
 
 
+def test_rank_deficient_graph_lattice_is_rejected():
+    group, target = AdditiveGroup((2, 2)), AdditiveGroup((3,))
+    # sources that span a rank-1 lattice in Z^2
+    for sources in ([(1, 0)], [(1, 0), (1, 0)]):
+        with pytest.raises(RingError, match="full rank"):
+            AdditiveMap(group, [(0,)] * len(sources), target.relations, sources=sources)
+    # relations that span a rank-1 lattice in Z^2
+    with pytest.raises(RingError, match="full rank"):
+        AdditiveMap(AdditiveGroup((2,)), [(1, 0)], ((2, 0), (4, 0)))
+
+
 def test_intersect_matches_elementwise(instances):
     for inst in instances:
         ring = inst.ring

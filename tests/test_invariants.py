@@ -388,6 +388,9 @@ def test_subgroup_power_nilpotency_cases():
     whole5 = Subgroup.from_generators(unital.additive, unital.generators())
     d5, stab5 = subgroup_power_nilpotency(unital, whole5, 16)
     assert d5 is None and stab5
+    # the cap bounds the powers tried: the square is the first that vanishes
+    assert subgroup_power_nilpotency(r, whole, 1) == (None, False)
+    assert subgroup_power_nilpotency(r, whole, 2) == (2, False)
 
 
 # -- nondegenerate trace -------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ringinv.lattices import (
     hermite_extend,
     hermite_form,
@@ -135,14 +137,22 @@ def test_hermite_span_membership():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 4)
-        rows = random_matrix(rng, rng.randint(1, 4), n)
-        h = hermite_form(rows, n)
-        # integer combinations of the rows are members
+        key = random_full_rank_key(rng, n)
         for _ in range(5):
-            coeffs = [rng.randint(-3, 3) for _ in rows]
-            v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
-            assert in_hermite_span(h, v)
-        assert in_hermite_span(h, [0] * n)
+            # integer combinations of the rows are members
+            coeffs = [rng.randint(-3, 3) for _ in key]
+            v = [sum(c * r[j] for c, r in zip(coeffs, key)) for j in range(n)]
+            assert in_hermite_span(key, v)
+            # a unit vector in a column whose pivot is not 1 is not
+            for c in range(n):
+                if key[c][c] > 1:
+                    v[c] += 1
+                    assert not in_hermite_span(key, v)
+                    v[c] -= 1
+        assert in_hermite_span(key, [0] * n)
+    # a rank-deficient form is not a key
+    with pytest.raises(ValueError):
+        in_hermite_span(hermite_form([[1, 2]], 2), [2, 4])
 
 
 def test_hermite_pivot_shape():

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from ringinv.radicals import (
@@ -19,9 +21,11 @@ from ringinv.radicals import (
     uniform_dimension,
 )
 from ringinv.caps import Caps
+from ringinv.invariants import subgroup_power_nilpotency
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    SIDES,
     RingError,
     Subgroup,
     SubringView,
@@ -65,6 +69,34 @@ def test_nilpotency_two_z8():
 
 def test_nilpotency_unital_ring_none():
     assert nilpotency_index(cyclic_ring(3)) is None
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("nilpotency_index did not return within 10 s")
+
+
+def test_nilpotency_of_cycling_powers_is_none():
+    # s = e12 + e21 has s² = 1, so the powers of span{s} alternate between
+    # span{s} and span{1} and never repeat consecutively
+    r = m2f2()
+    sub = Subgroup.from_generators(r.additive, [(0, 1, 1, 0)])
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        assert nilpotency_index(r, sub) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nilpotency_index_matches_capped_power_chain(named_catalog):
+    for inst in named_catalog:
+        ring = inst.ring
+        for side in SIDES:
+            ideals, _ = enumerate_ideals(ring, side)
+            for ideal in ideals:
+                assert nilpotency_index(ring, ideal.sub) == subgroup_power_nilpotency(
+                    ring, ideal.sub, 64)[0], (inst.name, side, ideal)
 
 
 # -- radicals -----------------------------------------------------------------
