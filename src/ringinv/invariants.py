@@ -18,7 +18,7 @@ from .groups import (
     fixed_subgroup,
     p_normal_complement,
 )
-from .radicals import ideal_lattice, prime_radical
+from .radicals import ideal_lattice, prime_radical, principal_ideal
 from .ring_core import (
     LEFT,
     RIGHT,
@@ -245,8 +245,12 @@ class GActionContext:
             self.ring, side, lambda x: self.invariant_ideal_from(x, side), 31, caps))
 
     def invariant_ideal_from(self, x: Element, side: str) -> Ideal:
-        orbit = {g.apply(x) for g in self.group.elements}
-        return generated_ideal(self.ring, orbit, side)
+        """The sided ideal the orbit of x generates: the join of the cached
+        principal ideals of its points."""
+        sub = Subgroup.zero(self.ring.additive)
+        for y in {g.apply(x) for g in self.group.elements}:
+            sub = sub.join(principal_ideal(self.ring, y, side).sub)
+        return Ideal(self.ring, side, sub)
 
     # -- splittings ------------------------------------------------------------
     def splittings(self, caps: Caps = DEFAULT_CAPS):

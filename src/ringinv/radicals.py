@@ -3,11 +3,14 @@
 The prime radical (largest nilpotent ideal) and the Jacobson radical
 (quasi-regularity) are computed by genuinely independent algorithms; their
 agreement on finite rings is checked whenever a profile is built, never
-assumed.  Both decide each distinct principal ideal once: the prime radical
-by one nilpotency test per two-sided principal ideal, the Jacobson radical
-by one verdict per principal left ideal, where quasi-regularity of an
-element is one preimage solve of an additive map.  Uniform dimension, regular elements, annihilators, and composition
-lengths of finite modules round out the structure data the checkers need.
+assumed.  Principal ideals are closed once per cyclic subgroup: the
+generators of <x> all generate the ideal x does.  Both radicals decide each
+distinct principal ideal once: the prime radical by one nilpotency test per
+two-sided principal ideal, the Jacobson radical by one verdict per principal
+left ideal, where quasi-regularity of an element is one preimage solve of an
+additive map.  Uniform dimension, regular elements (by the sizes of r·R and
+R·r), annihilators, and composition lengths of finite modules round out the
+structure data the checkers need.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import partial
+from math import gcd, lcm
 
 from .caps import Caps, DEFAULT_CAPS
 from .ring_core import (
@@ -31,7 +34,6 @@ from .ring_core import (
     Subgroup,
     cached,
     chain_length,
-    close_subgroup,
     generated_ideal,
     inverse,
     join_closure,
@@ -60,8 +62,19 @@ def nilpotency_index(ring: FiniteRing, sub: Subgroup | None = None) -> int | Non
 # -- principal ideals, cached on the ring -----------------------------------------
 
 def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
-    return cached(ring._extra, ("principal", side, x),
-                  lambda: generated_ideal(ring, [x], side))
+    """The sided ideal x generates, closed once per cyclic subgroup.
+
+    With o the additive order of x, every k·x with gcd(k, o) = 1 generates
+    the same ideal (x is a multiple of it), so one closure fills them all.
+    """
+    def compute():
+        ideal = generated_ideal(ring, [x], side)
+        o = lcm(*(d // gcd(c, d) for c, d in zip(x, ring.cyclic_orders)))
+        for k in range(2, o):
+            if gcd(k, o) == 1:
+                ring._extra[("principal", side, ring.smul(k, x))] = ideal
+        return ideal
+    return cached(ring._extra, ("principal", side, x), compute)
 
 
 # -- the two radicals --------------------------------------------------------------
@@ -305,9 +318,14 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
 
 
 def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
+    # R is finite, so x ↦ r·x is injective iff r·R = R, and likewise on the right
+    gens = ring.generators()
+
+    def onto(products) -> bool:
+        return Subgroup.from_generators(ring.additive, products).size == ring.order
     regular = [r for r in ring.elements()
-               if _multiplication_kernel(ring, [r], LEFT).is_zero()
-               and _multiplication_kernel(ring, [r], RIGHT).is_zero()]
+               if onto([ring.mul(r, g) for g in gens])
+               and onto([ring.mul(g, r) for g in gens])]
     if ring.is_unital:
         units = [r for r in ring.elements() if inverse(ring, r) is not None]
         regular_are_units = set(regular) == set(units)
@@ -321,19 +339,14 @@ def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
                            "degenerate-undefined", None, None)
 
 
-def _multiplication_kernel(ring: FiniteRing, rs, side: str) -> Subgroup:
-    """The kernel of x ↦ (r·x)_r (LEFT) or x ↦ (x·r)_r (RIGHT), r in `rs`."""
-    images = [sum((ring.mul(r, g) if side == LEFT else ring.mul(g, r) for r in rs), ())
-              for g in ring.generators()]
-    values = AdditiveGroup(ring.cyclic_orders * len(rs))
-    return AdditiveMap(ring.additive, images, values.relations).kernel
-
-
 def left_annihilator(ring: FiniteRing, xs) -> Ideal:
     """Elements r with r*x = 0 for every x in the set; a left ideal: the
     kernel of r ↦ (r·b)_b over a basis of the span of the set."""
     basis = Subgroup.from_generators(ring.additive, xs).basis
-    return Ideal.from_basis(ring, LEFT, _multiplication_kernel(ring, basis, RIGHT).basis)
+    images = [sum((ring.mul(g, b) for b in basis), ()) for g in ring.generators()]
+    values = AdditiveGroup(ring.cyclic_orders * len(basis))
+    kernel = AdditiveMap(ring.additive, images, values.relations).kernel
+    return Ideal.from_basis(ring, LEFT, kernel.basis)
 
 
 # -- finite modules and composition length -------------------------------------------
@@ -342,7 +355,9 @@ class FiniteModule:
     """A finite sided module over a finite ring, given by an action table.
 
     Submodule generation uses the unitalization convention, so a generator
-    always lies in the submodule it generates.
+    always lies in the submodule it generates.  The action is validated
+    associative on generators, so a submodule is one span: the generators
+    and their images under the ring generators.
     """
 
     def __init__(self, ring: FiniteRing, side: str, add: AdditiveGroup, action):
@@ -390,8 +405,9 @@ class FiniteModule:
         return out
 
     def submodule(self, gens) -> Subgroup:
-        maps = [partial(self._act_vec, s) for s in self.ring.generators()]
-        return close_subgroup(self.add_group, gens, maps)
+        sub = Subgroup.from_generators(self.add_group, gens)
+        return sub.extend([self._act_vec(s, m) for m in sub.basis
+                           for s in self.ring.generators()])
 
     def minimal_submodules(self) -> list[Subgroup]:
         return minimal_closures(self.add_group, lambda x: self.submodule([x]))

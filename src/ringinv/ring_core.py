@@ -6,15 +6,17 @@ k×k table of generator products.  Ideals and subrings are additive subgroups
 canonicalized by the Hermite form of their preimage lattice, so equality
 tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
 adds the generators outside a key to it and returns the subgroup itself when
-there are none, so generating, joining and closing never rebuild a key;
+there are none, so generating and joining never rebuild a key;
 `AdditiveMap` holds the one Hermite form still computed from scratch, and
-`lattices.hermite_solve` the one back-substitution down a key.
+`lattices.hermite_solve` the one back-substitution down a key.  A generated
+ideal is one span with no fixed-point loop (`generated_ideal`): the products
+of generators are combinations of generators, so S + R·S and L + L·R are
+closed as they stand.
 
-The structure theory rests on five primitives over those subgroups:
+The structure theory rests on four primitives over those subgroups:
 `AdditiveMap` (kernel and preimages of an additive map from one Hermite
 form: intersections, fixed subgroups, identities, inverses, annihilators,
-splittings), `close_subgroup` (closure under additive maps: sided ideals,
-submodules), `join_closure` (lattices of ideals and subgroups), `cover`
+splittings), `join_closure` (lattices of ideals and subgroups), `cover`
 (one step up such a lattice, searching one element per coset; atoms by
 `minimal_closures`, composition lengths by `chain_length`), and
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
@@ -626,18 +628,7 @@ class AdditiveMap:
         return self.group.reduce(-a for a in solved[1][len(self._graph):])
 
 
-# -- closure, join closure and atoms ----------------------------------------------
-
-def close_subgroup(group: AdditiveGroup, gens: Iterable[Element],
-                   maps: list[Callable[[Element], Element]]) -> Subgroup:
-    """Least subgroup containing `gens` that every (additive) map keeps inside."""
-    sub = Subgroup.from_generators(group, gens)
-    while True:
-        grown = sub.extend([f(b) for b in sub.basis for f in maps])
-        if grown is sub:
-            return sub
-        sub = grown
-
+# -- join closure and atoms ----------------------------------------------------
 
 def join_closure(base: Iterable[Subgroup], count_cap: int):
     """(all joins of members of `base` sorted by key, exhaustive).
@@ -774,12 +765,20 @@ class Ideal:
 
 
 def generated_ideal(ring: FiniteRing, gens: Iterable[Element], side: str) -> Ideal:
-    """Smallest sided ideal containing `gens`.
+    """Smallest sided ideal containing `gens`, as one span.
 
-    Closure runs with the unitalization convention, so the generators are
-    always contained in the result.
+    With the unitalization convention the left ideal is S + R·S, spanned by
+    S and every g·s (g a ring generator), and the right one S + S·R likewise;
+    the two-sided ideal is L + L·R for that left ideal L.  Each span is
+    closed already, since every product g_j·g_i of generators is an integer
+    combination of generators.
     """
-    return Ideal(ring, side, close_subgroup(ring.additive, gens, _side_maps(ring, side)))
+    sub = Subgroup.from_generators(ring.additive, gens)
+    if side != RIGHT:
+        sub = sub.extend([ring.mul(g, b) for b in sub.basis for g in ring.generators()])
+    if side != LEFT:
+        sub = sub.extend([ring.mul(b, g) for b in sub.basis for g in ring.generators()])
+    return Ideal(ring, side, sub)
 
 
 # -- coordinates on subquotients ------------------------------------------------
@@ -868,19 +867,18 @@ class SubringView:
 
     __slots__ = ("ring", "sub", "_image")
 
-    def __init__(self, ring: FiniteRing, sub: Subgroup, verify: bool = True):
+    def __init__(self, ring: FiniteRing, sub: Subgroup):
         self.ring = ring
         self.sub = sub
         self._image = None
-        if verify:
-            for a in sub.basis:
-                for b in sub.basis:
-                    if not sub.contains(ring.mul(a, b)):
-                        raise RingError("subgroup is not multiplicatively closed")
+        for a in sub.basis:
+            for b in sub.basis:
+                if not sub.contains(ring.mul(a, b)):
+                    raise RingError("subgroup is not multiplicatively closed")
 
     @classmethod
-    def from_elements(cls, ring: FiniteRing, elems, verify: bool = True) -> "SubringView":
-        return cls(ring, Subgroup.from_generators(ring.additive, elems), verify=verify)
+    def from_elements(cls, ring: FiniteRing, elems) -> "SubringView":
+        return cls(ring, Subgroup.from_generators(ring.additive, elems))
 
     @property
     def basis(self):

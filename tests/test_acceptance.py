@@ -172,6 +172,8 @@ def test_criterion_4_soundness_sweep(tmp_path):
         code = cli_main(["check", "--random", "500", "--seed", "20260808",
                          "--out", str(out)])
         assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f48c5b96602eb93b7f92aed4634a03648b8a5c186b9884e441fde3c293e0433b")
         reports = json.loads(out.read_text())
         assert len(reports) >= 510 * 18
         for report in reports:

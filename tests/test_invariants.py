@@ -19,6 +19,7 @@ from ringinv.invariants import (
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
+    SIDES,
     TWOSIDED,
     Subgroup,
     SubringView,
@@ -28,6 +29,8 @@ from ringinv.ring_core import (
     matrix_ring,
     zero_mult_ring,
 )
+
+from test_ring_core import oracle_instances
 
 
 def f3xf3_ctx():
@@ -410,3 +413,17 @@ def test_nondegenerate_trace_trivial_group_semiprime():
     ctx = GActionContext(r, trivial_group(r))
     status, _ = nondegenerate_trace_check(ctx)
     assert status == "yes"
+
+
+def test_invariant_ideal_from_matches_generated_ideal():
+    """The join of the orbit's principal ideals is the ideal the orbit
+    generates."""
+    nontrivial = [inst for inst in oracle_instances() if inst.group.order > 1]
+    assert nontrivial
+    for inst in nontrivial:
+        ctx, ring = inst.context(), inst.ring
+        for side in SIDES:
+            for x in ring.elements():
+                orbit = {g.apply(x) for g in inst.group.elements}
+                assert (ctx.invariant_ideal_from(x, side).key
+                        == generated_ideal(ring, orbit, side).key), (inst.name, side, x)

@@ -1,7 +1,10 @@
 import signal
+from functools import partial
+from math import gcd
 
 import pytest
 
+from ringinv.groups import fixed_subgroup
 from ringinv.radicals import (
     SizeCap,
     enumerate_ideals,
@@ -14,6 +17,7 @@ from ringinv.radicals import (
     module_length,
     nilpotency_index,
     prime_radical,
+    principal_ideal,
     quotient_length,
     radical_profile,
     regular_elements_quotient,
@@ -31,11 +35,14 @@ from ringinv.ring_core import (
     SubringView,
     cyclic_ring,
     direct_product,
+    generated_ideal,
     group_ring,
     matrix_ring,
     unitalize,
     zero_mult_ring,
 )
+
+from test_ring_core import generator_sets, oracle_instances, rebuild_closure
 
 
 def two_z8():
@@ -329,3 +336,43 @@ def test_module_over_subring():
     m = ring_as_module(r, LEFT, scalars=img.ring, embed=img.from_image)
     # as a module over the diagonal, the ring splits into two lines
     assert module_length(m) == 2
+
+
+def _additive_order(ring, x):
+    o = 1
+    while any(ring.smul(o, x)):
+        o += 1
+    return o
+
+
+def test_principal_ideal_is_shared_by_cyclic_generators():
+    """One closure serves every generator k·x of <x>, and no other element:
+    on Z/4, (2) is not (1)."""
+    rings = [cyclic_ring(4)] + [inst.ring for inst in oracle_instances()]
+    for ring in rings:
+        for side in SIDES:
+            for x in sorted(ring.elements()):
+                fresh = generated_ideal(ring, [x], side).key
+                assert principal_ideal(ring, x, side).key == fresh, (ring.name, side, x)
+                o = _additive_order(ring, x)
+                for k in range(1, o):
+                    if gcd(k, o) == 1:
+                        assert principal_ideal(ring, ring.smul(k, x), side).key == fresh
+
+
+def test_submodule_matches_rebuild_loop():
+    """The one-span submodule equals the fixed-point closure under the
+    action of the scalar generators, over the ring and over its fixed
+    subring, on both sides."""
+    for inst in oracle_instances():
+        ring = inst.ring
+        fixed = SubringView(ring, fixed_subgroup(ring, inst.group.elements)).image()
+        for side in (LEFT, RIGHT):
+            for module in (ring_as_module(ring, side),
+                           ring_as_module(ring, side, scalars=fixed.ring,
+                                          embed=fixed.from_image)):
+                maps = [partial(module._act_vec, s) for s in module.ring.generators()]
+                for gens in generator_sets(inst):
+                    assert (module.submodule(gens).key
+                            == rebuild_closure(module.add_group, gens, maps).key), (
+                        ring.name, side, gens)
