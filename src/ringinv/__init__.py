@@ -22,9 +22,7 @@ from .invariants import (
     centralizer_normalizer,
     inner_automorphism,
     is_proper_splitting,
-    nondegenerate_trace_check,
     relative_trace,
-    splitting_search,
     torsion_ideal,
 )
 from .radicals import (
@@ -32,13 +30,11 @@ from .radicals import (
     RadicalProfile,
     UdimCertificate,
     jacobson_radical,
-    left_annihilator,
     module_length,
     nilpotency_index,
     prime_radical,
     radical_profile,
     regular_elements_quotient,
-    ring_as_module,
     uniform_dimension,
 )
 from .ring_core import (

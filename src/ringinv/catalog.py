@@ -36,15 +36,8 @@ from .invariants import (
     GActionContext,
     inner_automorphism,
     torsion_ideal,
-    unit_group,
 )
-from .lattices import smith_form
-from .radicals import (
-    jacobson_radical,
-    nilpotency_index,
-    prime_radical,
-    uniform_dimension,
-)
+from .radicals import jacobson_radical, nilpotency_index, prime_radical
 from .ring_core import (
     Element,
     FiniteRing,
@@ -85,16 +78,6 @@ class Instance:
     def context(self) -> GActionContext:
         return GActionContext(self.ring, self.group, ring_name=self.name,
                               group_name=self.group_name)
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    order: int
-    invariant_factors: tuple[int, ...]
-    unit_count: int | None
-    prime_radical_size: int
-    udim: str
-    unital: bool
 
 
 def cayley_cyclic(n: int) -> list[list[int]]:
@@ -171,7 +154,7 @@ def _mk(ring: FiniteRing, gens, group_name: str, provenance: str) -> Instance:
     return Instance(ring.name, ring, group, group_name, tuple(gens), provenance)
 
 
-# -- tags and fingerprints ------------------------------------------------------------
+# -- tags ----------------------------------------------------------------------------
 
 def derive_tags(instance: Instance, caps: Caps = DEFAULT_CAPS) -> frozenset:
     """Tags are always recomputed from the instance, never read from disk."""
@@ -204,29 +187,6 @@ def derive_tags(instance: Instance, caps: Caps = DEFAULT_CAPS) -> frozenset:
     return frozenset(tags)
 
 
-def fingerprint(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
-    cert = uniform_dimension(ring, "left", caps)
-    udim = str(cert.value) if cert.maximality == "exhaustive" \
-        else f">={cert.value} (capped)"
-    return Fingerprint(
-        order=ring.order,
-        invariant_factors=_invariant_factors(ring.cyclic_orders),
-        unit_count=len(unit_group(ring)) if ring.is_unital else None,
-        prime_radical_size=prime_radical(ring).size,
-        udim=udim,
-        unital=ring.is_unital,
-    )
-
-
-def _invariant_factors(orders: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(orders)
-    if k == 0:
-        return ()
-    rows = [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    d, _, _ = smith_form(rows, k)
-    return tuple(x for x in d if x > 1)
-
-
 # -- random instances -------------------------------------------------------------------
 
 @dataclass
@@ -240,11 +200,12 @@ class GenStats:
 
 
 ORDER_CHOICES = (2, 3, 4, 5, 7, 8, 9)
+MAX_GENERATORS = 3         # most additive generators of a random table
+AUTOMORPHISM_BUDGET = 30   # candidate automorphisms tried per ring
+GROUP_CAP = 24             # close_group cap on the group they generate
 
 
-def random_instances(count: int, seed: int, max_order: int = 64,
-                     max_generators: int = 3, automorphism_budget: int = 30,
-                     group_cap: int = 24):
+def random_instances(count: int, seed: int, max_order: int = 64):
     """Seeded random rings with automorphism search; deterministic per seed.
 
     Returns (instances, stats).  Roughly a third are cyclic rings (always
@@ -265,7 +226,7 @@ def random_instances(count: int, seed: int, max_order: int = 64,
             c = rng.randrange(d)
             ring = cyclic_ring(d, c=c, name=f"rand{seed}_{index}")
         else:
-            k = rng.randint(1, max_generators)
+            k = rng.randint(1, MAX_GENERATORS)
             orders = sorted(rng.choice(ORDER_CHOICES) for _ in range(k))
             while prod(orders) > max_order:
                 orders = orders[:-1]
@@ -282,7 +243,7 @@ def random_instances(count: int, seed: int, max_order: int = 64,
             continue
         seen_tables.add(key)
         stats.valid += 1
-        gens = _random_automorphisms(rng, ring, automorphism_budget, group_cap)
+        gens = _random_automorphisms(rng, ring)
         group = close_group(list(gens), ring=ring) if gens else trivial_group(ring)
         inst = Instance(ring.name, ring, group,
                         "rand" if gens else "trivial", tuple(gens),
@@ -310,8 +271,7 @@ def _random_table(rng: random.Random, orders: tuple[int, ...]):
     return table
 
 
-def _random_automorphisms(rng: random.Random, ring: FiniteRing, budget: int,
-                          group_cap: int):
+def _random_automorphisms(rng: random.Random, ring: FiniteRing):
     """Try permutation-style and random image maps; empty tuple when rigid."""
     k = ring.rank
     found = []
@@ -324,7 +284,7 @@ def _random_automorphisms(rng: random.Random, ring: FiniteRing, budget: int,
                 images[i], images[j] = images[j], images[i]
                 candidates.append(images)
     elems = list(ring.elements()) if ring.order <= 512 else None
-    for _ in range(budget):
+    for _ in range(AUTOMORPHISM_BUDGET):
         if elems and rng.random() < 0.7:
             images = [rng.choice(elems) for _ in range(k)]
         elif candidates:
@@ -339,7 +299,7 @@ def _random_automorphisms(rng: random.Random, ring: FiniteRing, budget: int,
             continue
         trial = found + [aut]
         try:
-            close_group(trial, ring=ring, cap=group_cap)
+            close_group(trial, ring=ring, cap=GROUP_CAP)
         except GroupError:
             continue
         found = trial

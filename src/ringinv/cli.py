@@ -2,8 +2,9 @@
 run theorem suites with masking, and print instance profiles.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 counterexample
-found.  The JSON report array is the machine contract; identical configs
-produce byte-identical reports.
+found.  A counterexample is reported only once a check on a context rebuilt
+from raw data has reproduced it.  The JSON report array is the machine
+contract; identical configs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .catalog import (
 from .groups import factorize
 from .invariants import torsion_ideal
 from .radicals import (
+    CrossCheckError,
     jacobson_radical,
     prime_radical,
     regular_elements_quotient,
@@ -35,6 +37,7 @@ from .theorems import (
     COUNTEREXAMPLE,
     THEOREM_IDS,
     check,
+    reverified,
     to_jsonable,
 )
 
@@ -111,9 +114,20 @@ def _resolve_instances(spec: str | None, random_count: int, seed: int):
 
 
 def _check_one(args):
+    """The reports of one instance; CrossCheckError when a counterexample
+    does not come out the same on a rebuilt context."""
     instance, theorems, caps, masks, seed = args
     ctx = instance.context()
-    return [check(th, ctx, caps, masks, seed=seed).as_json() for th in theorems]
+    out = []
+    for th in theorems:
+        report = check(th, ctx, caps, masks, seed=seed)
+        if (report.verdict == COUNTEREXAMPLE
+                and not reverified(report, ctx, caps, masks, seed)):
+            raise CrossCheckError(
+                f"{th} on {instance.name} under {instance.group_name}: the "
+                f"counterexample differs on a rebuilt context")
+        out.append(report.as_json())
+    return out
 
 
 def cmd_check(ns) -> int:

@@ -18,7 +18,7 @@ from .groups import (
     fixed_subgroup,
     p_normal_complement,
 )
-from .radicals import ideal_lattice, prime_radical, principal_ideal
+from .radicals import ideal_lattice, principal_ideal
 from .ring_core import (
     LEFT,
     RIGHT,
@@ -91,13 +91,6 @@ def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup) -> 
     # every generator has a preimage
     proj = tuple(along.preimage(g) for g in ring.generators())
     return SplittingData(fixed, complement, proj)
-
-
-@dataclass
-class SplittingSearchResult:
-    found: SplittingData | None
-    exhaustive: bool
-    tried: int = 0
 
 
 @dataclass
@@ -352,26 +345,6 @@ def averaging_idempotent(ctx: GActionContext) -> SplittingData:
     return sd
 
 
-def splitting_search(ctx: GActionContext,
-                     caps: Caps = DEFAULT_CAPS) -> SplittingSearchResult:
-    """First splitting in canonical order, or none with an exhaustiveness flag.
-
-    When the averaging idempotent exists its complement is returned (the
-    canonical splitting); otherwise the least complement found by
-    enumeration.
-    """
-    found, exhaustive = ctx.splittings(caps)
-    if not found:
-        return SplittingSearchResult(None, exhaustive, 0)
-    try:
-        avg = averaging_idempotent(ctx)
-    except NotInvertible:
-        return SplittingSearchResult(found[0], exhaustive, len(found))
-    if exhaustive and all(sd.key != avg.key for sd in found):
-        raise RingError("averaging complement missing from enumeration")
-    return SplittingSearchResult(avg, exhaustive, len(found))
-
-
 def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     """All complements realizing R = R^G ⊕ B as bimodules, sorted canonically.
 
@@ -495,8 +468,7 @@ def inner_automorphism(ring: FiniteRing, u: Element) -> RingAutomorphism:
     return RingAutomorphism(ring, images)
 
 
-def degenerate_trace_ideal(ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
-                           powers: bool = False):
+def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
     """The first nonzero invariant one-sided ideal I (left ideals first)
     with t(I) = 0, or with `powers` also one with t(I)^d = 0 for some d.
 
@@ -522,14 +494,3 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
                 capped = capped or not stabilized
     return None, None, capped
 
-
-def nondegenerate_trace_check(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
-    """Fixed ring semiprime plus nonzero trace on every nonzero invariant
-    one-sided ideal.  Returns (status, witness)."""
-    image = ctx.fixed_image()
-    if not prime_radical(image.ring).is_zero():
-        return "no", ("fixed ring not semiprime", None)
-    ideal, _, capped = degenerate_trace_ideal(ctx, caps)
-    if ideal is not None:
-        return "no", ("zero trace on nonzero invariant ideal", ideal)
-    return ("capped" if capped else "yes"), None

@@ -9,8 +9,8 @@ distinct principal ideal once: the prime radical by one nilpotency test per
 two-sided principal ideal, the Jacobson radical by one verdict per principal
 left ideal, where quasi-regularity of an element is one preimage solve of an
 additive map.  Uniform dimension, regular elements (by the sizes of r·R and
-R·r), annihilators, and composition lengths of finite modules round out the
-structure data the checkers need.
+R·r), and composition lengths of finite modules round out the structure
+data the checkers need.
 """
 
 from __future__ import annotations
@@ -179,10 +179,6 @@ def radical_profile(ring: FiniteRing) -> RadicalProfile:
     )
 
 
-def is_semiprime(ring: FiniteRing) -> bool:
-    return prime_radical(ring).is_zero()
-
-
 def is_semisimple_artinian(ring: FiniteRing) -> bool:
     return jacobson_radical(ring).is_zero()
 
@@ -339,16 +335,6 @@ def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
                            "degenerate-undefined", None, None)
 
 
-def left_annihilator(ring: FiniteRing, xs) -> Ideal:
-    """Elements r with r*x = 0 for every x in the set; a left ideal: the
-    kernel of r ↦ (r·b)_b over a basis of the span of the set."""
-    basis = Subgroup.from_generators(ring.additive, xs).basis
-    images = [sum((ring.mul(g, b) for b in basis), ()) for g in ring.generators()]
-    values = AdditiveGroup(ring.cyclic_orders * len(basis))
-    kernel = AdditiveMap(ring.additive, images, values.relations).kernel
-    return Ideal.from_basis(ring, LEFT, kernel.basis)
-
-
 # -- finite modules and composition length -------------------------------------------
 
 class FiniteModule:
@@ -411,29 +397,6 @@ class FiniteModule:
 
     def minimal_submodules(self) -> list[Subgroup]:
         return minimal_closures(self.add_group, lambda x: self.submodule([x]))
-
-
-def ring_as_module(ring: FiniteRing, side: str,
-                   scalars: FiniteRing | None = None, embed=None) -> FiniteModule:
-    """The ring as a module over itself or over an embedded scalar ring.
-
-    `embed` maps scalar-ring elements into the ring; required when `scalars`
-    is given.
-    """
-    scalars = scalars or ring
-    if embed is None:
-        if scalars is not ring:
-            raise RingError("an embedded scalar ring needs its embedding map")
-        embed = lambda x: x  # noqa: E731 - identity embedding
-    action = []
-    for i in range(scalars.rank):
-        s = embed(scalars.generator(i))
-        row = []
-        for j in range(ring.rank):
-            g = ring.generator(j)
-            row.append(ring.mul(s, g) if side == LEFT else ring.mul(g, s))
-        action.append(row)
-    return FiniteModule(scalars, side, ring.additive, action)
 
 
 def module_length(module: FiniteModule, caps: Caps = DEFAULT_CAPS) -> int:

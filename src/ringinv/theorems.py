@@ -954,13 +954,22 @@ def rebuild_context(ctx: GActionContext) -> GActionContext:
                           group_name=ctx.group_name)
 
 
+def reverified(report: TheoremReport, ctx: GActionContext, caps: Caps,
+               masks, seed: int | None) -> bool:
+    """Whether the check that gave `report` on `ctx` gives it again, bit for
+    bit, on a context rebuilt from raw data: the one re-check every
+    counterexample passes before it is reported."""
+    second = check(report.theorem, rebuild_context(ctx), caps, masks, seed=seed)
+    return second.as_json() == report.as_json()
+
+
 def counterexample_search(theorem_ids, contexts, caps: Caps = DEFAULT_CAPS,
                           masks=(), budget: int | None = None,
                           seed: int | None = None) -> list[TheoremReport]:
     """Run checks across instances and return re-verified counterexamples.
 
-    Every candidate is re-checked from a rebuilt context; a report is only
-    returned when the second pass reproduces it bit for bit.
+    Every candidate goes through `reverified`; a report is only returned
+    when that second pass reproduces it.
     """
     out = []
     spent = 0
@@ -970,34 +979,8 @@ def counterexample_search(theorem_ids, contexts, caps: Caps = DEFAULT_CAPS,
                 return out
             report = check(theorem, ctx, caps, masks, seed=seed)
             spent += 1
-            if report.verdict != COUNTEREXAMPLE:
-                continue
-            fresh = rebuild_context(ctx)
-            second = check(theorem, fresh, caps, masks, seed=seed)
-            if second.as_json() == report.as_json():
+            if (report.verdict == COUNTEREXAMPLE
+                    and reverified(report, ctx, caps, masks, seed)):
                 out.append(report)
     return out
 
-
-def background_invariants(ctx: GActionContext) -> list[tuple[str, bool, object]]:
-    """Unconditional facts checked on every instance, independent of verdicts."""
-    ring = ctx.ring
-    image = ctx.fixed_image()
-    results = []
-    for kind, radical in (("radical", jacobson_radical),
-                          ("prime radical", prime_radical)):
-        rad_r = radical(ring).sub
-        ok = all(radical(image.ring).contains(y) for y in ctx.restrict(rad_r).basis)
-        results.append((f"{kind} restriction is contained in the fixed {kind}",
-                        ok, None if ok else ctx.meet(rad_r)))
-    # the trace is additive, so both trace checks hold iff they hold on generators
-    ok = all(ctx.fixed.contains(ctx.trace(x)) for x in ring.generators())
-    results.append(("traces land in the fixed ring", ok, None))
-    ok = all(ctx.trace(g.apply(x)) == ctx.trace(x)
-             for x in ring.generators() for g in ctx.group.elements)
-    results.append(("the trace is constant on orbits", ok, None))
-    tor = torsion_ideal(ring, ctx.n)
-    ok = all(tor.contains(g.apply(b))
-             for g in ctx.group.elements for b in tor.basis)
-    results.append(("the group-order torsion ideal is invariant", ok, None))
-    return results

@@ -3,12 +3,10 @@ import json
 import pytest
 
 from ringinv.catalog import (
-    Fingerprint,
     ParseError,
     ValidationError,
     cayley_cyclic,
     derive_tags,
-    fingerprint,
     load,
     load_text,
     named_instances,
@@ -16,7 +14,6 @@ from ringinv.catalog import (
     save,
     save_text,
 )
-from ringinv.ring_core import cyclic_ring, direct_product
 
 
 def test_named_instances_all_validate(named_catalog):
@@ -137,28 +134,6 @@ def test_validation_error_nonassociative():
            "group g =\n")
     with pytest.raises(ValidationError):
         load_text(bad)
-
-
-def test_fingerprint_iso_invariance():
-    # the same ring presented with permuted generators fingerprints equally
-    r1 = direct_product([cyclic_ring(2), cyclic_ring(3)])
-    r2 = direct_product([cyclic_ring(3), cyclic_ring(2)])
-    assert fingerprint(r1) == fingerprint(r2)
-
-
-def test_fingerprint_fields():
-    # Z/12 splits as Z/4 x Z/3, so its uniform dimension is 2
-    fp = fingerprint(cyclic_ring(12))
-    assert fp == Fingerprint(order=12, invariant_factors=(12,), unit_count=4,
-                             prime_radical_size=2, udim="2", unital=True)
-
-
-def test_fingerprint_separates_batch():
-    # dedup heuristics must never drop an instance whose fingerprint is unique
-    insts, _ = random_instances(30, seed=13)
-    fps = [fingerprint(i.ring) for i in insts]
-    unique = {fp for fp in fps if fps.count(fp) == 1}
-    assert len(unique) >= 1  # the batch genuinely distinguishes instances
 
 
 def test_cayley_cyclic_shape():

@@ -9,8 +9,10 @@ import pytest
 
 import ringinv
 
+from ringinv import theorems
 from ringinv.catalog import named_instances, save
 from ringinv.cli import main
+from ringinv.radicals import CrossCheckError
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,21 @@ def test_check_masked_exit_code(tmp_path):
     assert hits and all(r["ring"] == "m2f2" for r in hits)
     # the mask is echoed with the caps
     assert all(r["caps"]["masks"] == ["N2:2"] for r in reports)
+
+
+def test_check_counterexample_that_a_rebuild_does_not_reproduce(tmp_path, monkeypatch):
+    """Every counterexample is re-checked on a context rebuilt from raw data;
+    a rebuild whose report differs raises instead of exiting 4."""
+    rebuild = theorems.rebuild_context
+
+    def tampered(ctx):
+        fresh = rebuild(ctx)
+        fresh.group_name += "'"
+        return fresh
+    monkeypatch.setattr(theorems, "rebuild_context", tampered)
+    with pytest.raises(CrossCheckError, match="N2 on m2f2"):
+        main(["check", "--instances", "m2f2", "--theorems", "N2", "--mask", "N2:2",
+              "--out", str(tmp_path / "masked.json")])
 
 
 def test_check_selected_instances(tmp_path):

@@ -12,9 +12,10 @@ from ringinv.radicals import (
     jacobson_radical,
     module_length,
     quotient_length,
-    ring_as_module,
 )
 from ringinv.ring_core import LEFT, RIGHT, Subgroup, generated_ideal
+
+from oracles import ring_as_module
 
 
 @pytest.fixture(scope="module")

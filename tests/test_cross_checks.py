@@ -11,7 +11,6 @@ from ringinv.radicals import (
     nilpotency_index,
     prime_radical,
     principal_ideal,
-    ring_as_module,
     uniform_dimension,
 )
 from ringinv.ring_core import (
@@ -27,6 +26,8 @@ from ringinv.ring_core import (
     matrix_ring,
     zero_mult_ring,
 )
+
+from oracles import ring_as_module
 
 
 def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):

@@ -1,5 +1,6 @@
 import pytest
 
+from ringinv.caps import DEFAULT_CAPS
 from ringinv.groups import RingAutomorphism, close_group, trivial_group
 from ringinv.invariants import (
     GActionContext,
@@ -7,12 +8,11 @@ from ringinv.invariants import (
     NotInvertible,
     averaging_idempotent,
     centralizer_normalizer,
+    degenerate_trace_ideal,
     enumerate_splittings,
     inner_automorphism,
     is_proper_splitting,
-    nondegenerate_trace_check,
     relative_trace,
-    splitting_search,
     subgroup_power_nilpotency,
     torsion_ideal,
 )
@@ -258,26 +258,38 @@ def test_splitting_search_f3xf3_antidiagonal():
     keys = {sd.complement.key for sd in found}
     avg = averaging_idempotent(ctx)
     assert avg.complement.key in keys  # image(1-e) is among the complements
+    # the averaging complement is the anti-diagonal
     assert avg.complement.elements() == frozenset({(0, 0), (1, 2), (2, 1)})
-    # the search returns the averaging complement (the anti-diagonal)
-    result = splitting_search(ctx)
-    assert result.exhaustive and result.tried == len(found)
-    assert result.found.complement.elements() == \
-        frozenset({(0, 0), (1, 2), (2, 1)})
 
 
 def test_splitting_search_none_found():
-    ctx = m2f2_ctx()
-    result = splitting_search(ctx)
-    assert result.found is None
-    assert result.exhaustive
+    found, exhaustive = m2f2_ctx().splittings()
+    assert found == [] and exhaustive
 
 
 def test_splitting_search_trivial_fixed_ring():
     r = cyclic_ring(9)
     ctx = GActionContext(r, trivial_group(r))
-    result = splitting_search(ctx)
-    assert result.found.complement.is_zero()
+    found, _ = ctx.splittings()
+    assert found[0].key == averaging_idempotent(ctx).key
+
+
+def test_exhaustive_splittings_contain_the_averaging_complement(named_catalog,
+                                                                named_contexts):
+    """Whenever |G| is invertible, an exhaustive enumeration of the
+    splittings includes the one the averaging idempotent gives."""
+    seen = 0
+    for inst in named_catalog:
+        ctx = named_contexts[inst.name]
+        try:
+            avg = averaging_idempotent(ctx)
+        except NotInvertible:
+            continue
+        found, exhaustive = ctx.splittings()
+        if exhaustive:
+            seen += 1
+            assert avg.key in {sd.key for sd in found}, inst.name
+    assert seen
 
 
 def test_splitting_trivial_group_is_zero_complement():
@@ -399,20 +411,20 @@ def test_subgroup_power_nilpotency_cases():
 # -- nondegenerate trace -------------------------------------------------------------------
 
 def test_nondegenerate_trace_f3xf3():
-    status, _ = nondegenerate_trace_check(f3xf3_ctx())
-    assert status == "yes"
+    assert degenerate_trace_ideal(f3xf3_ctx(), DEFAULT_CAPS, False) == (None, None, False)
 
 
 def test_degenerate_trace_two_z8():
-    status, witness = nondegenerate_trace_check(two_z8_ctx())
-    assert status == "no"
+    ctx = two_z8_ctx()
+    ideal, d, capped = degenerate_trace_ideal(ctx, DEFAULT_CAPS, False)
+    assert not ideal.is_zero() and d == 1 and not capped
+    assert ctx.trace_image(ideal.basis).is_zero()
 
 
 def test_nondegenerate_trace_trivial_group_semiprime():
     r = direct_product([cyclic_ring(2), cyclic_ring(3)])
     ctx = GActionContext(r, trivial_group(r))
-    status, _ = nondegenerate_trace_check(ctx)
-    assert status == "yes"
+    assert degenerate_trace_ideal(ctx, DEFAULT_CAPS, False) == (None, None, False)
 
 
 def test_invariant_ideal_from_matches_generated_ideal():

@@ -1,17 +1,19 @@
 from ringinv.caps import Caps
+from ringinv.radicals import prime_radical
 from ringinv.theorems import (
     COUNTEREXAMPLE,
     SKIPPED,
     THEOREM_IDS,
     VACUOUS,
     VERIFIED,
-    background_invariants,
     big_power,
     check,
     counterexample_search,
     power_at_least,
     rebuild_context,
 )
+
+from oracles import background_invariants
 
 
 def test_theorem_id_count():
@@ -120,7 +122,7 @@ def test_masked_invertibility_shows_necessity(named_catalog, named_contexts):
 
 def test_zero_ring_instance_end_to_end():
     from ringinv.catalog import load_text, save_text
-    from ringinv.radicals import prime_radical, uniform_dimension
+    from ringinv.radicals import uniform_dimension
 
     inst = load_text("ring nil\nadd\ngroup trivial =\n", default_name="nil")
     assert inst.ring.order == 1 and inst.ring.is_unital
@@ -185,12 +187,10 @@ def test_n2_never_counterexample_on_semiprime_bad_prime_instances(named_catalog,
     """On finite semiprime instances with a bad prime, the second condition
     must fail (the identity carries p-torsion into the fixed ring), so N2 is
     systematically vacuous there and the reports say why."""
-    from ringinv.radicals import is_semiprime
-
     seen = 0
     for inst in named_catalog:
         ctx = named_contexts[inst.name]
-        if not is_semiprime(inst.ring) or not ctx.bad_primes().primes:
+        if not prime_radical(inst.ring).is_zero() or not ctx.bad_primes().primes:
             continue
         seen += 1
         report = check("N2", ctx)
