@@ -355,10 +355,15 @@ def enumerate_splittings(ctx: GActionContext, caps: Caps = DEFAULT_CAPS):
     `AdditiveMap` gives a particular solution and the solution kernel; the
     first `caps.splitting_enum` solutions are taken, which is all of them
     iff the kernel is no larger.  Each complement is the kernel of its e.
-    Returns (list, exhaustive).
+    Returns (list, exhaustive).  When R^G = R the one complement is 0 (e is
+    the identity), built and verified without the solve.
     """
     ring = ctx.ring
     fixed = ctx.fixed.sub
+    if fixed.size == ring.order:
+        if caps.splitting_enum < 1:
+            return [], False
+        return [_make_splitting(ring, fixed, Subgroup.zero(ring.additive))], True
     k, group, gens, sbasis = ring.rank, ring.additive, ring.generators(), fixed.basis
 
     def split(w):

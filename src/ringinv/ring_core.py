@@ -21,7 +21,8 @@ splittings), `join_closure` (lattices of ideals and subgroups), `cover`
 `minimal_closures`, composition lengths by `chain_length`), and
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
 Hermite keys, reached by back-substitution down A's key: quotient rings and
-subring images), whose one check proves the transported ring correct.
+subring images), whose one check proves the transported ring correct; on
+R's own coordinates the subquotient is R itself.
 `FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 """
 
@@ -843,7 +844,21 @@ class Coordinates:
 
 def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
                      name: str, unit: Element | None = None) -> FiniteRing:
-    """The ring that `coords` carry over from `parent`, checked isomorphic."""
+    """The ring that `coords` carry over from `parent`, checked isomorphic.
+
+    When the coordinates are `parent`'s own (the same cyclic orders, and
+    `project` and `lift` fix every generator), this is `parent` itself, so
+    R^G for G = 1 and R/0 share R's object and its caches.  The order
+    matches, so A/L is all of R and both maps are the identity; the table
+    built below would be `parent.mul_table` entry for entry, and that table
+    was validated when `parent` was built, so skipping `validate_ring` and
+    `Coordinates.check` drops no verification.  Other coordinates, such as
+    the Smith orders (6,) of F2×F3's (2, 3), get a validated copy.
+    """
+    if (coords.image.cyclic_orders == parent.cyclic_orders and order == parent.order
+            and all(coords.project(g) == g and coords.lift(g) == g
+                    for g in parent.generators())):
+        return parent
     gens = coords.generators
     table = [[coords.project(parent.mul(a, b)) for b in gens] for a in gens]
     ring = validate_ring(coords.image.cyclic_orders, table, unit_hint=unit, name=name)

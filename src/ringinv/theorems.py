@@ -407,7 +407,8 @@ def _quotient_context(ctx: GActionContext):
     the induced group, and the image of the fixed ring, the subgroup
     generated by the projected fixed basis.  The radical comes from
     `radical_profile`, which raises unless the prime and Jacobson radicals
-    agree, so one cached context serves both.
+    agree, so one cached context serves both.  When J(R) = 0 the quotient
+    ring is R itself (`quotient_by_ideal`), and so is this context.
     """
     def compute():
         ring = ctx.ring
@@ -417,6 +418,8 @@ def _quotient_context(ctx: GActionContext):
                 if not rad.contains(g.apply(b)):
                     raise RuntimeError("radical is not invariant; engine bug")
         quot = quotient_by_ideal(ring, rad, name=f"{ctx.ring_name}_bar")
+        if quot.ring is ring:
+            return ctx, ctx.fixed.sub
         induced = {}
         qgens = quot.ring.generators()
         for g in ctx.group.elements:

@@ -189,6 +189,19 @@ def test_linear_splitting_solver_matches_subgroup_search():
                {sd.complement.key for sd in brute}, inst.name
 
 
+def test_identity_splitting_matches_subgroup_search():
+    """Under the trivial group the one splitting, built without a solve, is
+    the one the subgroup search finds."""
+    trivial = [inst for inst in named_instances() if inst.group.order == 1]
+    assert trivial
+    for inst in trivial:
+        found, exhaustive = inst.context().splittings()
+        brute, brute_exhaustive = _splittings_subgroup_search(inst.context(), Caps())
+        assert exhaustive and brute_exhaustive
+        assert [sd.key for sd in found] == [sd.key for sd in brute], inst.name
+        assert [sd.projection for sd in found] == [sd.projection for sd in brute]
+
+
 def test_no_splitting_of_m2z4_under_unipotent_conjugation():
     """M2(Z/4) under conjugation by I + e12 has no bimodule complement; the
     solver proves it exhaustively."""

@@ -1,6 +1,6 @@
 import pytest
 
-from ringinv.caps import DEFAULT_CAPS
+from ringinv.caps import DEFAULT_CAPS, Caps
 from ringinv.groups import RingAutomorphism, close_group, trivial_group
 from ringinv.invariants import (
     GActionContext,
@@ -298,6 +298,37 @@ def test_splitting_trivial_group_is_zero_complement():
     found, exhaustive = ctx.splittings()
     assert exhaustive and len(found) == 1
     assert found[0].complement.is_zero()
+
+
+def test_trivial_group_fixed_image_is_the_ring():
+    """Under G = 1 on a ring whose orders form a divisibility chain, R^G is
+    R's own object and both coordinate maps are the identity."""
+    for r in (direct_product([cyclic_ring(2), cyclic_ring(4)]),
+              matrix_ring(cyclic_ring(2), 2), cyclic_ring(12)):
+        ctx = GActionContext(r, trivial_group(r))
+        image = ctx.fixed_image()
+        assert image.ring is ctx.ring
+        for x in r.elements():
+            assert image.to_image(x) == x and image.from_image(x) == x
+
+
+def test_trivial_group_on_other_smith_coordinates_keeps_a_copy():
+    r = direct_product([cyclic_ring(2), cyclic_ring(3)], name="f2xf3")
+    ctx = GActionContext(r, trivial_group(r))
+    image = ctx.fixed_image()
+    assert image.ring is not r
+    assert image.ring.cyclic_orders == (6,)
+    for x in r.elements():
+        assert image.from_image(image.to_image(x)) == x
+
+
+def test_identity_splitting_respects_the_enumeration_cap():
+    r = cyclic_ring(9)
+    ctx = GActionContext(r, trivial_group(r))
+    assert enumerate_splittings(ctx, Caps(splitting_enum=0)) == ([], False)
+    found, exhaustive = enumerate_splittings(ctx, Caps(splitting_enum=1))
+    assert exhaustive and [sd.complement.is_zero() for sd in found] == [True]
+    assert found[0].projection == r.generators()
 
 
 def test_splitting_zero_fixed_ring():

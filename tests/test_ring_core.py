@@ -302,6 +302,40 @@ def test_quotient_by_zero_and_whole():
     assert q2.ring.unit == ()
 
 
+def test_own_coordinates_share_the_parent():
+    """R/0 and R as its own subring are R itself when R's cyclic orders form
+    its Smith coordinates; both maps are then the identity."""
+    z2xz4 = direct_product([cyclic_ring(2), cyclic_ring(4)])
+    for r in (z2xz4, m2f2(), matrix_ring(cyclic_ring(3), 2)):
+        q = quotient_by_ideal(r, generated_ideal(r, [], TWOSIDED))
+        whole = SubringView.from_elements(r, r.generators()).image()
+        for image in (q, whole):
+            assert image.ring is r
+            for x in r.elements():
+                assert image.to_image(x) == x and image.from_image(x) == x
+
+
+def test_semisimple_ring_mod_its_radical_is_itself():
+    for r in (matrix_ring(cyclic_ring(3), 2),
+              direct_product([cyclic_ring(3), cyclic_ring(3)])):
+        rad = jacobson_radical(r)
+        assert rad.is_zero()
+        assert quotient_by_ideal(r, rad).ring is r
+
+
+def test_other_smith_coordinates_keep_a_copy():
+    """F2×F3 on orders (2, 3) has Smith coordinates (6,): R/0 is a separate,
+    validated ring with honest maps."""
+    r = direct_product([cyclic_ring(2), cyclic_ring(3)])
+    q = quotient_by_ideal(r, generated_ideal(r, [], TWOSIDED))
+    assert q.ring is not r
+    assert q.ring.cyclic_orders == (6,)
+    for x in r.elements():
+        assert q.from_image(q.to_image(x)) == x
+        for y in r.elements():
+            assert q.to_image(r.mul(x, y)) == q.ring.mul(q.to_image(x), q.to_image(y))
+
+
 @pytest.mark.parametrize("copies", [7, 9])
 def test_quotient_rejects_non_ideal_at_any_order(copies):
     # span{e12} is not a two-sided ideal of M2(F2) x F2^copies (orders 2048

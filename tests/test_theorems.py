@@ -219,3 +219,17 @@ def test_skipped_on_tight_caps(named_contexts):
     assert report.verdict in (SKIPPED, VACUOUS, VERIFIED)
     # the enumeration caps are echoed in the report
     assert report.caps["ideal_count"] == 1
+
+
+def test_radical_quotient_context_reuses_a_semisimple_context(named_contexts):
+    """When J(R) = 0, R/J is R and its context is the instance's own; a
+    nonzero radical still gets a quotient context of its own."""
+    from ringinv.theorems import _quotient_context
+
+    for name in ("f3xf3", "m2f3"):
+        ctx = named_contexts[name]
+        bar_ctx, fixed_image = _quotient_context(ctx)
+        assert bar_ctx is ctx and fixed_image is ctx.fixed.sub
+    ctx = named_contexts["two_z8"]
+    bar_ctx, _ = _quotient_context(ctx)
+    assert bar_ctx is not ctx and bar_ctx.ring.order < ctx.ring.order
