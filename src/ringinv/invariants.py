@@ -1,7 +1,9 @@
 """Everything a group action induces on a finite ring: fixed subrings, traces,
 torsion ideals, bad primes, the ideal correspondence with the fixed ring
 (meet, restriction, extension), splitting structures, and
-centralizers/normalizers.
+centralizers/normalizers.  On a commutative ring the exact sided products
+(invariant ideal lattices, extensions, proper splittings, the trace scan)
+are computed once for all sides (`ring_core.shared_side`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .groups import (
     fixed_subgroup,
     p_normal_complement,
 )
-from .radicals import ideal_lattice, principal_ideal
+from .radicals import ideal_lattice, lattice_side, principal_ideal, sided_lattice
 from .ring_core import (
     LEFT,
     RIGHT,
@@ -35,6 +37,7 @@ from .ring_core import (
     cached,
     generated_ideal,
     inverse,
+    shared_side,
 )
 
 
@@ -184,10 +187,12 @@ class GActionContext:
         """The extension of a subgroup of the fixed ring (in its coordinates):
         the sided ideal of R it generates, which contains it by the closure
         convention."""
+        shared = shared_side(self.ring, side)
+
         def compute():
             image = self.fixed_image()
-            return generated_ideal(self.ring, [image.from_image(b) for b in sub.basis], side)
-        return self._cached(("extend", side, sub.key), compute)
+            return generated_ideal(self.ring, [image.from_image(b) for b in sub.basis], shared)
+        return self._cached(("extend", shared, sub.key), compute).on_side(side)
 
     # -- bad primes ---------------------------------------------------------
     def bad_primes(self, caps: Caps = DEFAULT_CAPS) -> BadPrimeProfile:
@@ -234,8 +239,10 @@ class GActionContext:
         ideals generated by single G-orbits, so join-closure of those
         generators enumerates the lattice.
         """
-        return self._cached(("inv_ideals", side, caps), lambda: ideal_lattice(
-            self.ring, side, lambda x: self.invariant_ideal_from(x, side), 31, caps))
+        return sided_lattice(self._cache, ("inv_ideals", caps), self.ring, side, caps,
+                             lambda s: ideal_lattice(
+                                 self.ring, s, lambda x: self.invariant_ideal_from(x, s),
+                                 31, caps))
 
     def invariant_ideal_from(self, x: Element, side: str) -> Ideal:
         """The sided ideal the orbit of x generates: the join of the cached
@@ -254,10 +261,12 @@ class GActionContext:
 
         Returns (splitting | None, status): status "yes" with the splitting,
         "no" when certainly none exists, "capped" when the search was cut
-        short.
+        short.  It reads only the invariant ideal lattice of `side`, so it is
+        shared where that lattice is (`lattice_side`).
         """
-        return self._cached(("proper", side, caps),
-                            lambda: self._compute_proper_splitting(side, caps))
+        shared = lattice_side(self.ring, side, caps)
+        return self._cached(("proper", shared, caps),
+                            lambda: self._compute_proper_splitting(shared, caps))
 
     def _compute_proper_splitting(self, side: str, caps: Caps):
         candidates, exhaustive = self.splittings(caps)
@@ -480,10 +489,12 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
     Returns (ideal, d, capped): d is 1 for a zero trace image, and ideal and
     d are None when no ideal qualifies.  `capped` is set when an ideal
     enumeration was sampled or a power search reached `caps.d_search`
-    without stabilizing.
+    without stabilizing.  Where the right lattice is the left one
+    (`lattice_side`), the left scan has covered it and the right is skipped.
     """
     capped = False
-    for side in (LEFT, RIGHT):
+    sides = (LEFT,) if lattice_side(ctx.ring, RIGHT, caps) == LEFT else (LEFT, RIGHT)
+    for side in sides:
         ideals, exhaustive = ctx.invariant_ideals(side, caps)
         capped = capped or not exhaustive
         for ideal in ideals:

@@ -10,7 +10,9 @@ two-sided principal ideal, the Jacobson radical by one verdict per principal
 left ideal, where quasi-regularity of an element is one preimage solve of an
 additive map.  Uniform dimension, regular elements (by the sizes of r·R and
 R·r), and composition lengths of finite modules round out the structure
-data the checkers need.
+data the checkers need.  On a commutative ring each exact sided product here
+is computed once for all three sides (`ring_core.shared_side`), so the two
+radicals share their principal closures and r·R = R·r is sized once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .ring_core import (
     inverse,
     join_closure,
     minimal_closures,
+    shared_side,
 )
 
 
@@ -66,15 +69,18 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
 
     With o the additive order of x, every k·x with gcd(k, o) = 1 generates
     the same ideal (x is a multiple of it), so one closure fills them all.
+    On a commutative ring one closure serves all three sides.
     """
+    shared = shared_side(ring, side)
+
     def compute():
-        ideal = generated_ideal(ring, [x], side)
+        ideal = generated_ideal(ring, [x], shared)
         o = lcm(*(d // gcd(c, d) for c, d in zip(x, ring.cyclic_orders)))
         for k in range(2, o):
             if gcd(k, o) == 1:
-                ring._extra[("principal", side, ring.smul(k, x))] = ideal
+                ring._extra[("principal", shared, ring.smul(k, x))] = ideal
         return ideal
-    return cached(ring._extra, ("principal", side, x), compute)
+    return cached(ring._extra, ("principal", shared, x), compute).on_side(side)
 
 
 # -- the two radicals --------------------------------------------------------------
@@ -188,15 +194,32 @@ def is_semisimple_artinian(ring: FiniteRing) -> bool:
 def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
     sample when the ring or the lattice outgrows the caps."""
-    return cached(ring._extra, ("ideals", side, caps), lambda: ideal_lattice(
-        ring, side, lambda x: principal_ideal(ring, x, side), 17, caps))
+    return sided_lattice(ring._extra, ("ideals", caps), ring, side, caps, lambda s: (
+        ideal_lattice(ring, s, lambda x: principal_ideal(ring, x, s), 17, caps)))
+
+
+def lattice_side(ring: FiniteRing, side: str, caps: Caps) -> str:
+    """The side whose ideal lattice serves `side` (`shared_side`): a lattice
+    is exact up to `caps.exhaustive_ideal_order` and sampled above it."""
+    return shared_side(ring, side, ring.order <= caps.exhaustive_ideal_order)
+
+
+def sided_lattice(store: dict, key, ring: FiniteRing, side: str, caps: Caps, compute):
+    """`compute(s)` for s the `lattice_side` of `side`, cached in `store`
+    under (key, s), with its ideals relabelled with `side`."""
+    shared = lattice_side(ring, side, caps)
+    ideals, exhaustive = cached(store, (key, shared), lambda: compute(shared))
+    if shared != side:
+        ideals = [ideal.on_side(side) for ideal in ideals]
+    return ideals, exhaustive
 
 
 def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps):
     """(joins of the ideals `ideal_from(x)` over all x, sorted, exhaustive).
 
     Above `caps.exhaustive_ideal_order` it is a flagged sample of those
-    ideals instead, drawn from a generator seeded by the order and `salt`.
+    ideals instead, drawn from a generator seeded by the order, `salt` and
+    the side.
     """
     if ring.order > caps.exhaustive_ideal_order:
         rng = random.Random(ring.order * salt + len(side))
@@ -231,10 +254,16 @@ def uniform_dimension(ring: FiniteRing, side: str,
     sum of the atoms): one greedy pass over the atoms finds a direct family
     spanning the socle, and no direct family is longer.  Above the
     exhaustive cap a greedy-with-restarts lower bound over sampled principal
-    ideals is reported and flagged.
+    ideals is reported and flagged; below it a commutative ring has one
+    certificate for all sides (`shared_side`).
     """
-    return cached(ring._extra, ("udim", side, caps),
-                  lambda: _compute_uniform_dimension(ring, side, caps))
+    shared = shared_side(ring, side, ring.order <= caps.udim_exhaustive_order)
+    cert = cached(ring._extra, ("udim", shared, caps),
+                  lambda: _compute_uniform_dimension(ring, shared, caps))
+    if shared == side:
+        return cert
+    return UdimCertificate(cert.value, [ideal.on_side(side) for ideal in cert.witness],
+                           cert.maximality, side)
 
 
 def _compute_uniform_dimension(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:
@@ -314,14 +343,15 @@ def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
 
 
 def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
-    # R is finite, so x ↦ r·x is injective iff r·R = R, and likewise on the right
+    # R is finite, so x ↦ r·x is injective iff r·R = R, and likewise on the
+    # right; on a commutative ring R·r is r·R
     gens = ring.generators()
 
     def onto(products) -> bool:
         return Subgroup.from_generators(ring.additive, products).size == ring.order
     regular = [r for r in ring.elements()
                if onto([ring.mul(r, g) for g in gens])
-               and onto([ring.mul(g, r) for g in gens])]
+               and (ring.is_commutative or onto([ring.mul(g, r) for g in gens]))]
     if ring.is_unital:
         units = [r for r in ring.elements() if inverse(ring, r) is not None]
         regular_are_units = set(regular) == set(units)
@@ -413,12 +443,15 @@ def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
     larger than `caps.module_order`; RingError unless `sub` is a sided ideal.
 
     It is the length of a chain of sided ideals climbed from `sub` to R one
-    cover at a time.  Cached on the ring by side, ideal and `Caps`.
+    cover at a time.  Cached on the ring by ideal, `Caps` and side, one for
+    all sides on a commutative ring (`shared_side`).
     """
+    shared = shared_side(ring, side)
+
     def compute():
-        if not Ideal(ring, side, sub).verify_closure():
+        if not Ideal(ring, shared, sub).verify_closure():
             raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
         if ring.order // sub.size > caps.module_order:
             return None
-        return chain_length(sub, lambda x: principal_ideal(ring, x, side).sub)
-    return cached(ring._extra, ("quotient_length", side, sub.key, caps), compute)
+        return chain_length(sub, lambda x: principal_ideal(ring, x, shared).sub)
+    return cached(ring._extra, ("quotient_length", shared, sub.key, caps), compute)

@@ -24,6 +24,8 @@ Hermite keys, reached by back-substitution down A's key: quotient rings and
 subring images), whose one check proves the transported ring correct; on
 R's own coordinates the subquotient is R itself.
 `FiniteRing.power_chain` is the one loop over the powers of a subgroup.
+On a commutative ring the three sides have the same ideals, so every exact
+side-indexed product is computed once and relabelled (`shared_side`).
 """
 
 from __future__ import annotations
@@ -358,6 +360,14 @@ class FiniteRing:
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
+
+    @cached_property
+    def is_commutative(self) -> bool:
+        """x·y = y·x for all x, y; by biadditivity, iff it holds on every
+        pair of generators."""
+        table = self.mul_table
+        return all(table[i][j] == table[j][i]
+                   for i in range(self.rank) for j in range(i))
 
     def table_key(self):
         return (self.cyclic_orders, self.mul_table, self.unit)
@@ -699,6 +709,20 @@ def minimal_closures(group: AdditiveGroup, close) -> list[Subgroup]:
 
 # -- ideals and subrings ------------------------------------------------------
 
+def shared_side(ring: FiniteRing, side: str, exact: bool = True) -> str:
+    """The side whose product serves `side`: LEFT on a commutative ring
+    when the product is exact, else `side` itself.
+
+    On a commutative ring g·x = x·g, so a subgroup is a left ideal iff it is
+    a right ideal iff it is a two-sided one, and S + R·S is the ideal S
+    generates on every side.  Every exact side-indexed product is then
+    computed once, for LEFT, and relabelled with the side asked for
+    (`Ideal.on_side`).  A sampled product draws its sample with a seed that
+    depends on the side, so it keeps one result per side (`exact` false).
+    """
+    return LEFT if exact and ring.is_commutative else side
+
+
 def _side_maps(ring: FiniteRing, side: str) -> list[Callable[[Element], Element]]:
     """Multiplication by each ring generator on the given side(s)."""
     maps = []
@@ -742,6 +766,10 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return self.sub.is_zero()
+
+    def on_side(self, side: str) -> "Ideal":
+        """This subgroup labelled with `side`; see `shared_side`."""
+        return self if side == self.side else Ideal(self.ring, side, self.sub)
 
     def verify_closure(self) -> bool:
         maps = _side_maps(self.ring, self.side)
