@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,12 @@ class Caps:
     module_order: int = 4096            # module length size bound
 
     def as_dict(self) -> dict:
+        """The caps by name: a fresh copy of the echo every report carries."""
+        return dict(self._echo)
+
+    @cached_property
+    def _echo(self) -> dict:
+        # built once: the fields are frozen, and `asdict` deep-copies them
         return asdict(self)
 
     def updated(self, **kv) -> "Caps":

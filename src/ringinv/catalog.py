@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from pathlib import Path
 
@@ -74,10 +74,19 @@ class Instance:
     generators: tuple[RingAutomorphism, ...]
     provenance: str = "constructed"
     tags: frozenset = frozenset()
+    _context: GActionContext | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def context(self) -> GActionContext:
-        return GActionContext(self.ring, self.group, ring_name=self.name,
-                              group_name=self.group_name)
+        """The action context of this instance, built on first use; every
+        later call (the tags, the checks, a profile) gets the same one, with
+        what it has cached so far.  It travels with the instance when the
+        instance is pickled.  A check that must start cold builds a fresh
+        context instead (`theorems.rebuild_context`)."""
+        if self._context is None:
+            self._context = GActionContext(self.ring, self.group, ring_name=self.name,
+                                           group_name=self.group_name)
+        return self._context
 
 
 def cayley_cyclic(n: int) -> list[list[int]]:
@@ -157,7 +166,9 @@ def _mk(ring: FiniteRing, gens, group_name: str, provenance: str) -> Instance:
 # -- tags ----------------------------------------------------------------------------
 
 def derive_tags(instance: Instance, caps: Caps = DEFAULT_CAPS) -> frozenset:
-    """Tags are always recomputed from the instance, never read from disk."""
+    """Tags are always recomputed from the instance, never read from disk.
+    They are read off the instance's own context, so what they compute
+    (bad primes, splittings) is there for the checks."""
     ring = instance.ring
     ctx = instance.context()
     tags = set()

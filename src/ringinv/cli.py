@@ -137,12 +137,22 @@ def cmd_check(ns) -> int:
         print(f"bad --caps: {exc}", file=sys.stderr)
         return 2
     masks = frozenset(m.strip() for m in ns.mask.split(",") if m.strip())
+    for spec in sorted(masks):
+        th, _, cond = spec.partition(":")
+        if th not in THEOREM_IDS or not cond:
+            print(f"bad --mask {spec!r}: expected THEOREM:condition with a known "
+                  f"theorem id", file=sys.stderr)
+            return 2
     theorems = (tuple(t.strip() for t in ns.theorems.split(",") if t.strip())
                 if ns.theorems else THEOREM_IDS)
     for th in theorems:
         if th not in THEOREM_IDS:
             print(f"unknown theorem id {th!r}", file=sys.stderr)
             return 2
+    if ns.random < 0:
+        print(f"bad --random {ns.random}: the count must not be negative",
+              file=sys.stderr)
+        return 2
     try:
         instances = _resolve_instances(ns.instances, ns.random, ns.seed)
     except (ParseError, ValidationError, OSError) as exc:

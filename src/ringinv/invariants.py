@@ -415,7 +415,21 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
 
     Also records whether the equality form e(I) = I ∩ R^G held throughout
     (the reverse containment is automatic and is asserted along the way).
+    The scan reads only the invariant ideal lattice of `side`, so it is
+    cached on the context by the complement, the `lattice_side` and the
+    caps, and its witness is relabelled with the side asked for.
     """
+    shared = lattice_side(ctx.ring, side, caps)
+    report = ctx._cached(("is_proper", sd.key, shared, caps),
+                         lambda: _scan_proper_splitting(ctx, sd, shared, caps))
+    if report.witness is None or shared == side:
+        return report
+    return ProperSplittingReport(report.status, report.witness.on_side(side),
+                                 report.equality_holds)
+
+
+def _scan_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
+                           caps: Caps) -> ProperSplittingReport:
     ring = ctx.ring
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
     equality = True

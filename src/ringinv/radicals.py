@@ -8,11 +8,15 @@ generators of <x> all generate the ideal x does.  Both radicals decide each
 distinct principal ideal once: the prime radical by one nilpotency test per
 two-sided principal ideal, the Jacobson radical by one verdict per principal
 left ideal, where quasi-regularity of an element is one preimage solve of an
-additive map.  Uniform dimension, regular elements (by the sizes of r·R and
-R·r), and composition lengths of finite modules round out the structure
-data the checkers need.  On a commutative ring each exact sided product here
-is computed once for all three sides (`ring_core.shared_side`), so the two
-radicals share their principal closures and r·R = R·r is sized once.
+additive map.  Uniform dimension, regular elements, and composition
+lengths of finite modules round out the structure data the checkers need.
+Regular elements (by the sizes of r·R and R·r) and units are decided once
+per power orbit: both are constant along r, r², r³, ….  Quotient lengths
+climb through a colength memo on the ring, so a chain of covers is walked
+only up to the first ideal whose colength is known.  On a commutative ring
+each exact sided product here is computed once for all three sides
+(`ring_core.shared_side`), so the two radicals share their principal
+closures, r·R = R·r is sized once, and the sides share one colength memo.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .ring_core import (
     Subgroup,
     cached,
     chain_length,
+    cover,
     generated_ideal,
     inverse,
     join_closure,
@@ -349,13 +354,12 @@ def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
 
     def onto(products) -> bool:
         return Subgroup.from_generators(ring.additive, products).size == ring.order
-    regular = [r for r in ring.elements()
-               if onto([ring.mul(r, g) for g in gens])
-               and (ring.is_commutative or onto([ring.mul(g, r) for g in gens]))]
+    regular = _by_power_orbits(ring, lambda r: (
+        onto([ring.mul(r, g) for g in gens])
+        and (ring.is_commutative or onto([ring.mul(g, r) for g in gens]))))
     if ring.is_unital:
-        units = [r for r in ring.elements() if inverse(ring, r) is not None]
-        regular_are_units = set(regular) == set(units)
-        if not regular_are_units:
+        units = _by_power_orbits(ring, lambda r: inverse(ring, r) is not None)
+        if regular != units:
             raise CrossCheckError(
                 f"regular elements of unital finite {ring.name} are not "
                 f"exactly the units")
@@ -363,6 +367,27 @@ def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
                                tuple(sorted(units)), True)
     return RegularElements(tuple(sorted(regular)), True,
                            "degenerate-undefined", None, None)
+
+
+def _by_power_orbits(ring: FiniteRing, test) -> set:
+    """The elements r with `test(r)`, for a test that is constant along the
+    powers r, r², r³, …; one call decides every power not yet decided.
+
+    Regularity and unit status are such tests: r^j·R ⊆ r·R, and r·R = R
+    gives r^j·R = R (so on the right); r^j is a unit iff r is.
+    """
+    verdicts: dict = {}
+    for r in ring.elements():
+        if r in verdicts:
+            continue
+        orbit, x = set(), r
+        while x not in orbit and x not in verdicts:
+            orbit.add(x)
+            x = ring.mul(x, r)
+        # a power decided earlier is a power of r too, so it carries r's verdict
+        verdict = verdicts[x] if x in verdicts else test(r)
+        verdicts.update(dict.fromkeys(orbit, verdict))
+    return {r for r, ok in verdicts.items() if ok}
 
 
 # -- finite modules and composition length -------------------------------------------
@@ -443,15 +468,33 @@ def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
     larger than `caps.module_order`; RingError unless `sub` is a sided ideal.
 
     It is the length of a chain of sided ideals climbed from `sub` to R one
-    cover at a time.  Cached on the ring by ideal, `Caps` and side, one for
-    all sides on a commutative ring (`shared_side`).
+    cover at a time, read from the ring's colength memo (`_colength`), one
+    for all sides on a commutative ring (`shared_side`).
     """
     shared = shared_side(ring, side)
+    if (("colength", shared, sub.key) not in ring._extra
+            and not Ideal(ring, shared, sub).verify_closure()):
+        raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
+    if ring.order // sub.size > caps.module_order:
+        return None
+    return _colength(ring, shared, sub)
 
-    def compute():
-        if not Ideal(ring, shared, sub).verify_closure():
-            raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
-        if ring.order // sub.size > caps.module_order:
-            return None
-        return chain_length(sub, lambda x: principal_ideal(ring, x, shared).sub)
-    return cached(ring._extra, ("quotient_length", shared, sub.key, caps), compute)
+
+def _colength(ring: FiniteRing, side: str, sub: Subgroup) -> int:
+    """len(R/sub) for a sided ideal sub, memoized on the ring by (side, key).
+
+    The climb stops at the first ideal whose colength is known: for any
+    cover C of an ideal I, C/I is simple, so by Jordan–Hölder
+    len(R/I) = 1 + len(R/C), and every ideal on the way gets its colength.
+    """
+    chain, top = [], None
+    while ("colength", side, sub.key) not in ring._extra and sub.size < ring.order:
+        if top is None:
+            top = Subgroup.from_generators(ring.additive, ring.additive.generators)
+        chain.append(sub.key)
+        sub = cover(sub, top, lambda x: principal_ideal(ring, x, side).sub)
+    length = ring._extra.get(("colength", side, sub.key), 0)
+    for key in reversed(chain):
+        length += 1
+        ring._extra[("colength", side, key)] = length
+    return length

@@ -25,6 +25,7 @@ from .invariants import (
 from .radicals import (
     enumerate_ideals,
     jacobson_radical,
+    lattice_side,
     nilpotency_index,
     prime_radical,
     quotient_length,
@@ -797,7 +798,45 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
 
 
 def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
-    """The invariant-ideal decomposition clauses for one proper splitting."""
+    """The invariant-ideal decomposition clauses for one proper splitting.
+
+    The scan behind them reads the invariant ideal lattice of R and the
+    ideal lattice of R^G on `side`, so its statuses and witnesses are cached
+    on the context by the complement, the side and the caps; LEM_C6 and
+    COR_C8 share it, and under G = 1 the averaging splitting is the proper
+    one.  The side is shared (`lattice_side`) only where R and R^G both
+    share it; the witnesses' ideals are relabelled with `side`
+    (`Ideal.on_side`) and the clause texts are built on each call.
+    """
+    shared = lattice_side(ctx.ring, side, caps)
+    if lattice_side(ctx.fixed_image().ring, side, caps) != shared:
+        shared = side
+    capped, (dec, inj, length) = ctx._cached(
+        ("c6", sd.key, shared, caps), lambda: _c6_scan(ctx, sd, shared, caps))
+
+    def clause(cond: str, text: str, found) -> Clause:
+        status, witness = found
+        if witness is not None:
+            witness = {k: v.on_side(side) if isinstance(v, Ideal) else v
+                       for k, v in witness.items()}
+        return Clause(f"{cond}[{tag}]", text, _capped(status, capped), witness=witness)
+    return [
+        clause("decompose", f"every invariant {side} ideal is the direct sum of its "
+                            f"fixed part and its complement part", dec),
+        clause("lattice-injection", f"(extension + ideal) meets the fixed ring "
+                                    f"exactly in the fixed-ring ideal, for {side} ideals",
+               inj),
+        clause("length", f"fixed-ring length of the meet quotient is at most the ring "
+                         f"length of the {side} quotient", length),
+        Clause(f"chain-conditions[{tag}]",
+               "Artinian/Noetherian descent holds (finite modules have both)",
+               HOLDS),
+    ]
+
+
+def _c6_scan(ctx: GActionContext, sd, side: str, caps: Caps):
+    """(capped, the (status, witness) of the decomposition, lattice-injection
+    and length clauses) over the invariant `side` ideals of R."""
     image = ctx.fixed_image()
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
     fixed_ideals, f_exhaustive = enumerate_ideals(image.ring, side, caps)
@@ -830,23 +869,8 @@ def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
         elif l_s > l_r:
             len_status, len_witness = FAILS, {
                 "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}
-    return [
-        Clause(f"decompose[{tag}]",
-               f"every invariant {side} ideal is the direct sum of its fixed "
-               f"part and its complement part",
-               _capped(dec_status, capped), witness=dec_witness),
-        Clause(f"lattice-injection[{tag}]",
-               f"(extension + ideal) meets the fixed ring exactly in the "
-               f"fixed-ring ideal, for {side} ideals",
-               _capped(inj_status, capped), witness=inj_witness),
-        Clause(f"length[{tag}]",
-               f"fixed-ring length of the meet quotient is at most the ring "
-               f"length of the {side} quotient",
-               _capped(len_status, capped), witness=len_witness),
-        Clause(f"chain-conditions[{tag}]",
-               "Artinian/Noetherian descent holds (finite modules have both)",
-               HOLDS),
-    ]
+    return capped, ((dec_status, dec_witness), (inj_status, inj_witness),
+                    (len_status, len_witness))
 
 
 def _chk_lem_c6(ctx: GActionContext, caps: Caps):
@@ -931,7 +955,7 @@ def check(theorem: str, ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
         verdict = COUNTEREXAMPLE
     else:
         verdict = SKIPPED
-    caps_echo = dict(caps.as_dict())
+    caps_echo = caps.as_dict()
     if masks:
         caps_echo["masks"] = sorted(masks)
     return TheoremReport(

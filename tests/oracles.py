@@ -6,7 +6,7 @@ so a test can compare the two.
 
 from ringinv.invariants import GActionContext, torsion_ideal
 from ringinv.radicals import FiniteModule, jacobson_radical, prime_radical
-from ringinv.ring_core import LEFT, FiniteRing, RingError
+from ringinv.ring_core import LEFT, FiniteRing, RingError, Subgroup, inverse
 
 
 def ring_as_module(ring: FiniteRing, side: str,
@@ -56,3 +56,18 @@ def background_invariants(ctx: GActionContext) -> list[tuple[str, bool, object]]
              for g in ctx.group.elements for b in tor.basis)
     results.append(("the group-order torsion ideal is invariant", ok, None))
     return results
+
+
+def regular_and_unit_scan(ring: FiniteRing):
+    """(regular elements, units or None on a ring without identity), each
+    element tested on its own: r is regular when r·R = R and R·r = R, and a
+    unit when `inverse` finds its inverse."""
+    def onto(products) -> bool:
+        return Subgroup.from_generators(ring.additive, products).size == ring.order
+    gens = ring.generators()
+    regular = {r for r in ring.elements()
+               if onto([ring.mul(r, g) for g in gens])
+               and onto([ring.mul(g, r) for g in gens])}
+    if not ring.is_unital:
+        return regular, None
+    return regular, {r for r in ring.elements() if inverse(ring, r) is not None}

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ringinv.catalog import (
+    Instance,
     ParseError,
     ValidationError,
     cayley_cyclic,
@@ -48,8 +49,13 @@ def test_composite_instance_matches_construction(named_catalog):
 
 
 def test_tags_rederived_from_scratch(named_catalog):
+    """On a fresh `Instance` of the same ring and group, so the tags come
+    from a new context and not from the one the catalog's tags filled."""
     for inst in named_catalog:
-        assert derive_tags(inst) == inst.tags
+        fresh = Instance(inst.name, inst.ring, inst.group, inst.group_name,
+                         inst.generators, inst.provenance)
+        assert derive_tags(fresh) == inst.tags
+        assert fresh.context() is not inst.context()
 
 
 def test_random_instances_deterministic():

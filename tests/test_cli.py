@@ -149,6 +149,22 @@ def test_check_rejects_unknown_theorem():
     assert main(["check", "--theorems", "NOT_A_THEOREM"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--mask", "foo"],
+    ["--mask", "NOT_A_THEOREM:1"],
+    ["--mask", "N1:"],
+    ["--mask", "N1:B,foo"],
+    ["--random", "-1"],
+])
+def test_check_rejects_bad_mask_and_negative_random(capsys, args):
+    """A mask that names no theorem or no condition, and a negative random
+    count, exit 2 with one stderr line and no report, as `--theorems` does."""
+    assert main(["check", "--theorems", "N1"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("args, code", [
     (["--caps", "foo=1"], 2),
     (["--caps", "ideal_count=x"], 2),
@@ -240,8 +256,11 @@ def test_env_variable_overrides(tmp_path, monkeypatch):
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
+    """Instances carry their action context into the workers; every
+    theorem on the named catalog and five random instances gives the same
+    bytes there."""
     a, b = tmp_path / "serial.json", tmp_path / "par.json"
-    args = ["check", "--theorems", "TH_1_9,RAD_1_4"]
+    args = ["check", "--random", "5"]
     assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
     assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
