@@ -20,7 +20,13 @@ from .groups import (
     fixed_subgroup,
     p_normal_complement,
 )
-from .radicals import ideal_lattice, lattice_side, principal_ideal, sided_lattice
+from .radicals import (
+    exhaustive_ideals,
+    ideal_lattice,
+    lattice_side,
+    principal_ideal,
+    sided_lattice,
+)
 from .ring_core import (
     LEFT,
     RIGHT,
@@ -235,14 +241,27 @@ class GActionContext:
     def invariant_ideals(self, side: str, caps: Caps = DEFAULT_CAPS):
         """All G-invariant sided ideals, or a flagged sample above the caps.
 
-        Returns (ideals, exhaustive).  Every invariant ideal is a join of
-        ideals generated by single G-orbits, so join-closure of those
-        generators enumerates the lattice.
+        Returns (ideals, exhaustive).  When the sided ideal lattice is
+        exhaustive (`radicals.exhaustive_ideals`), they are its members I
+        with g(b) ∈ I for every basis vector b of I and every g ≠ 1 in G: an
+        invariant sided ideal is a sided ideal, and as R is finite,
+        g(I) ⊆ I gives g(I) = I.  Under G = 1 that is the lattice itself.
+        Otherwise every invariant ideal is a join of ideals generated by
+        single G-orbits (`invariant_ideal_from`), so join closure of those
+        generators enumerates the lattice, or samples it above the caps.
         """
         return sided_lattice(self._cache, ("inv_ideals", caps), self.ring, side, caps,
-                             lambda s: ideal_lattice(
-                                 self.ring, s, lambda x: self.invariant_ideal_from(x, s),
-                                 31, caps))
+                             lambda s: self._invariant_lattice(s, caps))
+
+    def _invariant_lattice(self, side: str, caps: Caps):
+        ideals = exhaustive_ideals(self.ring, side, caps)
+        if ideals is None:
+            return ideal_lattice(self.ring, side,
+                                 lambda x: self.invariant_ideal_from(x, side), 31, caps)
+        identity = self.group.identity()
+        moving = [g for g in self.group.elements if g is not identity]
+        return [ideal for ideal in ideals if all(
+            ideal.contains(g.apply(b)) for g in moving for b in ideal.basis)], True
 
     def invariant_ideal_from(self, x: Element, side: str) -> Ideal:
         """The sided ideal the orbit of x generates: the join of the cached

@@ -11,10 +11,14 @@ left ideal, where quasi-regularity of an element is one preimage solve of an
 additive map.  Uniform dimension, regular elements, and composition
 lengths of finite modules round out the structure data the checkers need.
 Regular elements (by the sizes of r·R and R·r) and units are decided once
-per power orbit: both are constant along r, r², r³, ….  Quotient lengths
-climb through a colength memo on the ring, so a chain of covers is walked
-only up to the first ideal whose colength is known.  On a commutative ring
-each exact sided product here is computed once for all three sides
+per power orbit: both are constant along r, r², r³, ….  An exhaustive ideal
+lattice is the one source of its lattice facts: the join closure that builds
+it also gives each member the joins strictly above it, from which the
+colength of every member goes into a memo on the ring, and the atoms are
+the members of length 1.  Only a sampled or capped lattice climbs covers
+for a colength (up to the first ideal whose colength is known) and closes
+every element for the atoms.  On a commutative ring each exact sided
+product here is computed once for all three sides
 (`ring_core.shared_side`), so the two radicals share their principal
 closures, r·R = R·r is sized once, and the sides share one colength memo.
 """
@@ -198,9 +202,45 @@ def is_semisimple_artinian(ring: FiniteRing) -> bool:
 
 def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
-    sample when the ring or the lattice outgrows the caps."""
-    return sided_lattice(ring._extra, ("ideals", caps), ring, side, caps, lambda s: (
-        ideal_lattice(ring, s, lambda x: principal_ideal(ring, x, s), 17, caps)))
+    sample when the ring or the lattice outgrows the caps.  An exhaustive
+    lattice puts the colength of each member in the ring's colength memo."""
+    return sided_lattice(ring._extra, ("ideals", caps), ring, side, caps,
+                         lambda s: _principal_lattice(ring, s, caps))
+
+
+def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):
+    above: dict = {}
+    ideals, exhaustive = ideal_lattice(
+        ring, side, lambda x: principal_ideal(ring, x, side), 17, caps, above)
+    if exhaustive:
+        _record_colengths(ring, side, ideals, above)
+    return ideals, exhaustive
+
+
+def _record_colengths(ring: FiniteRing, side: str, ideals, above: dict) -> None:
+    """Memoize len(R/I) for every member I of an exhaustive sided lattice,
+    given the keys of the joins I + principal(y) strictly above each I.
+
+    Sided ideals are the submodules of R as an R¹-module, a modular lattice,
+    so every maximal chain between two members has the same length (the
+    Jordan–Dedekind chain condition): len(R/J) < len(R/I) for J ⊋ I, with
+    len(R/I) = 1 + len(R/C) for a cover C.  Every cover of I is one of
+    those joins (see `cover`), so len(R/I) is 1 + the largest colength
+    among them, and 0 for R, which has none; larger ideals go first.
+    """
+    colength: dict = {}
+    for ideal in sorted(ideals, key=lambda i: -i.size):
+        colength[ideal.key] = 1 + max((colength[k] for k in above[ideal.key]), default=-1)
+    ring._extra.update(((("colength", side, k), n) for k, n in colength.items()))
+
+
+def exhaustive_ideals(ring: FiniteRing, side: str, caps: Caps):
+    """The sided ideal lattice when it is exhaustive, else None; a sampled
+    lattice is not built for this."""
+    if ring.order > caps.exhaustive_ideal_order:
+        return None
+    ideals, exhaustive = enumerate_ideals(ring, side, caps)
+    return ideals if exhaustive else None
 
 
 def lattice_side(ring: FiniteRing, side: str, caps: Caps) -> str:
@@ -219,8 +259,10 @@ def sided_lattice(store: dict, key, ring: FiniteRing, side: str, caps: Caps, com
     return ideals, exhaustive
 
 
-def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps):
-    """(joins of the ideals `ideal_from(x)` over all x, sorted, exhaustive).
+def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps,
+                  above: dict | None = None):
+    """(joins of the ideals `ideal_from(x)` over all x, sorted, exhaustive);
+    `above` is filled as in `join_closure`.
 
     Above `caps.exhaustive_ideal_order` it is a flagged sample of those
     ideals instead, drawn from a generator seeded by the order, `salt` and
@@ -233,14 +275,22 @@ def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps
         base.append(generated_ideal(ring, [], side))
         return sorted({i.key: i for i in base}.values(), key=lambda i: i.key), False
     subs, exhaustive = join_closure((ideal_from(x).sub for x in ring.elements()),
-                                    caps.ideal_count)
+                                    caps.ideal_count, above)
     return [Ideal(ring, side, s) for s in subs], exhaustive
 
 
 def minimal_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
-    """Atoms of the sided ideal lattice: minimal nonzero principal ideals."""
-    atoms = minimal_closures(ring.additive, lambda x: principal_ideal(ring, x, side).sub)
-    return [Ideal(ring, side, s) for s in atoms]
+    """Atoms of the sided ideal lattice, sorted by key: on an exhaustive
+    lattice its members of length 1, whose colength is one less than that
+    of zero; otherwise the minimal nonzero principal ideals
+    (`minimal_closures`)."""
+    ideals = exhaustive_ideals(ring, side, caps)
+    if ideals is None:
+        atoms = minimal_closures(ring.additive, lambda x: principal_ideal(ring, x, side).sub)
+        return [Ideal(ring, side, s) for s in atoms]
+    shared = shared_side(ring, side)
+    atom = ring._extra[("colength", shared, ring.additive.relations)] - 1
+    return [ideal for ideal in ideals if ring._extra[("colength", shared, ideal.key)] == atom]
 
 
 @dataclass
@@ -467,21 +517,27 @@ def quotient_length(ring: FiniteRing, side: str, sub: Subgroup,
     """Composition length of the sided module R/sub, or None when it is
     larger than `caps.module_order`; RingError unless `sub` is a sided ideal.
 
-    It is the length of a chain of sided ideals climbed from `sub` to R one
-    cover at a time, read from the ring's colength memo (`_colength`), one
-    for all sides on a commutative ring (`shared_side`).
+    It is read from the ring's colength memo, one for all sides on a
+    commutative ring (`shared_side`).  An exhaustive ideal lattice has put
+    every sided ideal there (`enumerate_ideals`), so an ideal missing from
+    it is no ideal; under a sampled or capped lattice `_colength` climbs
+    one cover at a time from `sub` towards R.
     """
     shared = shared_side(ring, side)
-    if (("colength", shared, sub.key) not in ring._extra
-            and not Ideal(ring, shared, sub).verify_closure()):
-        raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
+    memo = ("colength", shared, sub.key)
+    if memo not in ring._extra:
+        exhaustive = exhaustive_ideals(ring, shared, caps) is not None
+        if memo not in ring._extra and (
+                exhaustive or not Ideal(ring, shared, sub).verify_closure()):
+            raise RingError(f"{sub} is not a {side} ideal of {ring.name}")
     if ring.order // sub.size > caps.module_order:
         return None
     return _colength(ring, shared, sub)
 
 
 def _colength(ring: FiniteRing, side: str, sub: Subgroup) -> int:
-    """len(R/sub) for a sided ideal sub, memoized on the ring by (side, key).
+    """len(R/sub) for a sided ideal sub, memoized on the ring by (side, key);
+    a climb is left only when no exhaustive lattice has filled the memo.
 
     The climb stops at the first ideal whose colength is known: for any
     cover C of an ideal I, C/I is simple, so by Jordan–Hölder

@@ -16,7 +16,8 @@ closed as they stand.
 The structure theory rests on four primitives over those subgroups:
 `AdditiveMap` (kernel and preimages of an additive map from one Hermite
 form: intersections, fixed subgroups, identities, inverses, annihilators,
-splittings), `join_closure` (lattices of ideals and subgroups), `cover`
+splittings), `join_closure` (lattices of ideals and subgroups, and on
+request the joins strictly above each member), `cover`
 (one step up such a lattice, searching one element per coset; atoms by
 `minimal_closures`, composition lengths by `chain_length`), and
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
@@ -641,11 +642,14 @@ class AdditiveMap:
 
 # -- join closure and atoms ----------------------------------------------------
 
-def join_closure(base: Iterable[Subgroup], count_cap: int):
+def join_closure(base: Iterable[Subgroup], count_cap: int, above: dict | None = None):
     """(all joins of members of `base` sorted by key, exhaustive).
 
     Depth first from the last subgroup found; once `count_cap` are known, the
     next new join stops the search, so a capped result is fixed by `base`.
+    An exhaustive search joins every member with every member of `base`;
+    given `above`, it maps each member's key to the keys of those joins that
+    are strictly larger than the member.
     """
     gens: dict = {}
     for sub in base:
@@ -655,8 +659,11 @@ def join_closure(base: Iterable[Subgroup], count_cap: int):
     exhaustive = True
     while frontier and exhaustive:
         cur = frontier.pop()
+        larger = None if above is None else above.setdefault(cur.key, set())
         for b in gens.values():
             joined = cur.join(b)
+            if larger is not None and joined.size != cur.size:
+                larger.add(joined.key)
             if joined.key in found:
                 continue
             if len(found) >= count_cap:

@@ -4,9 +4,10 @@ No verdict uses these; they restate facts the engine computes another way,
 so a test can compare the two.
 """
 
+from ringinv.caps import Caps
 from ringinv.invariants import GActionContext, torsion_ideal
-from ringinv.radicals import FiniteModule, jacobson_radical, prime_radical
-from ringinv.ring_core import LEFT, FiniteRing, RingError, Subgroup, inverse
+from ringinv.radicals import FiniteModule, ideal_lattice, jacobson_radical, prime_radical
+from ringinv.ring_core import LEFT, FiniteRing, RingError, Subgroup, generated_ideal, inverse
 
 
 def ring_as_module(ring: FiniteRing, side: str,
@@ -32,6 +33,17 @@ def ring_as_module(ring: FiniteRing, side: str,
             row.append(ring.mul(s, g) if side == LEFT else ring.mul(g, s))
         action.append(row)
     return FiniteModule(scalars, side, ring.additive, action)
+
+
+def per_orbit_invariant_ideals(ctx: GActionContext, side: str, caps: Caps):
+    """(the G-invariant `side` ideals, exhaustive): the join closure of the
+    ideals generated by single G-orbits, each closed from scratch, or above
+    the caps the flagged sample the engine draws with the same salt.  The
+    reference for `GActionContext.invariant_ideals`, which filters the
+    exhaustive ideal lattice instead."""
+    ring = ctx.ring
+    return ideal_lattice(ring, side, lambda x: generated_ideal(
+        ring, {g.apply(x) for g in ctx.group.elements}, side), 31, caps)
 
 
 def background_invariants(ctx: GActionContext) -> list[tuple[str, bool, object]]:

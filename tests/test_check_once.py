@@ -2,7 +2,7 @@
 
 The action context of an instance is built once and shared by its tags and
 its checks; proper-splitting scans and the LEM_C6/COR_C8 clause scans are
-cached on the context; quotient lengths climb through a colength memo on
+cached on the context; quotient lengths are read from a colength memo on
 the ring; regular elements and units are decided once per power orbit.
 Each cached or memoized result is compared here with the same fact computed
 afresh, on the named catalog, on `random_instances(100, s)` for two seeds
