@@ -32,7 +32,8 @@ class Caps:
 
     @classmethod
     def parse(cls, text: str) -> "Caps":
-        """Parse `k=v,k=v` pairs over the default values."""
+        """Parse `k=v,k=v` pairs over the default values; ValueError on an
+        unknown cap, a value that is not an integer, or a negative one."""
         caps = cls()
         if not text:
             return caps
@@ -44,6 +45,8 @@ class Caps:
             if key not in fields:
                 raise ValueError(f"unknown cap {key!r}")
             updates[key] = int(value)
+            if updates[key] < 0:
+                raise ValueError(f"cap {key!r} is negative")
         return caps.updated(**updates)
 
 

@@ -1,9 +1,10 @@
 """Everything a group action induces on a finite ring: fixed subrings, traces,
 torsion ideals, bad primes, the ideal correspondence with the fixed ring
 (meet, restriction, extension), splitting structures, and
-centralizers/normalizers.  On a commutative ring the exact sided products
-(invariant ideal lattices, extensions, proper splittings, the trace scan)
-are computed once for all sides (`ring_core.shared_side`).
+centralizers/normalizers.  Every sided product here (invariant ideal
+lattices, extensions, proper splittings, the trace scan) goes through
+`ring_core.sided`, which computes an exact one once for all sides on a
+commutative ring.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from .groups import (
     AutomorphismGroup,
     RingAutomorphism,
     factorize,
-    fixed_subgroup,
+    fixed_ring,
     p_normal_complement,
 )
 from .radicals import (
+    exact_lattice,
     exhaustive_ideals,
     ideal_lattice,
-    lattice_side,
     principal_ideal,
-    sided_lattice,
 )
 from .ring_core import (
     LEFT,
@@ -43,7 +43,7 @@ from .ring_core import (
     cached,
     generated_ideal,
     inverse,
-    shared_side,
+    sided,
 )
 
 
@@ -150,7 +150,7 @@ class GActionContext:
         self.n = group.order
         self.ring_name = ring_name or ring.name
         self.group_name = group_name or f"G{group.order}"
-        self.fixed = SubringView(ring, fixed_subgroup(ring, group.elements))
+        self.fixed = fixed_ring(ring, group)
         self._cache: dict = {}
 
     def _cached(self, key, compute):
@@ -193,12 +193,10 @@ class GActionContext:
         """The extension of a subgroup of the fixed ring (in its coordinates):
         the sided ideal of R it generates, which contains it by the closure
         convention."""
-        shared = shared_side(self.ring, side)
-
-        def compute():
+        def compute(shared):
             image = self.fixed_image()
             return generated_ideal(self.ring, [image.from_image(b) for b in sub.basis], shared)
-        return self._cached(("extend", shared, sub.key), compute).on_side(side)
+        return sided(self._cache, ("extend", sub.key), self.ring, side, compute)
 
     # -- bad primes ---------------------------------------------------------
     def bad_primes(self, caps: Caps = DEFAULT_CAPS) -> BadPrimeProfile:
@@ -217,9 +215,8 @@ class GActionContext:
             if comp is not None:
                 data.complement = comp
                 data.quotient_order = self.n // comp.order
-                sub = SubringView(self.ring,
-                                  fixed_subgroup(self.ring, comp.elements))
-                data.fixed_image = sub.image(name=f"{self.ring_name}^N{p}")
+                data.fixed_image = fixed_ring(self.ring, comp).image(
+                    name=f"{self.ring_name}^N{p}")
                 image = data.fixed_image
                 sring = image.ring
                 # the relative trace is additive: the traces of the
@@ -250,8 +247,8 @@ class GActionContext:
         single G-orbits (`invariant_ideal_from`), so join closure of those
         generators enumerates the lattice, or samples it above the caps.
         """
-        return sided_lattice(self._cache, ("inv_ideals", caps), self.ring, side, caps,
-                             lambda s: self._invariant_lattice(s, caps))
+        return sided(self._cache, ("inv_ideals", caps), self.ring, side,
+                     lambda s: self._invariant_lattice(s, caps), exact_lattice(self.ring, caps))
 
     def _invariant_lattice(self, side: str, caps: Caps):
         ideals = exhaustive_ideals(self.ring, side, caps)
@@ -281,11 +278,11 @@ class GActionContext:
         Returns (splitting | None, status): status "yes" with the splitting,
         "no" when certainly none exists, "capped" when the search was cut
         short.  It reads only the invariant ideal lattice of `side`, so it is
-        shared where that lattice is (`lattice_side`).
+        shared where that lattice is.
         """
-        shared = lattice_side(self.ring, side, caps)
-        return self._cached(("proper", shared, caps),
-                            lambda: self._compute_proper_splitting(shared, caps))
+        return sided(self._cache, ("proper", caps), self.ring, side,
+                     lambda s: self._compute_proper_splitting(s, caps),
+                     exact_lattice(self.ring, caps))
 
     def _compute_proper_splitting(self, side: str, caps: Caps):
         candidates, exhaustive = self.splittings(caps)
@@ -435,16 +432,11 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
     Also records whether the equality form e(I) = I ∩ R^G held throughout
     (the reverse containment is automatic and is asserted along the way).
     The scan reads only the invariant ideal lattice of `side`, so it is
-    cached on the context by the complement, the `lattice_side` and the
-    caps, and its witness is relabelled with the side asked for.
+    cached on the context by the complement and the caps, and shared where
+    that lattice is.
     """
-    shared = lattice_side(ctx.ring, side, caps)
-    report = ctx._cached(("is_proper", sd.key, shared, caps),
-                         lambda: _scan_proper_splitting(ctx, sd, shared, caps))
-    if report.witness is None or shared == side:
-        return report
-    return ProperSplittingReport(report.status, report.witness.on_side(side),
-                                 report.equality_holds)
+    return sided(ctx._cache, ("is_proper", sd.key, caps), ctx.ring, side,
+                 lambda s: _scan_proper_splitting(ctx, sd, s, caps), exact_lattice(ctx.ring, caps))
 
 
 def _scan_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
@@ -522,24 +514,34 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
     Returns (ideal, d, capped): d is 1 for a zero trace image, and ideal and
     d are None when no ideal qualifies.  `capped` is set when an ideal
     enumeration was sampled or a power search reached `caps.d_search`
-    without stabilizing.  Where the right lattice is the left one
-    (`lattice_side`), the left scan has covered it and the right is skipped.
+    without stabilizing.  Where the right lattice is the left one, the right
+    scan is the left scan's result (`ring_core.sided`).
     """
-    capped = False
-    sides = (LEFT,) if lattice_side(ctx.ring, RIGHT, caps) == LEFT else (LEFT, RIGHT)
-    for side in sides:
-        ideals, exhaustive = ctx.invariant_ideals(side, caps)
-        capped = capped or not exhaustive
-        for ideal in ideals:
-            if ideal.is_zero():
-                continue
-            t_img = ctx.trace_image(ideal.basis)
-            if t_img.is_zero():
-                return ideal, 1, capped
-            if powers:
-                d, stabilized = subgroup_power_nilpotency(ctx.ring, t_img, caps.d_search)
-                if d is not None:
-                    return ideal, d, capped
-                capped = capped or not stabilized
+    capped, scans = False, {}
+    for side in (LEFT, RIGHT):
+        ideal, d, side_capped = sided(scans, ("trace",), ctx.ring, side,
+                                      lambda s: _trace_scan(ctx, s, caps, powers),
+                                      exact_lattice(ctx.ring, caps))
+        capped = capped or side_capped
+        if ideal is not None:
+            return ideal, d, capped
+    return None, None, capped
+
+
+def _trace_scan(ctx: GActionContext, side: str, caps: Caps, powers: bool):
+    """(ideal, d, capped) of `degenerate_trace_ideal` over the `side` ideals."""
+    ideals, exhaustive = ctx.invariant_ideals(side, caps)
+    capped = not exhaustive
+    for ideal in ideals:
+        if ideal.is_zero():
+            continue
+        t_img = ctx.trace_image(ideal.basis)
+        if t_img.is_zero():
+            return ideal, 1, capped
+        if powers:
+            d, stabilized = subgroup_power_nilpotency(ctx.ring, t_img, caps.d_search)
+            if d is not None:
+                return ideal, d, capped
+            capped = capped or not stabilized
     return None, None, capped
 

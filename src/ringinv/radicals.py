@@ -18,9 +18,9 @@ colength of every member goes into a memo on the ring, and the atoms are
 the members of length 1.  Only a sampled or capped lattice climbs covers
 for a colength (up to the first ideal whose colength is known) and closes
 every element for the atoms.  On a commutative ring each exact sided
-product here is computed once for all three sides
-(`ring_core.shared_side`), so the two radicals share their principal
-closures, r·R = R·r is sized once, and the sides share one colength memo.
+product here is computed once for all three sides (`ring_core.sided`), so
+the two radicals share their principal closures, r·R = R·r is sized once,
+and the sides share one colength memo (`ring_core.shared_side`).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .ring_core import (
     join_closure,
     minimal_closures,
     shared_side,
+    sided,
 )
 
 
@@ -80,16 +81,14 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
     the same ideal (x is a multiple of it), so one closure fills them all.
     On a commutative ring one closure serves all three sides.
     """
-    shared = shared_side(ring, side)
-
-    def compute():
+    def compute(shared):
         ideal = generated_ideal(ring, [x], shared)
         o = lcm(*(d // gcd(c, d) for c, d in zip(x, ring.cyclic_orders)))
         for k in range(2, o):
             if gcd(k, o) == 1:
-                ring._extra[("principal", shared, ring.smul(k, x))] = ideal
+                ring._extra[("principal", ring.smul(k, x), shared)] = ideal
         return ideal
-    return cached(ring._extra, ("principal", shared, x), compute).on_side(side)
+    return sided(ring._extra, ("principal", x), ring, side, compute)
 
 
 # -- the two radicals --------------------------------------------------------------
@@ -204,8 +203,8 @@ def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
     sample when the ring or the lattice outgrows the caps.  An exhaustive
     lattice puts the colength of each member in the ring's colength memo."""
-    return sided_lattice(ring._extra, ("ideals", caps), ring, side, caps,
-                         lambda s: _principal_lattice(ring, s, caps))
+    return sided(ring._extra, ("ideals", caps), ring, side,
+                 lambda s: _principal_lattice(ring, s, caps), exact_lattice(ring, caps))
 
 
 def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):
@@ -237,26 +236,15 @@ def _record_colengths(ring: FiniteRing, side: str, ideals, above: dict) -> None:
 def exhaustive_ideals(ring: FiniteRing, side: str, caps: Caps):
     """The sided ideal lattice when it is exhaustive, else None; a sampled
     lattice is not built for this."""
-    if ring.order > caps.exhaustive_ideal_order:
+    if not exact_lattice(ring, caps):
         return None
     ideals, exhaustive = enumerate_ideals(ring, side, caps)
     return ideals if exhaustive else None
 
 
-def lattice_side(ring: FiniteRing, side: str, caps: Caps) -> str:
-    """The side whose ideal lattice serves `side` (`shared_side`): a lattice
-    is exact up to `caps.exhaustive_ideal_order` and sampled above it."""
-    return shared_side(ring, side, ring.order <= caps.exhaustive_ideal_order)
-
-
-def sided_lattice(store: dict, key, ring: FiniteRing, side: str, caps: Caps, compute):
-    """`compute(s)` for s the `lattice_side` of `side`, cached in `store`
-    under (key, s), with its ideals relabelled with `side`."""
-    shared = lattice_side(ring, side, caps)
-    ideals, exhaustive = cached(store, (key, shared), lambda: compute(shared))
-    if shared != side:
-        ideals = [ideal.on_side(side) for ideal in ideals]
-    return ideals, exhaustive
+def exact_lattice(ring: FiniteRing, caps: Caps) -> bool:
+    """Whether the ideal lattices of `ring` are exact, not sampled."""
+    return ring.order <= caps.exhaustive_ideal_order
 
 
 def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps,
@@ -268,7 +256,7 @@ def ideal_lattice(ring: FiniteRing, side: str, ideal_from, salt: int, caps: Caps
     ideals instead, drawn from a generator seeded by the order, `salt` and
     the side.
     """
-    if ring.order > caps.exhaustive_ideal_order:
+    if not exact_lattice(ring, caps):
         rng = random.Random(ring.order * salt + len(side))
         elems = list(itertools.islice(ring.elements(), 4096))
         base = [ideal_from(rng.choice(elems)) for _ in range(caps.sample_count)]
@@ -310,15 +298,11 @@ def uniform_dimension(ring: FiniteRing, side: str,
     spanning the socle, and no direct family is longer.  Above the
     exhaustive cap a greedy-with-restarts lower bound over sampled principal
     ideals is reported and flagged; below it a commutative ring has one
-    certificate for all sides (`shared_side`).
+    certificate for all sides (`ring_core.sided`).
     """
-    shared = shared_side(ring, side, ring.order <= caps.udim_exhaustive_order)
-    cert = cached(ring._extra, ("udim", shared, caps),
-                  lambda: _compute_uniform_dimension(ring, shared, caps))
-    if shared == side:
-        return cert
-    return UdimCertificate(cert.value, [ideal.on_side(side) for ideal in cert.witness],
-                           cert.maximality, side)
+    return sided(ring._extra, ("udim", caps), ring, side,
+                 lambda s: _compute_uniform_dimension(ring, s, caps),
+                 ring.order <= caps.udim_exhaustive_order)
 
 
 def _compute_uniform_dimension(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:

@@ -26,13 +26,14 @@ subring images), whose one check proves the transported ring correct; on
 R's own coordinates the subquotient is R itself.
 `FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 On a commutative ring the three sides have the same ideals, so every exact
-side-indexed product is computed once and relabelled (`shared_side`).
+side-indexed product is computed once and relabelled: `sided` is the one
+memo that decides the shared side, caches under it and relabels the result.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from math import lcm, prod
 from typing import Callable, Iterable, Iterator
@@ -263,7 +264,7 @@ def cached(store: dict, key, compute):
     """`store[key]`, filled by `compute()` on the first request.
 
     Derived data is cached this way on a ring (in `FiniteRing._extra`) and
-    on an action context.
+    on an action context; a side-indexed product is cached by `sided`.
     """
     if key not in store:
         store[key] = compute()
@@ -724,7 +725,7 @@ def shared_side(ring: FiniteRing, side: str, exact: bool = True) -> str:
     a right ideal iff it is a two-sided one, and S + R·S is the ideal S
     generates on every side.  Every exact side-indexed product is then
     computed once, for LEFT, and relabelled with the side asked for
-    (`Ideal.on_side`).  A sampled product draws its sample with a seed that
+    (`sided`).  A sampled product draws its sample with a seed that
     depends on the side, so it keeps one result per side (`exact` false).
     """
     return LEFT if exact and ring.is_commutative else side
@@ -774,10 +775,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.sub.is_zero()
 
-    def on_side(self, side: str) -> "Ideal":
-        """This subgroup labelled with `side`; see `shared_side`."""
-        return self if side == self.side else Ideal(self.ring, side, self.sub)
-
     def verify_closure(self) -> bool:
         maps = _side_maps(self.ring, self.side)
         return all(self.contains(f(b)) for b in self.basis for f in maps)
@@ -798,6 +795,40 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.side}, size={self.size}, basis={list(self.basis)})"
+
+
+def sided(store: dict, key: tuple, ring: FiniteRing, side: str, compute,
+          exact: bool = True):
+    """`compute(s)` for s = `shared_side(ring, side, exact)`, cached in
+    `store` under key + (s,) and relabelled with `side` when s is not `side`:
+    the one memo of side-indexed products, so that no caller knows which
+    sides share a result."""
+    shared = shared_side(ring, side, exact)
+    memo = key + (shared,)
+    if memo not in store:
+        store[memo] = compute(shared)
+    return store[memo] if shared == side else relabel(store[memo], side)
+
+
+def relabel(value, side: str):
+    """`value` with every Ideal in it labelled with `side`: itself, those in
+    lists, tuples and dict values, and the `witness` of a result record (a
+    dataclass with one: `ProperSplittingReport`, `UdimCertificate`), whose
+    `side` field, if any, becomes `side`; anything else is returned as is."""
+    if isinstance(value, Ideal):
+        return Ideal(value.ring, side, value.sub)
+    if isinstance(value, list):
+        return [relabel(v, side) for v in value]
+    if isinstance(value, tuple):
+        return tuple([relabel(v, side) for v in value])
+    if isinstance(value, dict):
+        return {k: relabel(v, side) for k, v in value.items()}
+    if hasattr(value, "witness") and is_dataclass(value):
+        fields = dict(vars(value), witness=relabel(value.witness, side))
+        if "side" in fields:
+            fields["side"] = side
+        return type(value)(**fields)
+    return value
 
 
 def generated_ideal(ring: FiniteRing, gens: Iterable[Element], side: str) -> Ideal:

@@ -24,8 +24,8 @@ from .invariants import (
 )
 from .radicals import (
     enumerate_ideals,
+    exact_lattice,
     jacobson_radical,
-    lattice_side,
     nilpotency_index,
     prime_radical,
     quotient_length,
@@ -41,6 +41,7 @@ from .ring_core import (
     SubringView,
     inverse,
     quotient_by_ideal,
+    sided,
     validate_ring,
 )
 
@@ -49,27 +50,6 @@ THEOREM_IDS: tuple[str, ...] = (
     "RAD_1_4", "B5APR", "LEVITZKI", "TH_8APR", "COR_B8", "A5APR",
     "LEM_A6", "LEM_B6", "LEM_C6", "COR_C8",
 )
-
-TITLES = {
-    "BI_1_4": "nilpotent trace forces a nilpotent ring (torsion-free case)",
-    "MONT_1_7": "zero fixed ring with normal complements forces nilpotency",
-    "N1": "nilpotency with explicit bounds under bad-prime conditions",
-    "C1_5": "semiprimeness descends to the fixed ring (torsion-free case)",
-    "N2": "semiprimeness descends to the fixed ring (bad-prime case)",
-    "COR_A8": "Goldie transfer and uniform dimension bounds",
-    "TH_1_9": "prime radical restriction (torsion-free case)",
-    "TH_4APR": "prime radical restriction via the semiprime quotient",
-    "RAD_1_4": "radical restriction when the group order is invertible",
-    "B5APR": "radical restriction via proper splittings of the quotient",
-    "LEVITZKI": "semisimplicity descends when the group order is invertible",
-    "TH_8APR": "semisimplicity descends under proper splittings",
-    "COR_B8": "semisimplicity equivalence with uniform dimension bounds",
-    "A5APR": "zero radical descends under proper splittings",
-    "LEM_A6": "containment and equality forms of proper splittings agree",
-    "LEM_B6": "extension-restriction identity and length bounds",
-    "LEM_C6": "invariant ideal decomposition under proper splittings",
-    "COR_C8": "the averaging splitting satisfies the decomposition lemma",
-}
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -804,21 +784,17 @@ def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
     ideal lattice of R^G on `side`, so its statuses and witnesses are cached
     on the context by the complement, the side and the caps; LEM_C6 and
     COR_C8 share it, and under G = 1 the averaging splitting is the proper
-    one.  The side is shared (`lattice_side`) only where R and R^G both
-    share it; the witnesses' ideals are relabelled with `side`
-    (`Ideal.on_side`) and the clause texts are built on each call.
+    one.  The scan goes through `ring_core.sided`, which relabels the
+    witnesses' ideals with `side`; where R shares a side, so does R^G, a
+    commutative ring no larger than R.  The clause texts are built on each
+    call.
     """
-    shared = lattice_side(ctx.ring, side, caps)
-    if lattice_side(ctx.fixed_image().ring, side, caps) != shared:
-        shared = side
-    capped, (dec, inj, length) = ctx._cached(
-        ("c6", sd.key, shared, caps), lambda: _c6_scan(ctx, sd, shared, caps))
+    capped, (dec, inj, length) = sided(
+        ctx._cache, ("c6", sd.key, caps), ctx.ring, side,
+        lambda s: _c6_scan(ctx, sd, s, caps), exact_lattice(ctx.ring, caps))
 
     def clause(cond: str, text: str, found) -> Clause:
         status, witness = found
-        if witness is not None:
-            witness = {k: v.on_side(side) if isinstance(v, Ideal) else v
-                       for k, v in witness.items()}
         return Clause(f"{cond}[{tag}]", text, _capped(status, capped), witness=witness)
     return [
         clause("decompose", f"every invariant {side} ideal is the direct sum of its "

@@ -153,12 +153,12 @@ def test_cached_scans_match_per_side_scans(instances):
                     assert clause.status == _capped(status, capped), inst.name
                     assert to_jsonable(clause.witness) == to_jsonable(witness), inst.name
                     assert f"{side} " in clause.text
-        # one scan per splitting on a commutative ring, one per side otherwise
-        # (no test ring's left and right scans differ, so only the keys show it)
+        # one scan per splitting on a commutative ring, one per side otherwise;
+        # `ring_core.sided` caches each under its key extended by the side
         scanned = (set() if not ctx.splittings(CAPS)[0] else
                    {LEFT} if ring.is_commutative else {LEFT, RIGHT})
         for kind in ("c6", "is_proper"):
-            assert {key[2] for key in ctx._cache
+            assert {key[-1] for key in ctx._cache
                     if isinstance(key, tuple) and key[0] == kind} == scanned, (inst.name, kind)
 
 

@@ -175,6 +175,7 @@ def test_check_rejects_bad_mask_and_negative_random(capsys, args):
     (["--instances", "{tmp}/nofile"], 2),
     (["--instances", "{tmp}/order1.ring"], 2),
     (["--instances", "{tmp}/order0.ring"], 2),
+    (["--caps", "splitting_enum=-1"], 2),
 ])
 def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
     """Bad caps or instance files exit 2 (3 for a ring that fails validation)

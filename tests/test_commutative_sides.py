@@ -2,11 +2,11 @@
 
 On a commutative ring the left, right and two-sided ideals are the same
 subgroups, so every exact side-indexed product is computed once and
-relabelled with the side asked for (`ring_core.shared_side`).  These tests
-recompute each shared product per side from uncached primitives
-(`generated_ideal`, `join_closure`, `chain_length`), check that
-noncommutative rings keep one product per side, and that sampled products
-keep one sample per side.
+relabelled with the side asked for, by the one memo `ring_core.sided`.
+These tests check that memo directly, recompute each shared product per side
+from uncached primitives (`generated_ideal`, `join_closure`,
+`chain_length`), and check that noncommutative rings keep one product per
+side, and that sampled products keep one sample per side.
 """
 
 import hashlib
@@ -17,8 +17,9 @@ import pytest
 
 from ringinv.caps import Caps
 from ringinv.catalog import named_instances, random_instances
-from ringinv.invariants import degenerate_trace_ideal
+from ringinv.invariants import ProperSplittingReport, degenerate_trace_ideal
 from ringinv.radicals import (
+    UdimCertificate,
     _udim_greedy,
     enumerate_ideals,
     ideal_lattice,
@@ -37,6 +38,7 @@ from ringinv.ring_core import (
     generated_ideal,
     join_closure,
     minimal_closures,
+    sided,
 )
 from ringinv.theorems import THEOREM_IDS, check
 
@@ -216,6 +218,68 @@ def test_noncommutative_sides_are_not_shared():
     assert lattices[LEFT] != lattices[RIGHT]
     # the two-sided ideals of the simple ring M2(F2) are 0 and R
     assert len(lattices[TWOSIDED]) == 2 < len(lattices[LEFT])
+
+
+# -- the memo itself --------------------------------------------------------------
+
+def _named_ring(name):
+    return next(inst.ring for inst in named_instances() if inst.name == name)
+
+
+def _counting(compute):
+    """`compute`, wrapped, and the list of sides it is called with."""
+    calls = []
+
+    def wrapped(side):
+        calls.append(side)
+        return compute(side)
+    return wrapped, calls
+
+
+def test_sided_computes_once_per_side_on_a_noncommutative_ring():
+    m2f2 = _named_ring("m2f2")
+    e11 = (1, 0, 0, 0)
+    compute, calls = _counting(lambda s: generated_ideal(m2f2, [e11], s))
+    store = {}
+    got = {side: sided(store, ("e11",), m2f2, side, compute) for side in SIDES + SIDES}
+    assert calls == list(SIDES)
+    for side in SIDES:
+        assert got[side].side == side
+        assert got[side].sub == generated_ideal(m2f2, [e11], side).sub
+    assert got[LEFT].sub != got[RIGHT].sub
+
+
+def test_sided_relabels_one_left_result_on_a_commutative_ring():
+    """Every ideal nested in the result carries the side asked for: in a
+    list, a tuple, a dict value and both result records."""
+    z12 = _named_ring("z12")
+
+    def nested(side):
+        ideal = generated_ideal(z12, [(2,)], side)
+        return ([ideal], (ideal, 3), {"ideal": ideal, "n": 1},
+                ProperSplittingReport("no", ideal, False),
+                UdimCertificate(1, [ideal], "exhaustive", side))
+    compute, calls = _counting(nested)
+    store = {}
+    left_sub = generated_ideal(z12, [(2,)], LEFT).sub
+    for side in (RIGHT, TWOSIDED, LEFT, RIGHT):
+        listed, pair, mapping, report, cert = sided(store, ("nested",), z12, side, compute)
+        ideals = [listed[0], pair[0], mapping["ideal"], report.witness, cert.witness[0]]
+        assert {i.side for i in ideals} == {side}
+        assert {i.sub for i in ideals} == {left_sub}
+        assert (pair[1], mapping["n"]) == (3, 1)
+        assert (report.status, report.equality_holds) == ("no", False)
+        assert (cert.value, cert.maximality, cert.side) == (1, "exhaustive", side)
+    assert calls == [LEFT]
+
+
+def test_sided_keeps_inexact_products_per_side():
+    z12 = _named_ring("z12")
+    compute, calls = _counting(lambda s: generated_ideal(z12, [(2,)], s))
+    store = {}
+    for side in SIDES + SIDES:
+        assert sided(store, ("sample",), z12, side, compute, exact=False).side == side
+    assert calls == list(SIDES)
 
 
 # -- sampled branches keep one sample per side ------------------------------------

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import functools
 from pathlib import Path
 
 from test_tracer_targets import _targets
@@ -24,24 +25,79 @@ def test_package_has_no_assert_statements():
 KEEP = {"counterexample_search", "rebuild_context", "unitalize", "p_group_fixed_point"}
 
 
+# scopes whose own bindings shadow a module-level name
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _defined(stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@functools.cache
+def _bound(scope) -> set[str]:
+    """The names `scope` binds locally: its parameters, and the names stored,
+    defined, imported or caught in it outside the scopes nested in it."""
+    names = set()
+    if hasattr(scope, "args"):  # a function or lambda, not a comprehension
+        a = scope.args
+        names.update(x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                     if x is not None)
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _uses(module: str, tree) -> set[tuple[str, str]]:
+    """(module, name) of each definition `module` uses: every name it imports
+    from a sibling module, and every name it loads where no enclosing scope
+    binds it, outside the top-level statement that defines that name."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update((node.module, a.name) for a in node.names)
+        if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
+            continue
+        chain = [node]
+        while chain[-1] in parents:
+            chain.append(parents[chain[-1]])
+        scopes = [s for s in chain if isinstance(s, SCOPES)]
+        # chain[-1] is the module and chain[-2] the top-level statement
+        if node.id in _defined(chain[-2]) or any(node.id in _bound(s) for s in scopes):
+            continue
+        found.add((module, node.id))
+    return found
+
+
 def test_every_definition_is_used_in_the_package():
-    """Each top-level function or class of the package is referenced in it
-    outside its own definition and outside `__init__`, unless the benchmark
-    tracer names it (a class holding a traced method counts) or it is kept."""
+    """Each top-level function, class or assignment of the package is used
+    in it: imported by another module, or loaded in its own module outside
+    its own definition where no local binding shadows it.  `__init__`
+    re-exports do not count.  Names the benchmark tracer names (a class
+    holding a traced method counts) and `KEEP` are exempt."""
     exempt = KEEP | {qualname.split(".")[0] for _, qualname in _targets()}
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    uses: dict[str, list[int]] = {}
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-            if name is not None:
-                uses.setdefault(name, []).append(id(n))
-    unused = []
-    for file, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exempt:
-                own = {id(n) for n in ast.walk(node)}
-                if all(use in own for use in uses.get(node.name, ())):
-                    unused.append(f"{file}:{node.name}")
+    used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
+    unused = [f"{module}.py:{name}" for module, tree in trees.items()
+              for stmt in tree.body for name in sorted(_defined(stmt))
+              if name not in exempt and (module, name) not in used]
     assert not unused, unused
