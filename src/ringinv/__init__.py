@@ -22,7 +22,6 @@ from .invariants import (
     centralizer_normalizer,
     inner_automorphism,
     is_proper_splitting,
-    relative_trace,
     torsion_ideal,
 )
 from .radicals import (

@@ -150,9 +150,7 @@ def cmd_check(ns) -> int:
             print(f"unknown theorem id {th!r}", file=sys.stderr)
             return 2
     if ns.random < 0:
-        print(f"bad --random {ns.random}: the count must not be negative",
-              file=sys.stderr)
-        return 2
+        return _negative_random(ns.random)
     try:
         instances = _resolve_instances(ns.instances, ns.random, ns.seed)
     except (ParseError, ValidationError, OSError) as exc:
@@ -190,6 +188,11 @@ def _print_summary(instances, theorems, chunks) -> None:
           file=sys.stderr)
 
 
+def _negative_random(count: int) -> int:
+    print(f"bad --random {count}: the count must not be negative", file=sys.stderr)
+    return 2
+
+
 def _load_error(exc: Exception) -> int:
     """Report an instance file that failed to load on one stderr line and
     return its exit code: 3 for a validation error, 2 otherwise."""
@@ -220,8 +223,7 @@ def cmd_profile(ns) -> int:
         try:
             inst = load(ns.instance)[0]
         except (ParseError, ValidationError, OSError) as exc:
-            print(f"cannot load instance: {exc}", file=sys.stderr)
-            return 2
+            return _load_error(exc)
     ctx = inst.context()
     ring = inst.ring
     print(f"instance {inst.name} with group {inst.group_name}")
@@ -257,6 +259,8 @@ def cmd_profile(ns) -> int:
 
 
 def cmd_catalog(ns) -> int:
+    if ns.random < 0:
+        return _negative_random(ns.random)
     instances = named_instances()
     if ns.random:
         rand, stats = random_instances(ns.random, ns.seed)

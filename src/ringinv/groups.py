@@ -1,6 +1,7 @@
 """Automorphism groups of a finite ring and the group theory the engine needs:
-normal p-complements, induced actions on fixed subrings, the combinatorial
-bound constant, and the fixed-point search for p-groups on abelian p-groups.
+normal p-complements, the action induced on an invariant subquotient, the
+combinatorial bound constant, and the fixed-point search for p-groups on
+abelian p-groups.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from .ring_core import (
     AdditiveMap,
     Element,
     FiniteRing,
+    RingImage,
     Subgroup,
     SubringView,
 )
@@ -306,14 +308,43 @@ def fixed_ring(ring: FiniteRing, group: AutomorphismGroup) -> SubringView:
     return SubringView(ring, fixed_subgroup(ring, group.elements))
 
 
+def induced_action(group: AutomorphismGroup, image: RingImage,
+                   normal: AutomorphismGroup | None = None) -> dict[tuple, RingAutomorphism]:
+    """The automorphism of `image.ring` each g in G induces, keyed by
+    `g.images`: y -> to_image(g(from_image(y))) on generators.
+
+    The image is a subquotient G maps into itself (a fixed ring of a normal
+    subgroup, a quotient by an invariant ideal).  Equal images share one
+    validated automorphism.  With `normal`, every left coset g·N must
+    induce one automorphism, or `GroupError` is raised: as g·h induces g's
+    automorphism for every h in N exactly when every h in N induces the
+    identity (take g = 1), that is what is checked.
+    """
+    ring = image.ring
+    lifts = [image.from_image(y) for y in ring.generators()]
+    shared: dict[tuple, RingAutomorphism] = {}
+    out = {}
+    for g in group.elements:
+        images = tuple(image.to_image(g.apply(x)) for x in lifts)
+        if images not in shared:
+            shared[images] = RingAutomorphism(ring, images)
+        out[g.images] = shared[images]
+    if normal is not None:
+        identity = identity_automorphism(ring)
+        if any(out.get(h.images) != identity for h in normal.elements):
+            raise GroupError("a coset of the normal subgroup induces more "
+                             "than one automorphism")
+    return out
+
+
 def quotient_action(group: AutomorphismGroup, normal: AutomorphismGroup,
                     fixed: SubringView):
     """Action of the quotient group on the fixed subring of the normal part.
 
     Returns (induced_group, coset_map) where induced_group acts on the
     realized fixed ring and coset_map sends each original automorphism to the
-    automorphism it induces.  Well-definedness on the fixed ring is verified
-    for every coset.
+    automorphism it induces (`induced_action`, which verifies that every
+    coset induces one).
     """
     if not normal.is_subgroup(group) or not normal.is_normal_in(group):
         raise NotNormal("second group is not a normal subgroup of the first")
@@ -321,23 +352,8 @@ def quotient_action(group: AutomorphismGroup, normal: AutomorphismGroup,
     if expected != fixed.sub:
         raise NotFixedRing("given subring is not the fixed ring of the subgroup")
     image = fixed.image()
-    sring = image.ring
-    kgens = [image.from_image(sring.generator(t)) for t in range(sring.rank)]
-    cosets = group.left_cosets(normal)
-    induced = {}
-    coset_map: dict[tuple, RingAutomorphism] = {}
-    for coset in cosets:
-        rep = coset[0]
-        images = tuple(image.to_image(rep.apply(g)) for g in kgens)
-        for other in coset[1:]:
-            if tuple(image.to_image(other.apply(g)) for g in kgens) != images:
-                raise GroupError("coset members disagree on the fixed ring")
-        aut = RingAutomorphism(sring, images)
-        induced[aut.images] = aut
-        for other in coset:
-            coset_map[other.images] = aut
-    out = AutomorphismGroup(sring, induced.values())
-    return out, coset_map
+    coset_map = induced_action(group, image, normal)
+    return AutomorphismGroup(image.ring, coset_map.values()), coset_map
 
 
 def p_group_fixed_point(pgroup: AutomorphismGroup, module: Subgroup) -> Element | None:

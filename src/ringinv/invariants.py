@@ -9,6 +9,7 @@ commutative ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
@@ -19,6 +20,7 @@ from .groups import (
     RingAutomorphism,
     factorize,
     fixed_ring,
+    induced_action,
     p_normal_complement,
 )
 from .radicals import (
@@ -48,10 +50,6 @@ from .ring_core import (
 
 
 class NotInvertible(RingError):
-    pass
-
-
-class NotInFixedRing(RingError):
     pass
 
 
@@ -170,11 +168,9 @@ class GActionContext:
         """Additive span of the traces of the given elements; by default of
         all elements, which the traces of the generators span (the trace is
         additive)."""
-        if xs is None:
-            return self._cached("trace_image",
-                                lambda: self.trace_image(self.ring.generators()))
         return Subgroup.from_generators(
-            self.ring.additive, [self.trace(x) for x in xs])
+            self.ring.additive,
+            [self.trace(x) for x in (self.ring.generators() if xs is None else xs)])
 
     # -- the ideal correspondence between R and R^G -------------------------
     def meet(self, sub: Subgroup) -> Subgroup:
@@ -215,15 +211,16 @@ class GActionContext:
             if comp is not None:
                 data.complement = comp
                 data.quotient_order = self.n // comp.order
-                data.fixed_image = fixed_ring(self.ring, comp).image(
+                image = data.fixed_image = fixed_ring(self.ring, comp).image(
                     name=f"{self.ring_name}^N{p}")
-                image = data.fixed_image
                 sring = image.ring
-                # the relative trace is additive: the traces of the
-                # generators span its image
+                # the relative trace sums the action G/N induces on R^N over
+                # the cosets; it is additive, so the traces of the generators
+                # span its image
+                coset_map = induced_action(self.group, image, comp)
+                reps = [coset[0].images for coset in self.group.left_cosets(comp)]
                 data.trace_image = Subgroup.from_generators(sring.additive, [
-                    image.to_image(relative_trace(self.ring, self.group, comp,
-                                                  image.from_image(y)))
+                    functools.reduce(sring.add, [coset_map[g].apply(y) for g in reps])
                     for y in sring.generators()])
                 d, stab = subgroup_power_nilpotency(
                     sring, data.trace_image, caps.d_search)
@@ -299,27 +296,6 @@ class GActionContext:
 
 
 # -- free functions matching the operation surface ------------------------------
-
-def relative_trace(ring: FiniteRing, group: AutomorphismGroup,
-                   normal: AutomorphismGroup, r: Element) -> Element:
-    """Trace over coset representatives, for r fixed by the normal subgroup.
-
-    Representatives are the least member of each coset; independence of the
-    choice is verified on the input.
-    """
-    for h in normal.elements:
-        if h.apply(r) != r:
-            raise NotInFixedRing(f"{r} is not fixed by the normal subgroup")
-    out = ring.zero
-    for coset in group.left_cosets(normal):
-        rep = coset[0]
-        val = rep.apply(r)
-        for other in coset[1:]:
-            if other.apply(r) != val:
-                raise RingError("coset members disagree on a fixed element")
-        out = ring.add(out, val)
-    return out
-
 
 def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
     """Elements killed by a power of n: the span of the n-primary parts of

@@ -799,15 +799,17 @@ class Ideal:
 
 def sided(store: dict, key: tuple, ring: FiniteRing, side: str, compute,
           exact: bool = True):
-    """`compute(s)` for s = `shared_side(ring, side, exact)`, cached in
-    `store` under key + (s,) and relabelled with `side` when s is not `side`:
-    the one memo of side-indexed products, so that no caller knows which
-    sides share a result."""
-    shared = shared_side(ring, side, exact)
-    memo = key + (shared,)
+    """`compute(s)` for s = `shared_side(ring, side, exact)`, relabelled
+    with `side` when s is not `side`, and cached in `store` under
+    key + (side,): the one memo of side-indexed products, so that no caller
+    knows which sides share a result.  A side that shares s is filled once
+    from the entry of s."""
+    memo = key + (side,)
     if memo not in store:
-        store[memo] = compute(shared)
-    return store[memo] if shared == side else relabel(store[memo], side)
+        shared = shared_side(ring, side, exact)
+        store[memo] = (compute(side) if shared == side else
+                       relabel(sided(store, key, ring, shared, compute, exact), side))
+    return store[memo]
 
 
 def relabel(value, side: str):

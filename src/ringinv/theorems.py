@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .caps import Caps, DEFAULT_CAPS
-from .groups import AutomorphismGroup, RingAutomorphism, h_constant
+from .groups import AutomorphismGroup, RingAutomorphism, h_constant, induced_action
 from .invariants import (
     GActionContext,
     averaging_idempotent,
@@ -117,26 +117,20 @@ class TheoremReport:
 
 
 def to_jsonable(obj):
+    """The JSON form of a report value.  A type without one raises
+    `TypeError`, so no repr text can reach the report."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, frozenset):
-        return sorted(to_jsonable(x) for x in obj)
     if isinstance(obj, Subgroup):
         return {"basis": [list(b) for b in obj.basis], "size": obj.size}
     if isinstance(obj, Ideal):
         return {"side": obj.side, "basis": [list(b) for b in obj.basis],
                 "size": obj.size}
-    if isinstance(obj, SubringView):
-        return {"basis": [list(b) for b in obj.basis], "size": obj.size}
-    if isinstance(obj, AutomorphismGroup):
-        return {"order": obj.order}
-    if isinstance(obj, RingAutomorphism):
-        return {"images": [list(v) for v in obj.images]}
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def power_at_least(base: int, exp: int, threshold: int) -> bool:
@@ -401,13 +395,7 @@ def _quotient_context(ctx: GActionContext):
         quot = quotient_by_ideal(ring, rad, name=f"{ctx.ring_name}_bar")
         if quot.ring is ring:
             return ctx, ctx.fixed.sub
-        induced = {}
-        qgens = quot.ring.generators()
-        for g in ctx.group.elements:
-            images = tuple(quot.to_image(g.apply(quot.from_image(e))) for e in qgens)
-            if images not in induced:
-                induced[images] = RingAutomorphism(quot.ring, images)
-        bar_group = AutomorphismGroup(quot.ring, induced.values())
+        bar_group = AutomorphismGroup(quot.ring, induced_action(ctx.group, quot).values())
         bar_ctx = GActionContext(quot.ring, bar_group,
                                  ring_name=f"{ctx.ring_name}_bar",
                                  group_name=f"{ctx.group_name}_bar")

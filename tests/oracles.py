@@ -5,9 +5,18 @@ so a test can compare the two.
 """
 
 from ringinv.caps import Caps
+from ringinv.groups import AutomorphismGroup
 from ringinv.invariants import GActionContext, torsion_ideal
 from ringinv.radicals import FiniteModule, ideal_lattice, jacobson_radical, prime_radical
-from ringinv.ring_core import LEFT, FiniteRing, RingError, Subgroup, generated_ideal, inverse
+from ringinv.ring_core import (
+    LEFT,
+    Element,
+    FiniteRing,
+    RingError,
+    Subgroup,
+    generated_ideal,
+    inverse,
+)
 
 
 def ring_as_module(ring: FiniteRing, side: str,
@@ -83,3 +92,25 @@ def regular_and_unit_scan(ring: FiniteRing):
     if not ring.is_unital:
         return regular, None
     return regular, {r for r in ring.elements() if inverse(ring, r) is not None}
+
+
+def relative_trace(ring: FiniteRing, group: AutomorphismGroup,
+                   normal: AutomorphismGroup, r: Element) -> Element:
+    """Trace over coset representatives, for r fixed by the normal subgroup:
+    the reference for the trace images of `GActionContext.bad_primes`.
+
+    Representatives are the least member of each coset; independence of the
+    choice is verified on the input.
+    """
+    for h in normal.elements:
+        if h.apply(r) != r:
+            raise RingError(f"{r} is not fixed by the normal subgroup")
+    out = ring.zero
+    for coset in group.left_cosets(normal):
+        rep = coset[0]
+        val = rep.apply(r)
+        for other in coset[1:]:
+            if other.apply(r) != val:
+                raise RingError("coset members disagree on a fixed element")
+        out = ring.add(out, val)
+    return out

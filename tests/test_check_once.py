@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from ringinv import invariants, theorems
 from ringinv.caps import Caps
 from ringinv.catalog import derive_tags, named_instances, random_instances
 from ringinv.invariants import (
@@ -131,10 +132,22 @@ def _splittings(ctx):
     return found
 
 
-def test_cached_scans_match_per_side_scans(instances):
+def test_cached_scans_match_per_side_scans(instances, monkeypatch):
     insts = _splitting_contexts(instances)
     assert {"m2f2", "m2f3"} <= {inst.name for inst in insts}
     assert sum(inst.ring.is_commutative for inst in insts) > 150
+    calls = []
+
+    def counting(kind, scan):
+        def wrapper(ctx, sd, side, caps):
+            calls.append((kind, ctx, sd.key, side))
+            return scan(ctx, sd, side, caps)
+        return wrapper
+    # the cached paths look the scans up in their modules; the expected
+    # values below call the imported originals, which are not counted
+    monkeypatch.setattr(invariants, "_scan_proper_splitting",
+                        counting("is_proper", _scan_proper_splitting))
+    monkeypatch.setattr(theorems, "_c6_scan", counting("c6", _c6_scan))
     for n, inst in enumerate(insts):
         ring, group = inst.ring, inst.group
         ctx = GActionContext(ring, group)
@@ -153,13 +166,12 @@ def test_cached_scans_match_per_side_scans(instances):
                     assert clause.status == _capped(status, capped), inst.name
                     assert to_jsonable(clause.witness) == to_jsonable(witness), inst.name
                     assert f"{side} " in clause.text
-        # one scan per splitting on a commutative ring, one per side otherwise;
-        # `ring_core.sided` caches each under its key extended by the side
-        scanned = (set() if not ctx.splittings(CAPS)[0] else
-                   {LEFT} if ring.is_commutative else {LEFT, RIGHT})
+        # one scan per splitting on a commutative ring, one per side otherwise
+        scanned = sorted({(sd.key, side) for sd in _splittings(ctx)
+                          for side in ((LEFT,) if ring.is_commutative else (LEFT, RIGHT))})
         for kind in ("c6", "is_proper"):
-            assert {key[-1] for key in ctx._cache
-                    if isinstance(key, tuple) and key[0] == kind} == scanned, (inst.name, kind)
+            assert sorted((key, side) for k, c, key, side in calls
+                          if k == kind and c is ctx) == scanned, (inst.name, kind)
 
 
 def test_identity_and_averaging_splittings_share_one_scan():

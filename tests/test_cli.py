@@ -241,6 +241,21 @@ def test_profile_z12(capsys):
     assert "agrees: True" in out
 
 
+def test_profile_and_catalog_keep_the_exit_codes(tmp_path, capsys):
+    """A ring file that fails validation exits 3 from `profile` as from
+    `validate` and `check`, and a negative random count exits 2 from
+    `catalog` as from `check`; each with one stderr line and no output."""
+    bad = tmp_path / "badunit.ring"
+    bad.write_text("ring x\nadd 2\nmul 1 1 -> 0\nunit 1\n")
+    for argv, code in ((["validate", str(bad)], 3), (["profile", str(bad)], 3),
+                       (["check", "--instances", str(bad)], 3),
+                       (["catalog", "--random", "-1"], 2)):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, argv
+
+
 def test_catalog_save(tmp_path, capsys):
     code = main(["catalog", "--out", str(tmp_path / "snap")])
     assert code == 0

@@ -27,7 +27,7 @@ from ringinv.ring_core import (
     zero_mult_ring,
 )
 
-from oracles import ring_as_module
+from oracles import relative_trace, ring_as_module
 
 
 def _splittings_subgroup_search(ctx: GActionContext, caps: Caps):
@@ -273,7 +273,6 @@ def test_quotient_action_on_mixed_order_ring():
     sq = close_group([a.compose(a)])  # x -> 9x, the order-2 subgroup
     assert sq.order == 2
     from ringinv.groups import fixed_ring, quotient_action
-    from ringinv.invariants import relative_trace
 
     s = fixed_ring(r, sq)
     assert s.elements() == frozenset({(c,) for c in range(0, 16, 2)})

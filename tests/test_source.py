@@ -87,6 +87,14 @@ def _uses(module: str, tree) -> set[tuple[str, str]]:
     return found
 
 
+def _package():
+    """(module -> syntax tree of every package module but `__init__`, the
+    (module, name) pairs they use)."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    return trees, set().union(*(_uses(module, tree) for module, tree in trees.items()))
+
+
 def test_every_definition_is_used_in_the_package():
     """Each top-level function, class or assignment of the package is used
     in it: imported by another module, or loaded in its own module outside
@@ -94,10 +102,25 @@ def test_every_definition_is_used_in_the_package():
     re-exports do not count.  Names the benchmark tracer names (a class
     holding a traced method counts) and `KEEP` are exempt."""
     exempt = KEEP | {qualname.split(".")[0] for _, qualname in _targets()}
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    used = set().union(*(_uses(module, tree) for module, tree in trees.items()))
+    trees, used = _package()
     unused = [f"{module}.py:{name}" for module, tree in trees.items()
               for stmt in tree.body for name in sorted(_defined(stmt))
               if name not in exempt and (module, name) not in used]
     assert not unused, unused
+
+
+def test_dead_tracer_targets_are_pinned():
+    """The tracer targets nothing in the package uses, which the test above
+    exempts: a function no module uses as above, or a method whose name no
+    module loads as an attribute.  A target that loses its last caller must
+    show up here."""
+    trees, used = _package()
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = {f"{module}.{qualname}" for module, qualname in _targets()
+            if ((qualname.split(".")[1] not in attributes) if "." in qualname
+                else (module, qualname) not in used)}
+    assert dead == {
+        "lattices.solve_mod_p", "groups.quotient_action",
+        "invariants.centralizer_normalizer", "radicals.module_length",
+        "radicals.FiniteModule.minimal_submodules", "theorems.counterexample_search"}

@@ -1,3 +1,5 @@
+import pytest
+
 from ringinv.caps import Caps
 from ringinv.radicals import prime_radical
 from ringinv.theorems import (
@@ -11,6 +13,7 @@ from ringinv.theorems import (
     counterexample_search,
     power_at_least,
     rebuild_context,
+    to_jsonable,
 )
 
 from oracles import background_invariants
@@ -29,6 +32,16 @@ def test_power_at_least():
     assert power_at_least(2, 10 ** 30, 10 ** 9)
     assert not power_at_least(1, 10 ** 30, 2)
     assert not power_at_least(3, 0, 2)
+
+
+def test_to_jsonable_rejects_a_type_it_does_not_know():
+    """No repr text reaches the report: an unknown type raises."""
+    assert to_jsonable({"d": 2, "xs": [(1, 0)], "ok": None}) == {
+        "d": 2, "xs": [[1, 0]], "ok": None}
+    with pytest.raises(TypeError):
+        to_jsonable(object())
+    with pytest.raises(TypeError):
+        to_jsonable({"witness": frozenset({(1,)})})
 
 
 def test_big_power_reporting():
