@@ -151,13 +151,19 @@ def cmd_check(ns) -> int:
             return 2
     if ns.random < 0:
         return _negative_random(ns.random)
+    if ns.jobs < 1:
+        print(f"bad --jobs {ns.jobs}: at least one worker is needed", file=sys.stderr)
+        return 2
     try:
         instances = _resolve_instances(ns.instances, ns.random, ns.seed)
     except (ParseError, ValidationError, OSError) as exc:
         return _load_error(exc)
     work = [(inst, theorems, caps, masks, ns.seed) for inst in instances]
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+    # the pool forks all its workers at the first submit: no more than
+    # there are instances
+    jobs = min(ns.jobs, len(work))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_check_one, work))
     else:
         chunks = [_check_one(w) for w in work]

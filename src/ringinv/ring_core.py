@@ -28,6 +28,9 @@ R's own coordinates the subquotient is R itself.
 On a commutative ring the three sides have the same ideals, so every exact
 side-indexed product is computed once and relabelled: `sided` is the one
 memo that decides the shared side, caches under it and relabels the result.
+Direct products, matrix rings and group rings are block rings, one copy of a
+ring per block, and `_block_ring` is the one layout of their structure
+constants.
 """
 
 from __future__ import annotations
@@ -487,78 +490,66 @@ def unitalize(ring: FiniteRing) -> FiniteRing:
     return validate_ring(orders, table, unit_hint=unit, name=f"{ring.name}_unital")
 
 
+def _block_ring(blocks: list[FiniteRing], product, unit_blocks,
+                name: str) -> FiniteRing:
+    """The ring on ⊕_b blocks[b], generator s of block b at offset(b) + s.
+
+    Generator s of block b1 times generator t of block b2 is g_s·g_t of
+    blocks[b1], placed in block product(b1, b2), or zero when that is None;
+    a product is only placed among blocks that share one ring.  The identity
+    is the sum of the identities of `unit_blocks` when every block is
+    unital, and None otherwise.
+    """
+    offsets = list(itertools.accumulate((r.rank for r in blocks), initial=0))
+    orders = sum((r.cyclic_orders for r in blocks), ())
+    k = len(orders)
+
+    def place(vec: Element, b: int) -> Element:
+        return (0,) * offsets[b] + vec + (0,) * (k - offsets[b + 1])
+
+    table = [[(0,) * k] * k for _ in range(k)]
+    for b1, r in enumerate(blocks):
+        for b2 in range(len(blocks)):
+            b = product(b1, b2)
+            if b is not None:
+                for s in range(r.rank):
+                    table[offsets[b1] + s][offsets[b2]:offsets[b2 + 1]] = [
+                        place(c, b) for c in r.mul_table[s]]
+    unit = None
+    if all(r.is_unital for r in blocks):
+        unit = [0] * k
+        for b in unit_blocks:
+            unit[offsets[b]:offsets[b + 1]] = blocks[b].unit
+        unit = tuple(unit)
+    return validate_ring(orders, table, unit_hint=unit, name=name)
+
+
 def direct_product(rings: list[FiniteRing], name: str | None = None) -> FiniteRing:
     """Componentwise product ring."""
     if not rings:
         raise RingError("empty product")
-    orders: tuple[int, ...] = ()
-    offsets = []
-    for r in rings:
-        offsets.append(len(orders))
-        orders += r.cyclic_orders
-    k = len(orders)
-    zero = (0,) * k
-
-    def scatter(vec: Element, off: int) -> Element:
-        out = [0] * k
-        out[off:off + len(vec)] = vec
-        return tuple(out)
-
-    table = [[zero for _ in range(k)] for _ in range(k)]
-    for r, off in zip(rings, offsets):
-        for i in range(r.rank):
-            for j in range(r.rank):
-                table[off + i][off + j] = scatter(r.mul_table[i][j], off)
-    unit = None
-    if all(r.is_unital for r in rings):
-        out = [0] * k
-        for r, off in zip(rings, offsets):
-            out[off:off + r.rank] = r.unit
-        unit = tuple(out)
-    return validate_ring(orders, table, unit_hint=unit,
-                         name=name or "x".join(r.name for r in rings))
+    return _block_ring(rings, lambda b1, b2: b1 if b1 == b2 else None,
+                       range(len(rings)), name or "x".join(r.name for r in rings))
 
 
 def matrix_ring(ring: FiniteRing, n: int, name: str | None = None) -> FiniteRing:
-    """n×n matrices over a unital ring, on the matrix-unit generator basis."""
+    """n×n matrices over a unital ring, on the matrix-unit generator basis:
+    block i·n + j is R·e_ij, and e_ij·e_jl = e_il."""
     if not ring.is_unital:
         raise NotUnital("matrix ring needs a unital coefficient ring")
     if n < 1:
         raise RingError("matrix size must be >= 1")
-    k = ring.rank
-    dim = n * n * k
-    orders = tuple(ring.cyclic_orders[t] for _ in range(n * n) for t in range(k))
-    zero = (0,) * dim
 
-    def pos(i: int, j: int, t: int) -> int:
-        return (i * n + j) * k + t
-
-    def scatter(vec: Element, i: int, j: int) -> Element:
-        out = [0] * dim
-        for t, c in enumerate(vec):
-            out[pos(i, j, t)] = c
-        return tuple(out)
-
-    table = [[zero for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for s in range(k):
-                for jj in range(n):
-                    for l in range(n):
-                        for t in range(k):
-                            if j == jj:
-                                table[pos(i, j, s)][pos(jj, l, t)] = scatter(
-                                    ring.mul_table[s][t], i, l)
-    unit = [0] * dim
-    for i in range(n):
-        for t, c in enumerate(ring.unit):
-            unit[pos(i, i, t)] = c
-    return validate_ring(orders, table, unit_hint=tuple(unit),
-                         name=name or f"m{n}({ring.name})")
+    def product(b1: int, b2: int) -> int | None:
+        (i, j), (jj, l) = divmod(b1, n), divmod(b2, n)
+        return i * n + l if j == jj else None
+    return _block_ring([ring] * (n * n), product, [i * n + i for i in range(n)],
+                       name or f"m{n}({ring.name})")
 
 
 def group_ring(ring: FiniteRing, cayley, name: str | None = None) -> FiniteRing:
-    """Group ring R[H] for unital R and H given by a Cayley table of indices."""
+    """Group ring R[H] for unital R and H given by a Cayley table of indices:
+    one block R·h per element h."""
     if not ring.is_unital:
         raise NotUnital("group ring needs a unital coefficient ring")
     n = len(cayley)
@@ -578,27 +569,8 @@ def group_ring(ring: FiniteRing, cayley, name: str | None = None) -> FiniteRing:
             for c in range(n):
                 if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
                     raise RingError("Cayley table is not associative")
-    k = ring.rank
-    dim = n * k
-    orders = tuple(ring.cyclic_orders[t] for _ in range(n) for t in range(k))
-    zero = (0,) * dim
-
-    def scatter(vec: Element, h: int) -> Element:
-        out = [0] * dim
-        for t, c in enumerate(vec):
-            out[h * k + t] = c
-        return tuple(out)
-
-    table = [[zero for _ in range(dim)] for _ in range(dim)]
-    for h1 in range(n):
-        for s in range(k):
-            for h2 in range(n):
-                for t in range(k):
-                    table[h1 * k + s][h2 * k + t] = scatter(
-                        ring.mul_table[s][t], cayley[h1][h2])
-    unit = scatter(ring.unit, ident)
-    return validate_ring(orders, table, unit_hint=unit,
-                         name=name or f"{ring.name}[H{n}]")
+    return _block_ring([ring] * n, lambda h1, h2: cayley[h1][h2], [ident],
+                       name or f"{ring.name}[H{n}]")
 
 
 # -- kernels and preimages ------------------------------------------------------------
@@ -948,12 +920,11 @@ class RingImage:
 class SubringView:
     """A multiplicatively closed additive subgroup of a parent ring."""
 
-    __slots__ = ("ring", "sub", "_image")
+    __slots__ = ("ring", "sub")
 
     def __init__(self, ring: FiniteRing, sub: Subgroup):
         self.ring = ring
         self.sub = sub
-        self._image = None
         for a in sub.basis:
             for b in sub.basis:
                 if not sub.contains(ring.mul(a, b)):
@@ -981,15 +952,17 @@ class SubringView:
         """Realize the subring as a FiniteRing of its own, with maps.
 
         The coordinates are those of the order relations written in the
-        subgroup's Hermite key.
+        subgroup's Hermite key.  The image is memoized on the parent ring by
+        that key, so every view of one subgroup shares one ring and its
+        caches, under the name of the first request.
         """
-        if self._image is None:
+        def compute():
             group = self.ring.additive
             coords = Coordinates(group, self.sub.key, group.relations)
             ring = _coordinate_ring(self.ring, coords, self.sub.size,
                                     name or f"{self.ring.name}^sub")
-            self._image = RingImage(ring, coords.project, coords.lift)
-        return self._image
+            return RingImage(ring, coords.project, coords.lift)
+        return cached(self.ring._extra, ("image", self.sub.key), compute)
 
     def __repr__(self):
         return f"SubringView(size={self.size}, basis={list(self.basis)})"

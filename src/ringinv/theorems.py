@@ -829,7 +829,7 @@ def _c6_scan(ctx: GActionContext, sd, side: str, caps: Caps):
         l_s = quotient_length(image.ring, side, restricted, caps)
         l_r = quotient_length(ctx.ring, side, ideal.sub, caps)
         if l_s is None or l_r is None:
-            len_status = CAPPED
+            len_status = _capped(len_status, True)
         elif l_s > l_r:
             len_status, len_witness = FAILS, {
                 "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}

@@ -282,6 +282,68 @@ def test_jobs_parallel_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+class RecordingPool:
+    """Stands in for `ProcessPoolExecutor`: records `max_workers` and maps
+    in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The `max_workers` of every pool `check` asks for, through
+    `RecordingPool`."""
+    from ringinv import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    return RecordingPool.sizes
+
+
+@pytest.mark.parametrize("instances, pools", [
+    ("z12", []),
+    ("z12,f3xf3", [2]),
+])
+def test_jobs_bounded_by_instance_count(tmp_path, pool_sizes, instances, pools):
+    """`--jobs 64` asks for no more workers than there are instances, and
+    one instance runs in this process; the bytes match `--jobs 1`."""
+    a, b = tmp_path / "serial.json", tmp_path / "par.json"
+    args = ["check", "--theorems", "N1,LEM_C6", "--instances", instances]
+    assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
+    assert main(args + ["--out", str(b), "--jobs", "64"]) == 0
+    assert pool_sizes == pools
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+def test_check_rejects_jobs_below_one(capsys, monkeypatch, pool_sizes, jobs, from_env):
+    """`--jobs` (or `RINGINV_JOBS`) below 1 exits 2 with one stderr line and
+    no report, as a negative `--random` does."""
+    args = ["check", "--theorems", "N1", "--instances", "z12"]
+    if from_env:
+        monkeypatch.setenv("RINGINV_JOBS", jobs)
+    else:
+        args += ["--jobs", jobs]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert pool_sizes == []
+
+
 def _run_python(args, optimize: bool):
     src = str(Path(ringinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

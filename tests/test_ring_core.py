@@ -536,6 +536,19 @@ def test_subring_view_image_roundtrip():
         _assert_coordinate_maps(ring, quot, ring.generators())
 
 
+def test_views_of_one_subgroup_share_one_image_ring():
+    """The image is memoized on the parent by subgroup key: a second view of
+    the same subgroup gets the first view's ring, and its caches, whatever
+    name it asks for."""
+    r = matrix_ring(cyclic_ring(3), 2)
+    diag = [(1, 0, 0, 0), (0, 0, 0, 1)]
+    first = SubringView.from_elements(r, diag).image(name="first")
+    second = SubringView.from_elements(r, list(reversed(diag))).image(name="second")
+    assert second is first and first.ring.name == "first"
+    other = SubringView.from_elements(r, [(1, 0, 0, 1)]).image()
+    assert other.ring is not first.ring
+
+
 def test_subring_view_rejects_non_closed():
     r = m2f2()
     with pytest.raises(RingError):

@@ -246,3 +246,26 @@ def test_radical_quotient_context_reuses_a_semisimple_context(named_contexts):
     ctx = named_contexts["two_z8"]
     bar_ctx, _ = _quotient_context(ctx)
     assert bar_ctx is not ctx and bar_ctx.ring.order < ctx.ring.order
+
+
+@pytest.mark.parametrize("name", ["f3xf3", "m2f3"])
+def test_c6_length_failure_is_not_hidden_by_a_later_cap(named_catalog, monkeypatch,
+                                                        name):
+    """A length that fails on one ideal stays failing when a later ideal's
+    length is cut off by a cap: quotient lengths report 2 > 1 on the first
+    ideal and None after that.  The C6 scan is cached per context, so the
+    check runs on a fresh one."""
+    from ringinv import theorems
+    from ringinv.invariants import GActionContext
+
+    answers = iter([2, 1])
+    monkeypatch.setattr(theorems, "quotient_length",
+                        lambda *args: next(answers, None))
+    inst = next(i for i in named_catalog if i.name == name)
+    ctx = GActionContext(inst.ring, inst.group, inst.name, inst.group_name)
+    report = check("LEM_C6", ctx, Caps())
+    assert report.verdict == COUNTEREXAMPLE
+    failed = [c for c in report.conclusion if c.status == "fails"]
+    assert failed and all(c.cond.startswith("length[") for c in failed)
+    assert failed[0].witness["fixed_length"] == 2
+    assert failed[0].witness["ring_length"] == 1
