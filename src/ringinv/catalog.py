@@ -355,27 +355,20 @@ def _canonical_ring(ring: FiniteRing):
     perm = sorted(range(k), key=lambda i: (ring.cyclic_orders[i], i))
     if perm == list(range(k)):
         return ring, perm
-    inv = [0] * k
-    for new, old in enumerate(perm):
-        inv[old] = new
-
-    def remap(vec: Element) -> Element:
-        return tuple(vec[perm[t]] for t in range(k))
-
-    orders = tuple(ring.cyclic_orders[perm[i]] for i in range(k))
-    table = [[remap(ring.mul_table[perm[i]][perm[j]]) for j in range(k)]
+    orders = _permuted(ring.cyclic_orders, perm)
+    table = [[_permuted(ring.mul_table[perm[i]][perm[j]], perm) for j in range(k)]
              for i in range(k)]
-    unit = remap(ring.unit) if ring.unit is not None else None
+    unit = _permuted(ring.unit, perm) if ring.unit is not None else None
     return validate_ring(orders, table, unit_hint=unit, name=ring.name), perm
 
 
+def _permuted(vec: Element, perm) -> Element:
+    """The coordinates of `vec` with the generators reordered by `perm`."""
+    return tuple(vec[old] for old in perm)
+
+
 def _permute_automorphism(aut: RingAutomorphism, perm, new_ring: FiniteRing):
-    k = new_ring.rank
-
-    def remap(vec: Element) -> Element:
-        return tuple(vec[perm[t]] for t in range(k))
-
-    images = [remap(aut.images[perm[i]]) for i in range(k)]
+    images = [_permuted(aut.images[old], perm) for old in perm]
     return RingAutomorphism(new_ring, images)
 
 

@@ -227,9 +227,13 @@ def cmd_profile(ns) -> int:
         inst = named[ns.instance]
     else:
         try:
-            inst = load(ns.instance)[0]
+            loaded = load(ns.instance)
         except (ParseError, ValidationError, OSError) as exc:
             return _load_error(exc)
+        if not loaded:
+            print(f"no instance to profile: {ns.instance} lists none", file=sys.stderr)
+            return 2
+        inst = loaded[0]
     ctx = inst.context()
     ring = inst.ring
     print(f"instance {inst.name} with group {inst.group_name}")

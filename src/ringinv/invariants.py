@@ -119,7 +119,6 @@ class PrimeData:
     trace_image: Subgroup | None = None
     d: int | None = None
     d_stabilized: bool = False
-    d_cap: int = 0
 
 
 @dataclass
@@ -226,7 +225,6 @@ class GActionContext:
                     sring, data.trace_image, caps.d_search)
                 data.d = d
                 data.d_stabilized = stab
-                data.d_cap = caps.d_search
             profile.data[p] = data
         profile.primes = tuple(bad)
         return profile

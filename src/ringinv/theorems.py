@@ -212,9 +212,10 @@ def _zero_ideal_clause(cond: str, label: str, ideal: Ideal) -> Clause:
                   witness=None if zero else ideal.sub)
 
 
-def _no_group_torsion_clause(ctx: GActionContext, cond: str) -> Clause:
-    return _zero_ideal_clause(cond, "the ring has no torsion at the group order",
-                              torsion_ideal(ctx.ring, ctx.n))
+def _no_group_torsion_clause(ctx: GActionContext, cond: str,
+                              label: str = "the ring has no torsion at the group order"
+                              ) -> Clause:
+    return _zero_ideal_clause(cond, label, torsion_ideal(ctx.ring, ctx.n))
 
 
 def _semiprime_clause(ctx: GActionContext) -> Clause:
@@ -262,7 +263,7 @@ def _invertible_order_clause(ctx: GActionContext) -> Clause:
 
 
 def _bad_prime_condition_clauses(ctx: GActionContext, caps: Caps, prefix: str,
-                                 torsion_index: int):
+                                 torsion_index: int) -> list[Clause]:
     """Per-prime complement clauses plus the shared fixed-ring torsion clause.
 
     These are the two numbered conditions shared by the semiprimeness,
@@ -280,29 +281,37 @@ def _bad_prime_condition_clauses(ctx: GActionContext, caps: Caps, prefix: str,
         f"{prefix}2",
         f"condition 2: the fixed ring is {torsion_index}-torsion free",
         torsion_ideal(ctx.fixed_image().ring, torsion_index)))
-    return clauses, profile
+    return clauses
 
 
-def _semiprime_bad_prime_hyps(ctx: GActionContext, caps: Caps):
+def _semiprime_bad_prime_hyps(ctx: GActionContext, caps: Caps) -> list[Clause]:
     """Semiprimeness, nonempty bad primes and the two numbered conditions."""
-    hyps = [_semiprime_clause(ctx)]
-    cond_clauses, profile = _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
-    hyps.append(_bad_primes_clause("B", profile))
-    hyps.extend(cond_clauses)
-    return hyps, profile
+    hyps = [_semiprime_clause(ctx), _bad_primes_clause("B", ctx.bad_primes(caps))]
+    return hyps + _bad_prime_condition_clauses(ctx, caps, "", ctx.n)
 
 
-def _splitting_alternative_hyps(ctx: GActionContext, caps: Caps) -> list[Clause]:
-    """A proper splitting, then no torsion (alt1) or the bad-prime conditions
-    (alt2)."""
+# the texts of the splitting alternative's proper-splitting, alt1 and alt2.B
+# clauses, on the ring and on its radical quotient
+_RING_SPLIT_LABELS = ("the group splits the ring properly on some side",
+                      "the ring has no torsion at the group order",
+                      "the set of bad primes is nonempty")
+_QUOTIENT_SPLIT_LABELS = (
+    "the induced group splits the radical quotient properly on some side",
+    "the radical quotient has no torsion at the induced group order",
+    "the induced action on the quotient has bad primes")
+
+
+def _splitting_alternative_hyps(ctx: GActionContext, caps: Caps,
+                                labels=_RING_SPLIT_LABELS) -> list[Clause]:
+    """A proper splitting, then no torsion at the order of the acting group
+    (alt1) or the bad-prime conditions (alt2)."""
+    split_label, torsion_label, bad_label = labels
     hyps = [
-        _proper_splitting_clause(ctx, caps, "proper-splitting",
-                                 "the group splits the ring properly on some side"),
-        _no_group_torsion_clause(ctx, "alt1"),
-        _bad_primes_clause("alt2.B", ctx.bad_primes(caps)),
+        _proper_splitting_clause(ctx, caps, "proper-splitting", split_label),
+        _no_group_torsion_clause(ctx, "alt1", torsion_label),
+        _bad_primes_clause("alt2.B", ctx.bad_primes(caps), bad_label),
     ]
-    cond_clauses, _ = _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
-    return hyps + cond_clauses
+    return hyps + _bad_prime_condition_clauses(ctx, caps, "alt2.", ctx.n)
 
 
 def _radical_restriction_clause(ctx: GActionContext, cond: str, use_jacobson: bool) -> Clause:
@@ -335,6 +344,30 @@ def _proper_splitting_clause(ctx: GActionContext, caps: Caps, cond: str,
     else:
         status, witness = FAILS, "no proper splitting on either side"
     return Clause(cond, label, status, witness=witness)
+
+
+def _trace_power_result(d: int | None, stabilized: bool, caps: Caps):
+    """(status, witness) of a trace-power nilpotency search: it holds with
+    the degree d found, or fails with the cap it reached and whether the
+    powers stabilized at a nonzero subgroup."""
+    if d is None:
+        return FAILS, {"d_cap": caps.d_search, "stabilized_nonzero": stabilized}
+    return HOLDS, {"d": d}
+
+
+def _length_comparison(ctx: GActionContext, side: str, fixed_sub: Subgroup,
+                       ring_sub: Subgroup, caps: Caps, found, witness: dict):
+    """Fold the comparison of len(R^G/fixed_sub) with len(R/ring_sub) on
+    `side` into `found`, the (status, witness) so far: capped when either
+    length is cut off by a cap, failing with `witness` and both lengths when
+    the fixed-ring one is larger."""
+    l_s = quotient_length(ctx.fixed_image().ring, side, fixed_sub, caps)
+    l_r = quotient_length(ctx.ring, side, ring_sub, caps)
+    if l_s is None or l_r is None:
+        return _capped(found[0], True), found[1]
+    if l_s > l_r:
+        return FAILS, {**witness, "fixed_length": l_s, "ring_length": l_r}
+    return found
 
 
 SAMPLED_NOTE = ("invariant ideal enumeration was sampled, not exhaustive "
@@ -411,10 +444,8 @@ def _chk_bi_1_4(ctx: GActionContext, caps: Caps):
     ring = ctx.ring
     hyps = [_no_group_torsion_clause(ctx, "1")]
     d, stabilized = subgroup_power_nilpotency(ring, ctx.trace_image(), caps.d_search)
-    hyps.append(Clause(
-        "2", "some power of the trace image vanishes", FAILS if d is None else HOLDS,
-        witness={"d_cap": caps.d_search, "stabilized_nonzero": stabilized}
-        if d is None else {"d": d}))
+    hyps.append(Clause("2", "some power of the trace image vanishes",
+                       *_trace_power_result(d, stabilized, caps)))
     if d is None:
         status, witness = CAPPED, "no trace nilpotency degree found"
     else:
@@ -464,13 +495,11 @@ def _chk_n1(ctx: GActionContext, caps: Caps):
             torsion_ideal(fixed_ring, p)))
         if comp is None:
             status, witness = CAPPED, "not evaluable without the normal complement"
-        elif data.d is not None:
-            status, witness = HOLDS, {"d": data.d}
         else:
-            status, witness = FAILS, {"d_cap": data.d_cap,
-                                      "stabilized_nonzero": data.d_stabilized}
+            status, witness = _trace_power_result(data.d, data.d_stabilized, caps)
+        if status == FAILS:
             notes.append(
-                f"no trace nilpotency degree up to {data.d_cap} for p={p}; "
+                f"no trace nilpotency degree up to {caps.d_search} for p={p}; "
                 f"recorded as hypothesis failure with the cap")
         hyps.append(Clause(
             f"3(p={p})", f"condition 3 (p={p}): the relative trace image is nilpotent",
@@ -496,34 +525,31 @@ def _n1_bounds(ctx: GActionContext, profile):
     complement and its trace nilpotency degree."""
     idx = nilpotency_index(ctx.ring)
     bounds = {}
+    per_prime = {}
     dominated = False
+    ok = True
     for p in profile.primes:
         data = profile.data[p]
+        h_q = h_constant(data.quotient_order)
+        m_p = h_q ** data.d
+        m = big_power(h_q, data.d)
         h_n = h_constant(data.complement.order)
-        m_p = h_constant(data.quotient_order) ** data.d
-        bounds[p] = {"l": big_power(h_n, m_p), "m": big_power(
-            h_constant(data.quotient_order), data.d)}
+        bounds[p] = {"l": big_power(h_n, m_p), "m": m}
         if idx is not None and power_at_least(h_n, m_p, idx):
             dominated = True
+        sring = data.fixed_image.ring
+        tor = torsion_ideal(sring, p)
+        sidx = nilpotency_index(sring)
+        per_prime[p] = {"p_torsion_free": tor.is_zero(),
+                        "nilpotency_index": sidx,
+                        "m": m}
+        if not tor.is_zero() or sidx is None or sidx > m_p:
+            ok = False
     if idx is None:
         power = FAILS, {"bounds": bounds, "reason": "ring not nilpotent"}
     else:
         power = (DOMINATED if dominated else FAILS), {"nilpotency_index": idx,
                                                       "bounds": bounds}
-    per_prime = {}
-    ok = True
-    for p in profile.primes:
-        data = profile.data[p]
-        sring = data.fixed_image.ring
-        tor = torsion_ideal(sring, p)
-        sidx = nilpotency_index(sring)
-        m_p = h_constant(data.quotient_order) ** data.d
-        entry = {"p_torsion_free": tor.is_zero(),
-                 "nilpotency_index": sidx,
-                 "m": big_power(h_constant(data.quotient_order), data.d)}
-        per_prime[p] = entry
-        if not tor.is_zero() or sidx is None or sidx > m_p:
-            ok = False
     return power, (DOMINATED if ok else FAILS, per_prime)
 
 
@@ -541,9 +567,9 @@ def _chk_c1_5(ctx: GActionContext, caps: Caps):
 
 
 def _chk_n2(ctx: GActionContext, caps: Caps):
-    hyps, profile = _semiprime_bad_prime_hyps(ctx, caps)
+    hyps = _semiprime_bad_prime_hyps(ctx, caps)
     notes = []
-    if (hyps[0].status == HOLDS and profile.primes
+    if (hyps[0].status == HOLDS and ctx.bad_primes(caps).primes
             and any(h.cond == "2" and h.status == FAILS for h in hyps)):
         notes.append(
             "systematic vacuity at finite scale: a finite semiprime ring is "
@@ -559,7 +585,7 @@ def _chk_n2(ctx: GActionContext, caps: Caps):
 
 
 def _chk_cor_a8(ctx: GActionContext, caps: Caps):
-    hyps, _ = _semiprime_bad_prime_hyps(ctx, caps)
+    hyps = _semiprime_bad_prime_hyps(ctx, caps)
     notes = ["the nonzero-set condition on the bad primes is read as "
              "nonemptiness",
              "quotient-ring statements are evaluated in the finite degenerate "
@@ -596,9 +622,7 @@ def _chk_th_4apr(ctx: GActionContext, caps: Caps):
                    HOLDS if not bar_profile.primes else FAILS,
                    witness={"bad_primes": list(bar_profile.primes)})]
     if bar_profile.primes:
-        cond_clauses, _ = _bad_prime_condition_clauses(
-            bar_ctx, caps, "alt2.", ctx.n)
-        hyps.extend(cond_clauses)
+        hyps.extend(_bad_prime_condition_clauses(bar_ctx, caps, "alt2.", ctx.n))
     concls = [_radical_restriction_clause(ctx, "prime-radical-restriction",
                                           use_jacobson=False)]
     bar_fixed_ring = bar_ctx.fixed_image().ring
@@ -630,25 +654,14 @@ def _chk_rad_1_4(ctx: GActionContext, caps: Caps):
 
 def _chk_b5apr(ctx: GActionContext, caps: Caps):
     bar_ctx, fixed_image = _quotient_context(ctx)
-    hyps = []
     compat = fixed_image == bar_ctx.fixed.sub
-    hyps.append(Clause(
+    hyps = [Clause(
         "fix-compat",
         "the image of the fixed ring equals the fixed ring of the induced action",
         HOLDS if compat else FAILS,
         witness=None if compat else {"image": fixed_image,
-                                     "quotient_fixed": bar_ctx.fixed.sub}))
-    hyps.append(_proper_splitting_clause(
-        bar_ctx, caps, "proper-splitting",
-        "the induced group splits the radical quotient properly on some side"))
-    hyps.append(_zero_ideal_clause(
-        "alt1", "the radical quotient has no torsion at the induced group order",
-        torsion_ideal(bar_ctx.ring, bar_ctx.n)))
-    hyps.append(_bad_primes_clause("alt2.B", bar_ctx.bad_primes(caps),
-                                   "the induced action on the quotient has bad primes"))
-    cond_clauses, _ = _bad_prime_condition_clauses(
-        bar_ctx, caps, "alt2.", bar_ctx.n)
-    hyps.extend(cond_clauses)
+                                     "quotient_fixed": bar_ctx.fixed.sub})]
+    hyps.extend(_splitting_alternative_hyps(bar_ctx, caps, _QUOTIENT_SPLIT_LABELS))
     concls = [_radical_restriction_clause(ctx, "radical-restriction",
                                           use_jacobson=True)]
     return hyps, concls, []
@@ -665,7 +678,7 @@ def _chk_th_8apr(ctx: GActionContext, caps: Caps):
 
 
 def _chk_cor_b8(ctx: GActionContext, caps: Caps):
-    hyps, _ = _semiprime_bad_prime_hyps(ctx, caps)
+    hyps = _semiprime_bad_prime_hyps(ctx, caps)
     notes = ["the nonzero-set condition on the bad primes is read as "
              "nonemptiness"]
     ss_r = jacobson_radical(ctx.ring).is_zero()
@@ -730,8 +743,7 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
     image = ctx.fixed_image()
     er_status = HOLDS
     er_witness = None
-    len_status = HOLDS
-    len_witness = None
+    length = HOLDS, None
     capped = False
     for side in (LEFT, RIGHT):
         ideals, exhaustive = enumerate_ideals(image.ring, side, caps)
@@ -743,14 +755,8 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
                 er_status = FAILS
                 er_witness = {"side": side, "ideal": j, "restriction": back}
                 break
-            l_s = quotient_length(image.ring, side, j.sub, caps)
-            l_r = quotient_length(ctx.ring, side, j_e.sub, caps)
-            if l_s is None or l_r is None:
-                len_status = _capped(len_status, True)
-            elif l_s > l_r:
-                len_status = FAILS
-                len_witness = {"side": side, "ideal": j,
-                               "fixed_length": l_s, "ring_length": l_r}
+            length = _length_comparison(ctx, side, j.sub, j_e.sub, caps, length,
+                                        {"side": side, "ideal": j})
         if er_status == FAILS:
             break
     concls = [
@@ -760,7 +766,7 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
                _capped(er_status, capped), witness=er_witness),
         Clause("length-bound",
                "fixed-ring quotient lengths never exceed ring quotient lengths",
-               _capped(len_status, capped), witness=len_witness),
+               _capped(length[0], capped), witness=length[1]),
     ]
     return hyps, concls, ([SAMPLED_NOTE] if capped else [])
 
@@ -807,7 +813,7 @@ def _c6_scan(ctx: GActionContext, sd, side: str, caps: Caps):
     capped = not (exhaustive and f_exhaustive)
     dec_status, dec_witness = HOLDS, None
     inj_status, inj_witness = HOLDS, None
-    len_status, len_witness = HOLDS, None
+    length = HOLDS, None
     for ideal in ideals:
         meet_s = ctx.meet(ideal.sub)
         meet_b = ideal.sub.intersect(sd.complement)
@@ -826,15 +832,9 @@ def _c6_scan(ctx: GActionContext, sd, side: str, caps: Caps):
                 break
         if inj_status == FAILS:
             break
-        l_s = quotient_length(image.ring, side, restricted, caps)
-        l_r = quotient_length(ctx.ring, side, ideal.sub, caps)
-        if l_s is None or l_r is None:
-            len_status = _capped(len_status, True)
-        elif l_s > l_r:
-            len_status, len_witness = FAILS, {
-                "ideal": ideal, "fixed_length": l_s, "ring_length": l_r}
-    return capped, ((dec_status, dec_witness), (inj_status, inj_witness),
-                    (len_status, len_witness))
+        length = _length_comparison(ctx, side, restricted, ideal.sub, caps, length,
+                                    {"ideal": ideal})
+    return capped, ((dec_status, dec_witness), (inj_status, inj_witness), length)
 
 
 def _chk_lem_c6(ctx: GActionContext, caps: Caps):
@@ -868,8 +868,7 @@ def _chk_cor_c8(ctx: GActionContext, caps: Caps):
     else:
         witness = {side: is_proper_splitting(ctx, sd, side, caps).status
                    for side in (LEFT, RIGHT)}
-        status = (HOLDS if all(v == "yes" for v in witness.values())
-                  else CAPPED if "capped" in witness.values() else FAILS)
+        status = _worst(_SPLIT_STATUS[v] for v in witness.values())
     concls = [Clause("averaging-proper", "the averaging splitting is proper on both sides",
                      status, witness=witness)]
     if sd is not None:

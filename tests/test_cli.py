@@ -256,6 +256,16 @@ def test_profile_and_catalog_keep_the_exit_codes(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1, argv
 
 
+def test_profile_empty_manifest(tmp_path, capsys):
+    """A manifest that lists no instance gives `profile` nothing to print:
+    exit 2 with one stderr line, not a traceback."""
+    (tmp_path / "manifest.json").write_text("[]")
+    assert main(["profile", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_catalog_save(tmp_path, capsys):
     code = main(["catalog", "--out", str(tmp_path / "snap")])
     assert code == 0

@@ -269,3 +269,49 @@ def test_c6_length_failure_is_not_hidden_by_a_later_cap(named_catalog, monkeypat
     assert failed and all(c.cond.startswith("length[") for c in failed)
     assert failed[0].witness["fixed_length"] == 2
     assert failed[0].witness["ring_length"] == 1
+
+
+def test_cor_c8_failure_is_not_hidden_by_a_cap_on_the_other_side(named_contexts,
+                                                                  monkeypatch):
+    """An averaging splitting that is not proper on the left stays failing
+    when the right-side search is cut off by a cap: the clause takes the
+    worst of the two sides, as LEM_C6's splitting clauses do."""
+    from types import SimpleNamespace
+
+    from ringinv import theorems
+
+    statuses = {"left": "no", "right": "capped"}
+    monkeypatch.setattr(theorems, "is_proper_splitting",
+                        lambda ctx, sd, side, caps: SimpleNamespace(status=statuses[side]))
+    report = check("COR_C8", named_contexts["m2f3"], Caps())
+    assert report.verdict == COUNTEREXAMPLE
+    clause = report.conclusion[0]
+    assert clause.cond == "averaging-proper"
+    assert (clause.status, clause.witness) == ("fails", statuses)
+
+
+# SHA-256 of the BI_1_4 and N1 reports on the named catalog, taken when N1
+# read its trace-power cap from a per-prime copy of `caps.d_search`
+LOW_D_SEARCH_DIGESTS = {
+    1: "52e525b2019cd50551a4ce405c97794f14f478badc352873c3aad0fdec08b734",
+    2: "baf1a4187af030b56432f892d49205b679e8d0aba3d0d02d29015c94b71f6b8e",
+}
+
+
+@pytest.mark.parametrize("d_search", sorted(LOW_D_SEARCH_DIGESTS))
+def test_trace_power_witnesses_at_low_caps_keep_their_bytes(named_catalog, d_search):
+    """At these caps the trace-power searches of BI_1_4 and of N1 (f2xf2 and
+    m2f2) stop at the cap, so both witness forms and N1's note are reported."""
+    import hashlib
+    import json
+
+    caps = Caps(d_search=d_search)
+    reports = []
+    for inst in named_catalog:
+        ctx = inst.context()
+        reports.extend(check(theorem, ctx, caps, (), seed=0).as_json()
+                       for theorem in ("BI_1_4", "N1"))
+    noted_n1 = sorted(r["ring"] for r in reports if r["theorem"] == "N1" and "notes" in r)
+    assert noted_n1 == ["f2xf2", "m2f2"]
+    payload = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(payload.encode()).hexdigest() == LOW_D_SEARCH_DIGESTS[d_search]
