@@ -24,7 +24,6 @@ from .catalog import (
     random_instances,
     save,
 )
-from .groups import factorize
 from .invariants import torsion_ideal
 from .radicals import (
     CrossCheckError,
@@ -33,6 +32,7 @@ from .radicals import (
     regular_elements_quotient,
     uniform_dimension,
 )
+from .ring_core import factorize
 from .theorems import (
     COUNTEREXAMPLE,
     THEOREM_IDS,

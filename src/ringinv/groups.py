@@ -15,6 +15,7 @@ from .ring_core import (
     RingImage,
     Subgroup,
     SubringView,
+    factorize,
 )
 
 
@@ -50,19 +51,6 @@ class NotPGroup(GroupError):
 
 class NotPModule(GroupError):
     pass
-
-
-def factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class RingAutomorphism:

@@ -12,13 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
 from .caps import Caps, DEFAULT_CAPS
 from .groups import (
     AutomorphismGroup,
     RingAutomorphism,
-    factorize,
     fixed_ring,
     induced_action,
     p_normal_complement,
@@ -43,6 +41,7 @@ from .ring_core import (
     Subgroup,
     SubringView,
     cached,
+    factorize,
     generated_ideal,
     inverse,
     sided,
@@ -296,20 +295,15 @@ class GActionContext:
 # -- free functions matching the operation surface ------------------------------
 
 def torsion_ideal(ring: FiniteRing, n: int) -> Ideal:
-    """Elements killed by a power of n: the span of the n-primary parts of
-    the generators.  Always a two-sided ideal; closure is verified."""
+    """Elements killed by a power of n: the sum of the primary components
+    R_p for the primes p dividing n (`FiniteRing.primary_components`).
+    Always a two-sided ideal; its closure is verified once, and the ideal
+    is memoized on the ring by n."""
     if n < 1:
         raise ValueError("torsion index must be >= 1")
-    gens = []
-    for i, d in enumerate(ring.cyclic_orders):
-        cop = d
-        while (g := gcd(cop, n)) > 1:
-            cop //= g
-        # cop is the largest divisor of d coprime to n; cop*e_i spans the
-        # n-primary component of the i-th cyclic factor
-        if cop != d:
-            gens.append(ring.smul(cop, ring.generator(i)))
-    return Ideal.from_basis(ring, TWOSIDED, gens)
+    return cached(ring._extra, ("torsion", n), lambda: Ideal.from_basis(
+        ring, TWOSIDED, [b for p, comp in ring.primary_components() if n % p == 0
+                         for b in comp.basis]))
 
 
 def subgroup_power_nilpotency(ring: FiniteRing, sub: Subgroup, cap: int):

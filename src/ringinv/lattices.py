@@ -6,9 +6,11 @@ adds a vector to echelon rows by extended-gcd row steps; `hermite_extend`
 grows a full-rank key by the vectors outside its span (the key itself when
 there are none), so subgroup keys are never rebuilt from scratch.  The one
 from-scratch `hermite_form` left is that of a graph lattice, which gives
-kernels and preimages (`ring_core.AdditiveMap`).  One back-substitution down
-echelon rows with pivot i in row i, `hermite_solve`, gives membership in a
-key, coordinates in a key (`ring_core.Coordinates`) and those preimages.
+kernels and preimages (`ring_core.AdditiveMap`).  Two back-substitutions run
+down echelon rows with pivot i in row i: `hermite_solve` gives membership in
+a key, coordinates in a key (`ring_core.Coordinates`) and those preimages;
+`hermite_reduce` gives the least coset representative modulo a key
+(`ring_core.Subgroup.coset_rep`).
 Quotients and subring coordinate systems come from the Smith normal form
 with tracked column transforms.  `solve_mod_p`, Gaussian elimination over
 Z/p, has no caller in the engine; it stays as a tested primitive that the
@@ -148,6 +150,21 @@ def in_hermite_span(key: tuple[Row, ...], v) -> bool:
     if len(key) != len(v):
         raise ValueError(f"{len(key)} key rows for width {len(v)}: not square")
     return hermite_solve(key, v) is not None
+
+
+def hermite_reduce(key: tuple[Row, ...], v) -> Row:
+    """The least representative of v modulo the span of a square Hermite key:
+    v minus the multiple of each row, top down, that leaves its pivot column
+    in [0, pivot).  A row touches no column left of its pivot, so the
+    columns already reduced stay so, and two vectors get the same result iff
+    they differ by a member of the span (zero iff v lies in it)."""
+    rest = list(v)
+    for c, row in enumerate(key):
+        q = rest[c] // row[c]
+        if q:
+            for j in range(c, len(rest)):
+                rest[j] -= q * row[j]
+    return tuple(rest)
 
 
 def smith_form(rows, width: int):

@@ -1,15 +1,27 @@
 """Radical and structure theory of finite rings.
 
 The prime radical (largest nilpotent ideal) and the Jacobson radical
-(quasi-regularity) are computed by genuinely independent algorithms; their
-agreement on finite rings is checked whenever a profile is built, never
-assumed.  Principal ideals are closed once per cyclic subgroup: the
-generators of <x> all generate the ideal x does.  Both radicals decide each
-distinct principal ideal once: the prime radical by one nilpotency test per
-two-sided principal ideal, the Jacobson radical by one verdict per principal
-left ideal, where quasi-regularity of an element is one preimage solve of an
-additive map.  Uniform dimension, regular elements, and composition
-lengths of finite modules round out the structure data the checkers need.
+(quasi-regularity) are decided by independent tests, nilpotency and
+quasi-regularity; their agreement on finite rings is checked whenever a
+profile is built, never assumed.  Principal ideals are closed once per
+cyclic subgroup: the generators of <x> all generate the ideal x does.  Both
+radicals are sums of the principal ideals that pass a test, the prime
+radical's one nilpotency test per two-sided principal ideal, the Jacobson
+radical's one quasi-regularity verdict per principal left ideal, and both
+are found by one walk (`_radical_span`).  The cross-check therefore
+guards the two tests, not the walk they share: a walk that missed a coset
+would shift both radicals alike and they would still agree, so the walk is
+held to the whole-ring walks kept in `tests/oracles.py` by the test suite
+instead.  A finite ring is the direct product of its primary components R_p
+(`FiniteRing.primary_components`), so each radical is the sum of its parts
+in the components, and the walk visits component elements only; a radical
+is an additive subgroup, so membership is constant on the cosets of the
+part found so far, and the walk decides one element per coset.  A
+nilpotent element y has the quasi-inverse Σ_{k≥1} (−y)^k, read off its own
+powers; any other element is decided by one preimage solve of an additive
+map, and every quasi-inverse is checked.  Uniform dimension, regular
+elements, and composition lengths of finite modules round out the structure
+data the checkers need.
 Regular elements (by the sizes of r·R and R·r) and units are decided once
 per power orbit: both are constant along r, r², r³, ….  An exhaustive ideal
 lattice is the one source of its lattice facts: the join closure that builds
@@ -93,6 +105,39 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
 
 # -- the two radicals --------------------------------------------------------------
 
+def _radical_span(ring: FiniteRing, side: str, passes) -> Subgroup:
+    """The sum of the principal `side` ideals of R that pass `passes`, for
+    a radical in which x lies iff its principal ideal passes.
+
+    Such a radical is an additive subgroup, so it is ⊕_p (rad ∩ R_p) over
+    the primary components (`FiniteRing.primary_components`); the principal
+    ideal of x ∈ R_p lies in R_p, so each component is walked alone.  For
+    a part S found so far, x and x + s (s ∈ S) are both in the radical or
+    both out of it, so the walk decides one element per coset of S: each
+    coset is named by its least representative (`Subgroup.coset_rep`), a
+    rejected coset stays rejected as S grows (its names are re-reduced),
+    and each time S grows the walk starts over on the cosets of the larger S.
+    """
+    total = Subgroup.zero(ring.additive)
+    for _, component in ring.primary_components():
+        span, rejected, grown = Subgroup.zero(ring.additive), set(), True
+        while grown:
+            grown = False
+            for x in itertools.islice(component.transversal(span), 1, None):
+                name = span.coset_rep(x)
+                if name in rejected:
+                    continue
+                ideal = principal_ideal(ring, x, side)
+                if passes(ideal):
+                    span = span.join(ideal.sub)
+                    rejected = {span.coset_rep(r) for r in rejected}
+                    grown = True
+                    break
+                rejected.add(name)
+        total = total.join(span)
+    return total
+
+
 def prime_radical(ring: FiniteRing) -> Ideal:
     """Largest nilpotent ideal: elements whose principal two-sided ideal is
     nilpotent.  The result is verified to be a nilpotent two-sided ideal."""
@@ -100,16 +145,11 @@ def prime_radical(ring: FiniteRing) -> Ideal:
 
 
 def _compute_prime_radical(ring: FiniteRing) -> Ideal:
-    members, verdicts = set(), {}
-    for x in ring.elements():
-        if x in members:
-            continue
-        ideal = principal_ideal(ring, x, TWOSIDED)
-        if cached(verdicts, ideal.key,
-                  lambda: nilpotency_index(ring, ideal.sub) is not None):
-            # every y in a nilpotent ideal generates a nilpotent subideal
-            members.update(ideal.elements())
-    out = Ideal.from_basis(ring, TWOSIDED, members)
+    verdicts: dict = {}
+    # every y in a nilpotent ideal generates a nilpotent subideal
+    span = _radical_span(ring, TWOSIDED, lambda ideal: cached(
+        verdicts, ideal.key, lambda: nilpotency_index(ring, ideal.sub) is not None))
+    out = Ideal.from_basis(ring, TWOSIDED, span.basis)
     if nilpotency_index(ring, out.sub) is None:
         raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
     return out
@@ -118,17 +158,41 @@ def _compute_prime_radical(ring: FiniteRing) -> Ideal:
 def is_quasi_regular(ring: FiniteRing, y: Element) -> bool:
     """Left quasi-regularity: some z satisfies z + y + z*y = 0.
 
-    z ↦ z + z·y is additive, so one preimage solve of −y decides it; the
-    quasi-inverse it returns is checked before it is believed.
+    A nilpotent y has z = Σ_{k≥1} (−y)^k (`_series_quasi_inverse`); any
+    other y is decided by one preimage solve, since z ↦ z + z·y is additive.
+    Every quasi-inverse found either way is checked before it is believed.
     """
     return cached(ring._extra, ("qr", y), lambda: _solve_quasi_inverse(ring, y))
 
 
+def _series_quasi_inverse(ring: FiniteRing, y: Element) -> Element | None:
+    """Σ_{k≥1} (−y)^k when (−y)^n = 0 for some n ≤ the bit length of |R|,
+    else None.
+
+    With w = −y and w^n = 0, z = w + … + w^(n−1) gives z·y = −(w² + … + w^n),
+    so z + y + z·y = w − w^n + y = 0.  The bound loses no nilpotent y: while
+    y^k ≠ 0 the chain y·R¹ ⊋ y²·R¹ ⊋ … is strict (y^k·R¹ = y^(k+1)·R¹ gives
+    y^k = y^(k+1)·r = y^m·y^k·r^m for every m, so y^k = 0), and a strict
+    chain of nonzero subgroups of R has at most log2 |R| members.  A y that
+    is not caught here only goes to the solve.
+    """
+    w = ring.neg(y)
+    power, z = w, ring.zero
+    for _ in range(ring.order.bit_length()):
+        if power == ring.zero:
+            return z
+        z = ring.add(z, power)
+        power = ring.mul(power, w)
+    return None
+
+
 def _solve_quasi_inverse(ring: FiniteRing, y: Element) -> bool:
-    images = [ring.add(g, ring.mul(g, y)) for g in ring.generators()]
-    z = AdditiveMap(ring.additive, images, ring.additive.relations).preimage(ring.neg(y))
+    z = _series_quasi_inverse(ring, y)
     if z is None:
-        return False
+        images = [ring.add(g, ring.mul(g, y)) for g in ring.generators()]
+        z = AdditiveMap(ring.additive, images, ring.additive.relations).preimage(ring.neg(y))
+        if z is None:
+            return False
     if ring.add(ring.add(z, y), ring.mul(z, y)) != ring.zero:
         raise CrossCheckError(f"quasi-inverse of {y} in {ring.name} does not check")
     return True
@@ -138,15 +202,16 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Quasi-regularity radical: x belongs iff every member of the left ideal
     generated by x (unitalization convention) is left quasi-regular.
 
-    Each element costs one preimage solve, and each distinct principal left
-    ideal one verdict: an ideal holding a known non-quasi-regular element
-    fails without a scan, and a passing ideal puts all its elements in.
+    The walk (`_radical_span`) decides one principal left ideal per coset of
+    the part found so far, in each primary component; each distinct ideal
+    gets one verdict: an ideal holding a known non-quasi-regular element
+    fails without a scan, and a passing ideal joins the radical whole.
     """
     return cached(ring._extra, "jacobson_radical", lambda: _compute_jacobson_radical(ring))
 
 
 def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
-    members, witnesses, verdicts = set(), [], {}
+    witnesses, verdicts = [], {}
 
     def passes(ideal: Ideal) -> bool:
         if any(ideal.contains(w) for w in witnesses):
@@ -157,14 +222,10 @@ def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
                 return False
         return True
 
-    for x in ring.elements():
-        if x in members:
-            continue
-        ideal = principal_ideal(ring, x, LEFT)
-        if cached(verdicts, ideal.key, lambda: passes(ideal)):
-            # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
-            members.update(ideal.elements())
-    return Ideal.from_basis(ring, TWOSIDED, members)
+    # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
+    span = _radical_span(ring, LEFT, lambda ideal: cached(
+        verdicts, ideal.key, lambda: passes(ideal)))
+    return Ideal.from_basis(ring, TWOSIDED, span.basis)
 
 
 @dataclass
@@ -176,7 +237,10 @@ class RadicalProfile:
 
 
 def radical_profile(ring: FiniteRing) -> RadicalProfile:
-    """Compute both radicals independently and insist that they agree."""
+    """Compute both radicals by their independent tests and insist that
+    they agree.  The two share the coset walk `_radical_span`, so the
+    agreement checks the nilpotency and quasi-regularity tests, not the
+    walk; the whole-ring walks in `tests/oracles.py` check that."""
     nil = prime_radical(ring)
     rad = jacobson_radical(ring)
     if nil.sub != rad.sub:

@@ -7,8 +7,10 @@ canonicalized by the Hermite form of their preimage lattice, so equality
 tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
 adds the generators outside a key to it and returns the subgroup itself when
 there are none, so generating and joining never rebuild a key;
-`AdditiveMap` holds the one Hermite form still computed from scratch, and
-`lattices.hermite_solve` the one back-substitution down a key.  A generated
+`AdditiveMap` holds the one Hermite form still computed from scratch;
+`lattices.hermite_solve` (coordinates and membership) and
+`lattices.hermite_reduce` (least coset representatives) are the two
+back-substitutions down a key.  A generated
 ideal is one span with no fixed-point loop (`generated_ideal`): the products
 of generators are combinations of generators, so S + R·S and L + L·R are
 closed as they stand.
@@ -30,7 +32,11 @@ side-indexed product is computed once and relabelled: `sided` is the one
 memo that decides the shared side, caches under it and relabels the result.
 Direct products, matrix rings and group rings are block rings, one copy of a
 ring per block, and `_block_ring` is the one layout of their structure
-constants.
+constants.  `FiniteRing.primary_components` splits a ring into the direct
+product of its p-primary parts R_p = (e/p^a)·R, which the radicals and the
+torsion ideals walk one at a time.  `validate_ring` checks a given identity
+on the generators instead of solving for one: an identity is unique, so a
+hint that passes is the one the solve would find.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import Callable, Iterable, Iterator
 from .lattices import (
     hermite_extend,
     hermite_form,
+    hermite_reduce,
     hermite_solve,
     in_hermite_span,
     mat_mul,
@@ -115,25 +122,30 @@ class AdditiveGroup:
     def rank(self) -> int:
         return len(self.cyclic_orders)
 
+    # tuple([...]) rather than tuple(<generator>): these run per element,
+    # and a list comprehension skips the generator's frame switches
     def reduce(self, v: Iterable[int]) -> Element:
-        return tuple(c % d for c, d in zip(v, self.cyclic_orders))
+        return tuple([c % d for c, d in zip(v, self.cyclic_orders)])
 
     def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.cyclic_orders))
+        return tuple([(a + b) % d for a, b, d in zip(x, y, self.cyclic_orders)])
 
     def neg(self, x: Element) -> Element:
-        return tuple((-a) % d for a, d in zip(x, self.cyclic_orders))
+        return tuple([(-a) % d for a, d in zip(x, self.cyclic_orders)])
 
     def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % d for a, b, d in zip(x, y, self.cyclic_orders))
+        return tuple([(a - b) % d for a, b, d in zip(x, y, self.cyclic_orders)])
 
     def smul(self, n: int, x: Element) -> Element:
-        return tuple((n * a) % d for a, d in zip(x, self.cyclic_orders))
+        return tuple([(n * a) % d for a, d in zip(x, self.cyclic_orders)])
 
     def combine(self, coeffs, vectors) -> Element:
         """Σ_i coeffs[i]·vectors[i], reduced."""
-        terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
-        return self.reduce(sum(c * v[t] for c, v in terms) for t in range(self.rank))
+        acc = [0] * self.rank
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc = [a + c * t for a, t in zip(acc, v)]
+        return self.reduce(acc)
 
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic coordinate order."""
@@ -198,6 +210,11 @@ class Subgroup:
     def contains(self, x: Element) -> bool:
         return in_hermite_span(self.key, x)
 
+    def coset_rep(self, x: Element) -> Element:
+        """The least representative of the coset x + self: equal for two
+        elements iff they differ by a member, zero iff x is one."""
+        return hermite_reduce(self.key, x)
+
     def __iter__(self) -> Iterator[Element]:
         return self.transversal()
 
@@ -261,6 +278,19 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(size={self.size}, basis={list(self.basis)})"
+
+
+def factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def cached(store: dict, key, compute):
@@ -356,6 +386,26 @@ class FiniteRing:
     def elements(self) -> Iterator[Element]:
         return self.additive.elements()
 
+    def primary_components(self) -> tuple[tuple[int, Subgroup], ...]:
+        """(p, R_p) for each prime p dividing the additive exponent e, in
+        increasing p: R_p = (e/p^a)·R, with p^a the p-part of e, is the
+        subgroup of elements killed by a power of p.
+
+        R is their direct sum as a ring.  m·R is a two-sided ideal for every
+        integer m, and R_p·R_q = 0 for p ≠ q, since a product of x ∈ R_p and
+        y ∈ R_q is killed by a power of p and by one of q.  With c_p ≡ 1 mod
+        p^a and c_p ≡ 0 mod e/p^a, x = Σ_p c_p·x splits every x into its
+        components c_p·x ∈ R_p; an additive subgroup holds the integer
+        multiples of its members, so every subgroup S is ⊕_p (S ∩ R_p), and
+        every sided ideal with it.
+        """
+        def compute():
+            e, gens = self.exponent, self.generators()
+            return tuple((p, Subgroup.from_generators(
+                self.additive, [self.smul(e // p ** a, g) for g in gens]))
+                for p, a in sorted(factorize(e).items()))
+        return cached(self._extra, "primary_components", compute)
+
     def generator(self, i: int) -> Element:
         return self.additive.generator(i)
 
@@ -392,8 +442,12 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
     """Validate raw structure constants and return the ring.
 
     Checks bilinear well-definedness and associativity on generator triples
-    (which suffices by biadditivity), then solves for a two-sided identity,
-    which must equal `unit_hint` when one is given.
+    (which suffices by biadditivity).  A given `unit_hint` u is checked on
+    the generators, u·g = g = g·u, which by biadditivity makes it a
+    two-sided identity; an identity is unique (u = u·u' = u' for two of
+    them), so u is the one a solve would find, and the ring is the same.
+    Without a hint the identity is solved for: one preimage of the
+    generators under u ↦ (u·g_j, g_j·u)_j, and None when there is none.
     """
     group = AdditiveGroup(tuple(int(d) for d in cyclic_orders))
     k = group.rank
@@ -421,12 +475,15 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
                 if left != right:
                     raise NonAssociative(i, j, l)
     # u is the identity iff u·g_j = g_j = g_j·u for every generator g_j
-    images = [sum((reduced[i][j] for j in range(k)), ())
-              + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
-    pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
-    unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
-    if unit_hint is not None and group.reduce(unit_hint) != unit:
-        raise NotUnital(f"claimed identity {group.reduce(unit_hint)} is not one")
+    if unit_hint is not None:
+        unit = group.reduce(unit_hint)
+        if any(ring.mul(unit, g) != g or ring.mul(g, unit) != g for g in gens):
+            raise NotUnital(f"claimed identity {unit} is not one")
+    else:
+        images = [sum((reduced[i][j] for j in range(k)), ())
+                  + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
+        pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
+        unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
     ring.unit = unit
     return ring
 

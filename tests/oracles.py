@@ -4,12 +4,16 @@ No verdict uses these; they restate facts the engine computes another way,
 so a test can compare the two.
 """
 
+from math import gcd
+
 from ringinv.caps import Caps
 from ringinv.groups import AutomorphismGroup
 from ringinv.invariants import GActionContext, torsion_ideal
 from ringinv.radicals import FiniteModule, ideal_lattice, jacobson_radical, prime_radical
 from ringinv.ring_core import (
     LEFT,
+    TWOSIDED,
+    AdditiveMap,
     Element,
     FiniteRing,
     RingError,
@@ -114,3 +118,53 @@ def relative_trace(ring: FiniteRing, group: AutomorphismGroup,
                 raise RingError("coset members disagree on a fixed element")
         out = ring.add(out, val)
     return out
+
+
+# -- whole-ring walks -------------------------------------------------------------
+
+def whole_ring_prime_radical(ring: FiniteRing) -> Subgroup:
+    """The elements whose two-sided principal ideal is nilpotent, each
+    element of R tested on its own: the reference for
+    `radicals.prime_radical`, which walks the primary components one coset
+    of the part found so far at a time."""
+    members = [x for x in ring.elements()
+               if ring.power_chain(generated_ideal(ring, [x], TWOSIDED).sub)[0] is not None]
+    return Subgroup.from_generators(ring.additive, members)
+
+
+def solved_quasi_regular(ring: FiniteRing, y: Element) -> bool:
+    """Left quasi-regularity of y by one preimage solve of −y under the
+    additive map z ↦ z + z·y, for every y (no power series)."""
+    images = [ring.add(g, ring.mul(g, y)) for g in ring.generators()]
+    z = AdditiveMap(ring.additive, images, ring.additive.relations).preimage(ring.neg(y))
+    return z is not None and ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero
+
+
+def whole_ring_jacobson_radical(ring: FiniteRing) -> Subgroup:
+    """The elements x whose principal left ideal R¹x is quasi-regular
+    throughout, each element of R tested on its own, quasi-regularity by
+    `solved_quasi_regular`: the reference for `radicals.jacobson_radical`."""
+    verdict: dict = {}
+
+    def quasi_regular(y):
+        if y not in verdict:
+            verdict[y] = solved_quasi_regular(ring, y)
+        return verdict[y]
+    members = [x for x in ring.elements()
+               if all(quasi_regular(y) for y in generated_ideal(ring, [x], LEFT).sub)]
+    return Subgroup.from_generators(ring.additive, members)
+
+
+def generator_torsion_ideal(ring: FiniteRing, n: int) -> Subgroup:
+    """The span of the n-primary parts of the generators: cop·g_i, with cop
+    the largest divisor of d_i prime to n, spans the n-primary part of the
+    i-th cyclic factor.  The reference for `invariants.torsion_ideal`."""
+    gens = []
+    for i, d in enumerate(ring.cyclic_orders):
+        cop = d
+        while (g := gcd(cop, n)) > 1:
+            cop //= g
+        if cop != d:
+            gens.append(ring.smul(cop, ring.generator(i)))
+    return Subgroup.from_generators(ring.additive, gens)
+
