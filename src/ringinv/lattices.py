@@ -6,10 +6,11 @@ adds a vector to echelon rows by extended-gcd row steps; `hermite_extend`
 grows a full-rank key by the vectors outside its span (the key itself when
 there are none), so subgroup keys are never rebuilt from scratch.  The one
 from-scratch `hermite_form` left is that of a graph lattice, which gives
-kernels and preimages (`ring_core.AdditiveMap`).  Two back-substitutions run
-down echelon rows with pivot i in row i: `hermite_solve` gives membership in
-a key, coordinates in a key (`ring_core.Coordinates`) and those preimages;
-`hermite_reduce` gives the least coset representative modulo a key
+kernels and preimages (`ring_core.AdditiveMap`).  Back-substitution runs
+down echelon rows with pivot i in row i: `hermite_solve` gives coordinates
+in a key (`ring_core.Coordinates`) and those preimages; `in_hermite_span`
+is the same walk without coefficients, for membership; `hermite_reduce`
+gives the least coset representative modulo a key
 (`ring_core.Subgroup.coset_rep`).
 Quotients and subring coordinate systems come from the Smith normal form
 with tracked column transforms.  `solve_mod_p`, Gaussian elimination over
@@ -146,10 +147,21 @@ def hermite_solve(rows, v):
 
 
 def in_hermite_span(key: tuple[Row, ...], v) -> bool:
-    """Membership of an integer vector in the span of a square Hermite key."""
+    """Membership of an integer vector in the span of a square Hermite key:
+    the back-substitution of `hermite_solve` without its coefficients, and
+    with no step for a column already zero."""
     if len(key) != len(v):
         raise ValueError(f"{len(key)} key rows for width {len(v)}: not square")
-    return hermite_solve(key, v) is not None
+    rest = list(v)
+    for c, row in enumerate(key):
+        x = rest[c]
+        if x:
+            q, r = divmod(x, row[c])
+            if r:
+                return False
+            for j in range(c + 1, len(rest)):
+                rest[j] -= q * row[j]
+    return True
 
 
 def hermite_reduce(key: tuple[Row, ...], v) -> Row:

@@ -18,10 +18,11 @@ in the components, and the walk visits component elements only; a radical
 is an additive subgroup, so membership is constant on the cosets of the
 part found so far, and the walk decides one element per coset.  A
 nilpotent element y has the quasi-inverse Σ_{k≥1} (−y)^k, read off its own
-powers; any other element is decided by one preimage solve of an additive
-map, and every quasi-inverse is checked.  Uniform dimension, regular
-elements, and composition lengths of finite modules round out the structure
-data the checkers need.
+powers; any other element is decided by its powers under a∘b = a + b + ab,
+which reach 0 iff it is quasi-regular, and every quasi-inverse is checked.
+Uniform dimension, regular elements, and composition lengths of finite
+modules round out the structure data the checkers need.
+
 Regular elements (by the sizes of r·R and R·r) and units are decided once
 per power orbit: both are constant along r, r², r³, ….  An exhaustive ideal
 lattice is the one source of its lattice facts: the join closure that builds
@@ -33,6 +34,22 @@ every element for the atoms.  On a commutative ring each exact sided
 product here is computed once for all three sides (`ring_core.sided`), so
 the two radicals share their principal closures, r·R = R·r is sized once,
 and the sides share one colength memo (`ring_core.shared_side`).
+
+A copy S of R in other coordinates (R^G for G = 1 and R/0 when R's cyclic
+orders are not Smith invariant factors, R^N for N = 1) carries R's radicals
+and exact ideal lattices instead of computing them again.
+`ring_core._coordinate_ring` records (R, project) on S only after
+`Coordinates.check` has proved project: R → S a ring isomorphism
+(`ring_core.copy_source`).  A ring isomorphism maps nilpotent ideals to
+nilpotent ideals and quasi-inverses to quasi-inverses, so it maps the prime
+and the Jacobson radical of R onto those of S, and the sided ideals of R
+onto those of S with their inclusions, so each colength too.  Each carried
+radical still goes through `Ideal.from_basis` (closure on S) and a
+nilpotency check on S; for J that check also proves every member
+quasi-regular, by the series above.  Each carried ideal is checked closed on
+S.  Everything else is computed on S as before: sampled lattices above
+`exhaustive_ideal_order`, lattices cut at `ideal_count`, principal ideals,
+uniform dimension and regular elements.
 """
 
 from __future__ import annotations
@@ -48,7 +65,6 @@ from .ring_core import (
     RIGHT,
     TWOSIDED,
     AdditiveGroup,
-    AdditiveMap,
     Element,
     FiniteRing,
     Ideal,
@@ -56,6 +72,7 @@ from .ring_core import (
     Subgroup,
     cached,
     chain_length,
+    copy_source,
     cover,
     generated_ideal,
     inverse,
@@ -138,31 +155,50 @@ def _radical_span(ring: FiniteRing, side: str, passes) -> Subgroup:
     return total
 
 
+def _checked_radical(ring: FiniteRing, radical, walk, kind: str) -> Ideal:
+    """`radical(ring)` as a two-sided ideal, verified to be one and to be
+    nilpotent: `radical(R)` mapped by `project` when `ring` is a checked
+    full-order copy of R (`ring_core.copy_source`), else `walk(ring)`.
+
+    An isomorphism maps each radical of R onto that of the copy; the basis
+    it maps spans the same subgroup the walk would find, and its key is the
+    same canonical key.
+    """
+    source = copy_source(ring)
+    if source is None:
+        basis = walk(ring).basis
+    else:
+        parent, project = source
+        basis = [project(b) for b in radical(parent).basis]
+    out = Ideal.from_basis(ring, TWOSIDED, basis)
+    if nilpotency_index(ring, out.sub) is None:
+        raise CrossCheckError(f"{kind} of {ring.name} is not nilpotent")
+    return out
+
+
 def prime_radical(ring: FiniteRing) -> Ideal:
     """Largest nilpotent ideal: elements whose principal two-sided ideal is
     nilpotent.  The result is verified to be a nilpotent two-sided ideal."""
-    return cached(ring._extra, "prime_radical", lambda: _compute_prime_radical(ring))
+    return cached(ring._extra, "prime_radical", lambda: _checked_radical(
+        ring, prime_radical, _prime_radical_span, "prime radical"))
 
 
-def _compute_prime_radical(ring: FiniteRing) -> Ideal:
+def _prime_radical_span(ring: FiniteRing) -> Subgroup:
     verdicts: dict = {}
     # every y in a nilpotent ideal generates a nilpotent subideal
-    span = _radical_span(ring, TWOSIDED, lambda ideal: cached(
+    return _radical_span(ring, TWOSIDED, lambda ideal: cached(
         verdicts, ideal.key, lambda: nilpotency_index(ring, ideal.sub) is not None))
-    out = Ideal.from_basis(ring, TWOSIDED, span.basis)
-    if nilpotency_index(ring, out.sub) is None:
-        raise CrossCheckError(f"prime radical of {ring.name} is not nilpotent")
-    return out
 
 
 def is_quasi_regular(ring: FiniteRing, y: Element) -> bool:
     """Left quasi-regularity: some z satisfies z + y + z*y = 0.
 
     A nilpotent y has z = Σ_{k≥1} (−y)^k (`_series_quasi_inverse`); any
-    other y is decided by one preimage solve, since z ↦ z + z·y is additive.
-    Every quasi-inverse found either way is checked before it is believed.
+    other y is decided by its circle powers (`_circle_powers`), which
+    decide every power of y with it.  Every quasi-inverse found either way
+    is checked before it is believed.
     """
-    return cached(ring._extra, ("qr", y), lambda: _solve_quasi_inverse(ring, y))
+    return cached(ring._extra, ("qr", y), lambda: _decide_quasi_regular(ring, y))
 
 
 def _series_quasi_inverse(ring: FiniteRing, y: Element) -> Element | None:
@@ -186,16 +222,52 @@ def _series_quasi_inverse(ring: FiniteRing, y: Element) -> Element | None:
     return None
 
 
-def _solve_quasi_inverse(ring: FiniteRing, y: Element) -> bool:
+def _circle(ring: FiniteRing, a: Element, b: Element) -> Element:
+    """a∘b = a + b + a·b, so that z∘y = 0 says z is a left quasi-inverse of y."""
+    return ring.add(ring.add(a, b), ring.mul(a, b))
+
+
+def _check_quasi_inverse(ring: FiniteRing, z: Element, y: Element) -> None:
+    if _circle(ring, z, y) != ring.zero:
+        raise CrossCheckError(f"quasi-inverse of {y} in {ring.name} does not check")
+
+
+def _decide_quasi_regular(ring: FiniteRing, y: Element) -> bool:
     z = _series_quasi_inverse(ring, y)
     if z is None:
-        images = [ring.add(g, ring.mul(g, y)) for g in ring.generators()]
-        z = AdditiveMap(ring.additive, images, ring.additive.relations).preimage(ring.neg(y))
-        if z is None:
-            return False
-    if ring.add(ring.add(z, y), ring.mul(z, y)) != ring.zero:
-        raise CrossCheckError(f"quasi-inverse of {y} in {ring.name} does not check")
+        return _circle_powers(ring, y)
+    _check_quasi_inverse(ring, z, y)
     return True
+
+
+def _circle_powers(ring: FiniteRing, y: Element) -> bool:
+    """Left quasi-regularity of y from its circle powers y^∘1 = y,
+    y^∘(k+1) = y^∘k∘y; the verdict is recorded for every power walked.
+
+    (R, ∘) is a finite monoid with identity 0 (a∘b is (1+a)(1+b) − 1 in
+    the unitalization R¹, so ∘ is associative), and y is left
+    quasi-regular iff it has a left inverse z∘y = 0 there.  In a finite
+    monoid a left-invertible y is invertible: z∘y = 0 makes x ↦ y∘x
+    injective, hence onto, so y∘x = 0 for some x, and z = z∘y∘x = x.  So y
+    is left quasi-regular iff it is a unit of (R, ∘), iff its powers reach
+    0: a unit generates a finite cyclic group, and the walk, which stops at
+    0 or at the first repeat, meets 0 before any repeat.  A power y^∘k has
+    y's verdict: powers of a unit are units, and an inverse u of y^∘k gives
+    y∘(y^∘(k−1)∘u) = 0, so y is right-invertible, hence a unit by the same
+    argument.  When y^∘m = 0, the inverse of y^∘k is y^∘(m−k), checked for
+    every member of the orbit.
+    """
+    orbit, seen, w = [], set(), y
+    while w != ring.zero and w not in seen:
+        orbit.append(w)
+        seen.add(w)
+        w = _circle(ring, w, y)
+    verdict = w == ring.zero
+    if verdict:
+        for w, z in zip(orbit, reversed(orbit)):
+            _check_quasi_inverse(ring, z, w)
+    ring._extra.update(dict.fromkeys([("qr", w) for w in orbit], verdict))
+    return verdict
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
@@ -207,10 +279,11 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     gets one verdict: an ideal holding a known non-quasi-regular element
     fails without a scan, and a passing ideal joins the radical whole.
     """
-    return cached(ring._extra, "jacobson_radical", lambda: _compute_jacobson_radical(ring))
+    return cached(ring._extra, "jacobson_radical", lambda: _checked_radical(
+        ring, jacobson_radical, _jacobson_radical_span, "Jacobson radical"))
 
 
-def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
+def _jacobson_radical_span(ring: FiniteRing) -> Subgroup:
     witnesses, verdicts = [], {}
 
     def passes(ideal: Ideal) -> bool:
@@ -223,9 +296,8 @@ def _compute_jacobson_radical(ring: FiniteRing) -> Ideal:
         return True
 
     # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
-    span = _radical_span(ring, LEFT, lambda ideal: cached(
+    return _radical_span(ring, LEFT, lambda ideal: cached(
         verdicts, ideal.key, lambda: passes(ideal)))
-    return Ideal.from_basis(ring, TWOSIDED, span.basis)
 
 
 @dataclass
@@ -238,17 +310,18 @@ class RadicalProfile:
 
 def radical_profile(ring: FiniteRing) -> RadicalProfile:
     """Compute both radicals by their independent tests and insist that
-    they agree.  The two share the coset walk `_radical_span`, so the
-    agreement checks the nilpotency and quasi-regularity tests, not the
-    walk; the whole-ring walks in `tests/oracles.py` check that."""
+    they agree; each is verified a nilpotent two-sided ideal as it is
+    computed (`_checked_radical`).  The two share the coset walk
+    `_radical_span`, so the agreement checks the nilpotency and
+    quasi-regularity tests, not the walk; the whole-ring walks in
+    `tests/oracles.py` check that.  On a full-order copy both are carried
+    from R by one map, so there the agreement is R's, carried."""
     nil = prime_radical(ring)
     rad = jacobson_radical(ring)
     if nil.sub != rad.sub:
         raise CrossCheckError(
             f"prime and Jacobson radicals disagree on {ring.name}: "
             f"{sorted(nil.elements())} vs {sorted(rad.elements())}")
-    if nilpotency_index(ring, rad.sub) is None:
-        raise CrossCheckError(f"radical of {ring.name} is not nilpotent")
     return RadicalProfile(
         prime_radical=nil,
         jacobson_radical=rad,
@@ -266,9 +339,39 @@ def is_semisimple_artinian(ring: FiniteRing) -> bool:
 def enumerate_ideals(ring: FiniteRing, side: str, caps: Caps = DEFAULT_CAPS):
     """All sided ideals (join closure of the principal ones), or a flagged
     sample when the ring or the lattice outgrows the caps.  An exhaustive
-    lattice puts the colength of each member in the ring's colength memo."""
+    lattice puts the colength of each member in the ring's colength memo.
+    On a full-order copy of R whose lattice is exhaustive, R's lattice is
+    carried over (`_carried_lattice`)."""
     return sided(ring._extra, ("ideals", caps), ring, side,
-                 lambda s: _principal_lattice(ring, s, caps), exact_lattice(ring, caps))
+                 lambda s: _carried_lattice(ring, s, caps) or _principal_lattice(ring, s, caps),
+                 exact_lattice(ring, caps))
+
+
+def _carried_lattice(ring: FiniteRing, side: str, caps: Caps):
+    """(R's exhaustive `side` lattice mapped by `project`, True) when `ring`
+    is a checked full-order copy of R (`ring_core.copy_source`) and that
+    lattice is exact and exhaustive; else None.
+
+    `project` is a ring isomorphism, so it maps the sided ideals of R onto
+    those of the copy and keeps every colength; each image is checked
+    closed on the copy, sorted by the copy's keys as the join closure
+    sorts, and gets the colength of its source in the copy's memo.  The
+    copy is commutative iff R is, so `side` is the shared side on both.  A
+    sampled or capped lattice is left to the copy's own search.
+    """
+    source = copy_source(ring)
+    if source is None or not exact_lattice(ring, caps):
+        return None
+    parent, project = source
+    ideals, exhaustive = enumerate_ideals(parent, side, caps)
+    if not exhaustive:
+        return None
+    carried = []
+    for ideal in ideals:
+        image = Ideal.from_basis(ring, side, [project(b) for b in ideal.basis])
+        ring._extra[("colength", side, image.key)] = parent._extra[("colength", side, ideal.key)]
+        carried.append(image)
+    return sorted(carried, key=lambda i: i.key), True
 
 
 def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):

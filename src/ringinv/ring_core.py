@@ -8,9 +8,9 @@ tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
 adds the generators outside a key to it and returns the subgroup itself when
 there are none, so generating and joining never rebuild a key;
 `AdditiveMap` holds the one Hermite form still computed from scratch;
-`lattices.hermite_solve` (coordinates and membership) and
-`lattices.hermite_reduce` (least coset representatives) are the two
-back-substitutions down a key.  A generated
+`lattices.hermite_solve` (coordinates), `lattices.in_hermite_span`
+(membership) and `lattices.hermite_reduce` (least coset representatives)
+are the back-substitutions down a key.  A generated
 ideal is one span with no fixed-point loop (`generated_ideal`): the products
 of generators are combinations of generators, so S + R·S and L + L·R are
 closed as they stand.
@@ -25,7 +25,8 @@ request the joins strictly above each member), `cover`
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
 Hermite keys, reached by back-substitution down A's key: quotient rings and
 subring images), whose one check proves the transported ring correct; on
-R's own coordinates the subquotient is R itself.
+R's own coordinates the subquotient is R itself, and a copy of full order in
+other coordinates records R and the checked map (`copy_source`).
 `FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 On a commutative ring the three sides have the same ideals, so every exact
 side-indexed product is computed once and relabelled: `sided` is the one
@@ -950,7 +951,11 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
     built below would be `parent.mul_table` entry for entry, and that table
     was validated when `parent` was built, so skipping `validate_ring` and
     `Coordinates.check` drops no verification.  Other coordinates, such as
-    the Smith orders (6,) of F2×F3's (2, 3), get a validated copy.
+    the Smith orders (6,) of F2×F3's (2, 3), get a validated copy.  A copy
+    of full order is all of `parent` in other coordinates: once
+    `Coordinates.check` has proved `project` a ring isomorphism, the copy
+    records (parent, project) for `copy_source`, and the radicals and the
+    exhaustive ideal lattices are carried over rather than found again.
     """
     if (coords.image.cyclic_orders == parent.cyclic_orders and order == parent.order
             and all(coords.project(g) == g and coords.lift(g) == g
@@ -962,7 +967,16 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
     if ring.order != order:
         raise RingError(f"coordinate ring has order {ring.order}, not {order}")
     coords.check(parent.mul, ring.mul)
+    if order == parent.order:
+        ring._extra["copy_source"] = (parent, coords.project)
     return ring
+
+
+def copy_source(ring: FiniteRing) -> tuple[FiniteRing, Callable] | None:
+    """(R, project) when `ring` is a checked full-order copy of R, so that
+    `project` is a ring isomorphism R → ring (`_coordinate_ring`); else
+    None.  A pickled ring drops the record with its other caches."""
+    return ring._extra.get("copy_source")
 
 
 @dataclass
@@ -1009,15 +1023,20 @@ class SubringView:
         """Realize the subring as a FiniteRing of its own, with maps.
 
         The coordinates are those of the order relations written in the
-        subgroup's Hermite key.  The image is memoized on the parent ring by
-        that key, so every view of one subgroup shares one ring and its
-        caches, under the name of the first request.
+        subgroup's Hermite key.  When 1_R lies in the subgroup (as it does
+        in every fixed ring of a unital R), its image is passed to
+        `validate_ring` as the identity to check; otherwise the identity is
+        solved for.  The image is memoized on the parent ring by that key,
+        so every view of one subgroup shares one ring and its caches, under
+        the name of the first request.
         """
         def compute():
-            group = self.ring.additive
+            parent, group = self.ring, self.ring.additive
             coords = Coordinates(group, self.sub.key, group.relations)
-            ring = _coordinate_ring(self.ring, coords, self.sub.size,
-                                    name or f"{self.ring.name}^sub")
+            unit = (coords.project(parent.unit)
+                    if parent.is_unital and self.sub.contains(parent.unit) else None)
+            ring = _coordinate_ring(parent, coords, self.sub.size,
+                                    name or f"{parent.name}^sub", unit)
             return RingImage(ring, coords.project, coords.lift)
         return cached(self.ring._extra, ("image", self.sub.key), compute)
 

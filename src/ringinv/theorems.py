@@ -10,6 +10,7 @@ Hypothesis masking (by condition id) supports necessity demonstrations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .caps import Caps, DEFAULT_CAPS
@@ -189,11 +190,21 @@ def _cond_matches(cond: str, mask: str) -> bool:
     return cond == mask or cond.split("(")[0] == mask
 
 
-def _apply_masks(theorem: str, hyps: list[Clause], masks) -> None:
+@functools.lru_cache(maxsize=16)
+def _parsed_masks(masks: frozenset) -> tuple[dict, tuple]:
+    """(the masked conditions of each theorem, the sorted specs to echo),
+    parsed once per mask set.  A spec is THEOREM:condition; one with no
+    condition masks nothing."""
+    conds: dict = {}
     for spec in masks:
         th, _, cond = spec.partition(":")
-        if th != theorem or not cond:
-            continue
+        if cond:
+            conds.setdefault(th, []).append(cond)
+    return {th: tuple(c) for th, c in conds.items()}, tuple(sorted(masks))
+
+
+def _apply_masks(hyps: list[Clause], conds) -> None:
+    for cond in conds:
         for h in hyps:
             if _cond_matches(h.cond, cond):
                 h.masked = True
@@ -415,8 +426,11 @@ def _quotient_context(ctx: GActionContext):
     the induced group, and the image of the fixed ring, the subgroup
     generated by the projected fixed basis.  The radical comes from
     `radical_profile`, which raises unless the prime and Jacobson radicals
-    agree, so one cached context serves both.  When J(R) = 0 the quotient
-    ring is R itself (`quotient_by_ideal`), and so is this context.
+    agree, so one cached context serves both.  When J(R) = 0 and R's cyclic
+    orders are already Smith invariant factors, the quotient ring is R
+    itself (`quotient_by_ideal`), and so is this context; other orders
+    (Z/2 × Z/5 → Z/10) give a checked full-order copy of R, which carries
+    R's radicals and exact ideal lattices (`ring_core.copy_source`).
     """
     def compute():
         ring = ctx.ring
@@ -905,7 +919,8 @@ def check(theorem: str, ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
     if theorem not in _CHECKERS:
         raise UnknownTheorem(theorem)
     hyps, concls, notes = _CHECKERS[theorem](ctx, caps)
-    _apply_masks(theorem, hyps, masks)
+    conds, echo = _parsed_masks(frozenset(masks))
+    _apply_masks(hyps, conds.get(theorem, ()))
     hstat = _hyp_status(hyps)
     cstat = _worst(c.status for c in concls)
     if hstat == FAILS:
@@ -920,7 +935,7 @@ def check(theorem: str, ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
         verdict = SKIPPED
     caps_echo = caps.as_dict()
     if masks:
-        caps_echo["masks"] = sorted(masks)
+        caps_echo["masks"] = list(echo)
     return TheoremReport(
         theorem=theorem,
         ring=ctx.ring_name,

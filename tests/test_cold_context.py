@@ -146,9 +146,9 @@ def test_nilpotent_elements_take_the_series(monkeypatch):
     assert z is not None
     assert ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a nilpotent element went to the solve")
-    monkeypatch.setattr(radicals, "AdditiveMap", no_solve)
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a nilpotent element went to the circle powers")
+    monkeypatch.setattr(radicals, "_circle_powers", no_walk)
     assert is_quasi_regular(cyclic_ring(8), (2,))
     assert is_quasi_regular(cyclic_ring(8), (4,))
 
