@@ -35,6 +35,7 @@ from .radicals import (
 from .ring_core import factorize
 from .theorems import (
     COUNTEREXAMPLE,
+    HYPOTHESIS_CONDITIONS,
     THEOREM_IDS,
     check,
     reverified,
@@ -142,6 +143,11 @@ def cmd_check(ns) -> int:
         if th not in THEOREM_IDS or not cond:
             print(f"bad --mask {spec!r}: expected THEOREM:condition with a known "
                   f"theorem id", file=sys.stderr)
+            return 2
+        stem = cond.partition("(")[0]
+        if stem not in HYPOTHESIS_CONDITIONS[th]:
+            print(f"bad --mask {spec!r}: {th} has no hypothesis condition {stem!r}",
+                  file=sys.stderr)
             return 2
     theorems = (tuple(t.strip() for t in ns.theorems.split(",") if t.strip())
                 if ns.theorems else THEOREM_IDS)

@@ -30,7 +30,24 @@ it also gives each member the joins strictly above it, from which the
 colength of every member goes into a memo on the ring, and the atoms are
 the members of length 1.  Only a sampled or capped lattice climbs covers
 for a colength (up to the first ideal whose colength is known) and closes
-every element for the atoms.  On a commutative ring each exact sided
+every element for the atoms.
+
+An exact lattice is the product of the lattices of the primary components
+(`_product_lattice`), one join closure per component.  With R_p ⊕ R_q
+= R and R_q·R_p = 0 for q ≠ p (`FiniteRing.primary_components`):
+- every sided ideal I of R is ⊕_p I_p with I_p = I ∩ R_p, since every
+  subgroup of R is the sum of its parts in the components;
+- a subgroup of R_p is a sided ideal of R iff it is one of R_p: R·x =
+  R_p·x for x ∈ R_p, as R_q·x = 0 (so on the right), so the sided ideals of
+  R in R_p are the joins of principal ideals of elements of R_p, and any
+  choice of one per component sums to a sided ideal of R;
+- R/I ≅ ⊕_p R_p/I_p as R-modules, and R acts on R_p/I_p through R_p, so
+  len(R/I) = Σ_p len(R_p/I_p).
+So the members of R's lattice are the sums of one member of each component
+lattice, and their colengths are the sums of the component colengths.  The
+join closure over every element of R runs only when a component lattice or
+the product outgrows `caps.ideal_count`, and then it gives the capped
+lattice it always gave.  On a commutative ring each exact sided
 product here is computed once for all three sides (`ring_core.sided`), so
 the two radicals share their principal closures, r·R = R·r is sized once,
 and the sides share one colength memo (`ring_core.shared_side`).
@@ -108,8 +125,13 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
 
     With o the additive order of x, every k·x with gcd(k, o) = 1 generates
     the same ideal (x is a multiple of it), so one closure fills them all.
-    On a commutative ring one closure serves all three sides.
+    On a commutative ring one closure serves all three sides.  A hit is read
+    from the memo `sided` keeps before any closure is built.
     """
+    hit = ring._extra.get(("principal", x, side))
+    if hit is not None:
+        return hit
+
     def compute(shared):
         ideal = generated_ideal(ring, [x], shared)
         o = lcm(*(d // gcd(c, d) for c, d in zip(x, ring.cyclic_orders)))
@@ -375,29 +397,75 @@ def _carried_lattice(ring: FiniteRing, side: str, caps: Caps):
 
 
 def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):
-    above: dict = {}
-    ideals, exhaustive = ideal_lattice(
-        ring, side, lambda x: principal_ideal(ring, x, side), 17, caps, above)
-    if exhaustive:
-        _record_colengths(ring, side, ideals, above)
-    return ideals, exhaustive
+    """The `side` lattice from principal ideals: the product of the
+    component lattices (`_product_lattice`) when it is exact and within
+    `caps.ideal_count`, else the join closure of the principal ideals of
+    every element of R, exhaustive or flagged as `ideal_lattice` decides.
+    Every member of an exhaustive lattice gets its colength in the memo."""
+    members = _product_lattice(ring, side, caps) if exact_lattice(ring, caps) else None
+    if members is None:
+        above: dict = {}
+        ideals, exhaustive = ideal_lattice(
+            ring, side, lambda x: principal_ideal(ring, x, side), 17, caps, above)
+        if not exhaustive:
+            return ideals, False
+        colength = _colengths(ideals, above)
+        members = [(ideal.sub, colength[ideal.key]) for ideal in ideals]
+    ring._extra.update(((("colength", side, sub.key), n) for sub, n in members))
+    return [Ideal(ring, side, sub) for sub, _ in members], True
 
 
-def _record_colengths(ring: FiniteRing, side: str, ideals, above: dict) -> None:
-    """Memoize len(R/I) for every member I of an exhaustive sided lattice,
-    given the keys of the joins I + principal(y) strictly above each I.
+def _product_lattice(ring: FiniteRing, side: str, caps: Caps):
+    """(I, len(R/I)) for the sided ideals I = ⊕_p I_p of R, sorted by key,
+    with len(R/I) = Σ_p len(R_p/I_p); None when the lattice of some R_p, or
+    their product, has more than `caps.ideal_count` members.
+
+    Each component lattice is the join closure of the principal ideals of
+    the elements of R_p, closed on R, and gives every member its colength
+    in R_p (`_colengths`); the product joins one member of each.
+    """
+    members = [(Subgroup.zero(ring.additive), 0)]
+    for p, _ in ring.primary_components():
+        above: dict = {}
+        subs, exhaustive = join_closure(
+            (principal_ideal(ring, x, side).sub for x in _component_elements(ring, p)),
+            caps.ideal_count, above)
+        if not exhaustive or len(members) * len(subs) > caps.ideal_count:
+            return None
+        colength = _colengths(subs, above)
+        members = [(sub.join(part), n + colength[part.key])
+                   for sub, n in members for part in subs]
+    return sorted(members, key=lambda m: m[0].key)
+
+
+def _component_elements(ring: FiniteRing, p: int):
+    """The elements of R_p, those killed by a power of p: in each cyclic
+    factor Z/d, the multiples of d/p^k for p^k the p-part of d; in
+    lexicographic coordinate order, so all of R's when R = R_p."""
+    steps = []
+    for d in ring.cyclic_orders:
+        while d % p == 0:
+            d //= p
+        steps.append(d)
+    return itertools.product(*(range(0, d, s) for d, s in zip(ring.cyclic_orders, steps)))
+
+
+def _colengths(members, above: dict) -> dict:
+    """len(T/I) by key for every member I of an exhaustive lattice of
+    sided ideals with largest member T, given the keys of the joins
+    I + principal(y) strictly above each I.
 
     Sided ideals are the submodules of R as an R¹-module, a modular lattice,
     so every maximal chain between two members has the same length (the
-    Jordan–Dedekind chain condition): len(R/J) < len(R/I) for J ⊋ I, with
-    len(R/I) = 1 + len(R/C) for a cover C.  Every cover of I is one of
-    those joins (see `cover`), so len(R/I) is 1 + the largest colength
-    among them, and 0 for R, which has none; larger ideals go first.
+    Jordan–Dedekind chain condition): len(T/J) < len(T/I) for J ⊋ I, with
+    len(T/I) = 1 + len(T/C) for a cover C.  Every cover of I is one of
+    those joins (see `cover`), so len(T/I) is 1 + the largest colength
+    among them, and 0 for T, which has none; larger ideals go first.
     """
     colength: dict = {}
-    for ideal in sorted(ideals, key=lambda i: -i.size):
-        colength[ideal.key] = 1 + max((colength[k] for k in above[ideal.key]), default=-1)
-    ring._extra.update(((("colength", side, k), n) for k, n in colength.items()))
+    for member in sorted(members, key=lambda m: -m.size):
+        colength[member.key] = 1 + max((colength[k] for k in above[member.key]), default=-1)
+    return colength
 
 
 def exhaustive_ideals(ring: FiniteRing, side: str, caps: Caps):

@@ -912,6 +912,29 @@ _CHECKERS = {
     "COR_C8": _chk_cor_c8,
 }
 
+# the condition stems (the part before any "(p=…)") of the hypothesis
+# clauses each checker emits: what a THEOREM:condition mask can name
+HYPOTHESIS_CONDITIONS = {
+    "BI_1_4": ("1", "2"),
+    "MONT_1_7": ("1", "2"),
+    "N1": ("1", "2", "3", "B"),
+    "C1_5": ("semiprime", "torsion-free"),
+    "N2": ("1", "2", "B", "semiprime"),
+    "COR_A8": ("1", "2", "B", "semiprime"),
+    "TH_1_9": ("torsion-free",),
+    "TH_4APR": ("alt1", "alt2.1", "alt2.2"),
+    "RAD_1_4": ("invertible",),
+    "B5APR": ("alt1", "alt2.1", "alt2.2", "alt2.B", "fix-compat", "proper-splitting"),
+    "LEVITZKI": ("invertible", "semisimple"),
+    "TH_8APR": ("alt1", "alt2.1", "alt2.2", "alt2.B", "proper-splitting", "semisimple"),
+    "COR_B8": ("1", "2", "B", "semiprime"),
+    "A5APR": ("alt1", "alt2.1", "alt2.2", "alt2.B", "proper-splitting", "rad-zero"),
+    "LEM_A6": ("splitting",),
+    "LEM_B6": ("splitting",),
+    "LEM_C6": ("alt1", "alt2"),
+    "COR_C8": ("invertible",),
+}
+
 
 def check(theorem: str, ctx: GActionContext, caps: Caps = DEFAULT_CAPS,
           masks=(), seed: int | None = None) -> TheoremReport:

@@ -16,10 +16,12 @@ from ringinv.ring_core import (
     AdditiveMap,
     Element,
     FiniteRing,
+    Ideal,
     RingError,
     Subgroup,
     generated_ideal,
     inverse,
+    join_closure,
 )
 
 
@@ -168,3 +170,14 @@ def generator_torsion_ideal(ring: FiniteRing, n: int) -> Subgroup:
             gens.append(ring.smul(cop, ring.generator(i)))
     return Subgroup.from_generators(ring.additive, gens)
 
+
+
+def whole_ring_lattice(ring: FiniteRing, side: str, caps: Caps):
+    """(the join closure of the principal `side` ideals of every element of
+    R, sorted by key, exhaustive), cut at `caps.ideal_count` as
+    `join_closure` cuts: the reference for `radicals.enumerate_ideals` on an
+    exact lattice, which builds it as the product of the lattices of the
+    primary components."""
+    subs, exhaustive = join_closure(
+        (generated_ideal(ring, [x], side).sub for x in ring.elements()), caps.ideal_count)
+    return [Ideal(ring, side, s) for s in subs], exhaustive

@@ -10,7 +10,8 @@ import pytest
 import ringinv
 
 from ringinv import theorems
-from ringinv.catalog import named_instances, save
+from ringinv.caps import Caps
+from ringinv.catalog import named_instances, random_instances, save
 from ringinv.cli import main
 from ringinv.radicals import CrossCheckError
 
@@ -155,14 +156,36 @@ def test_check_rejects_unknown_theorem():
     ["--mask", "N1:"],
     ["--mask", "N1:B,foo"],
     ["--random", "-1"],
+    ["--instances", "f3xf3", "--theorems", "C1_5", "--mask", "C1_5:semiprme"],
+    ["--mask", "N1:4(p=2)"],
 ])
 def test_check_rejects_bad_mask_and_negative_random(capsys, args):
-    """A mask that names no theorem or no condition, and a negative random
-    count, exit 2 with one stderr line and no report, as `--theorems` does."""
+    """A mask that names no theorem, no condition or a condition its theorem
+    does not have (a misspelled one would mask nothing), and a negative
+    random count, exit 2 with one stderr line and no report, as
+    `--theorems` does."""
     assert main(["check", "--theorems", "N1"] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_hypothesis_condition_table_matches_the_checkers(named_contexts):
+    """The condition stems a mask may name are those the checkers emit on
+    the named catalog and `random_instances(100, 20260808)`, and those are
+    the benchmark's `masks.json`, one spec per stem."""
+    contexts = list(named_contexts.values()) + [
+        inst.context() for inst in random_instances(100, 20260808)[0]]
+    emitted = set()
+    for ctx in contexts:
+        for theorem in theorems.THEOREM_IDS:
+            hyps, _, _ = theorems._CHECKERS[theorem](ctx, Caps())
+            emitted.update((theorem, h.cond.split("(")[0]) for h in hyps)
+    table = {(theorem, stem) for theorem, stems in theorems.HYPOTHESIS_CONDITIONS.items()
+             for stem in stems}
+    assert emitted == table
+    masks = Path(__file__).parent.parent / "ringbench" / "masks.json"
+    assert sorted(f"{th}:{stem}" for th, stem in table) == json.loads(masks.read_text())
 
 
 @pytest.mark.parametrize("args, code", [
