@@ -24,7 +24,7 @@ from .catalog import (
     random_instances,
     save,
 )
-from .invariants import torsion_ideal
+from .invariants import torsion_ideal, unit_group
 from .radicals import (
     CrossCheckError,
     jacobson_radical,
@@ -35,9 +35,9 @@ from .radicals import (
 from .ring_core import factorize
 from .theorems import (
     COUNTEREXAMPLE,
-    HYPOTHESIS_CONDITIONS,
     THEOREM_IDS,
     check,
+    parse_masks,
     reverified,
     to_jsonable,
 )
@@ -137,18 +137,11 @@ def cmd_check(ns) -> int:
     except ValueError as exc:
         print(f"bad --caps: {exc}", file=sys.stderr)
         return 2
-    masks = frozenset(m.strip() for m in ns.mask.split(",") if m.strip())
-    for spec in sorted(masks):
-        th, _, cond = spec.partition(":")
-        if th not in THEOREM_IDS or not cond:
-            print(f"bad --mask {spec!r}: expected THEOREM:condition with a known "
-                  f"theorem id", file=sys.stderr)
-            return 2
-        stem = cond.partition("(")[0]
-        if stem not in HYPOTHESIS_CONDITIONS[th]:
-            print(f"bad --mask {spec!r}: {th} has no hypothesis condition {stem!r}",
-                  file=sys.stderr)
-            return 2
+    try:
+        masks = parse_masks(ns.mask)
+    except ValueError as exc:
+        print(f"bad --mask {exc}", file=sys.stderr)
+        return 2
     theorems = (tuple(t.strip() for t in ns.theorems.split(",") if t.strip())
                 if ns.theorems else THEOREM_IDS)
     for th in theorems:
@@ -268,9 +261,9 @@ def cmd_profile(ns) -> int:
         print(f"  proper splitting [{side}]: {status}")
         cert = uniform_dimension(ring, side)
         print(f"  udim [{side}]: {cert.value} ({cert.maximality})")
-    reg = regular_elements_quotient(ring)
-    print(f"  regular elements: {len(reg.regular)}, quotient ring: "
-          f"{reg.quotient_status}")
+    # the regular elements are the units (`regular_elements_quotient`)
+    print(f"  regular elements: {len(unit_group(ring))}, quotient ring: "
+          f"{regular_elements_quotient(ring)}")
     return 0
 
 

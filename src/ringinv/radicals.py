@@ -23,14 +23,15 @@ which reach 0 iff it is quasi-regular, and every quasi-inverse is checked.
 Uniform dimension, regular elements, and composition lengths of finite
 modules round out the structure data the checkers need.
 
-Regular elements (by the sizes of r·R and R·r) and units are decided once
-per power orbit: both are constant along r, r², r³, ….  An exhaustive ideal
-lattice is the one source of its lattice facts: the join closure that builds
-it also gives each member the joins strictly above it, from which the
-colength of every member goes into a memo on the ring, and the atoms are
-the members of length 1.  Only a sampled or capped lattice climbs covers
-for a colength (up to the first ideal whose colength is known) and closes
-every element for the atoms.
+Regular elements are read off unitality, never listed: a finite ring has
+one iff it is unital, and then they are its units (`regular_elements_quotient`).
+
+An exhaustive ideal lattice is the one source of its lattice facts: the
+join closure that builds it also gives each member the joins strictly above
+it, from which the colength of every member goes into a memo on the ring,
+and the atoms are the members of length 1.  Only a sampled or capped
+lattice climbs covers for a colength (up to the first ideal whose colength
+is known) and closes every element for the atoms.
 
 An exact lattice is the product of the lattices of the primary components
 (`_product_lattice`), one join closure per component.  With R_p ⊕ R_q
@@ -45,12 +46,13 @@ An exact lattice is the product of the lattices of the primary components
   len(R/I) = Σ_p len(R_p/I_p).
 So the members of R's lattice are the sums of one member of each component
 lattice, and their colengths are the sums of the component colengths.  The
-join closure over every element of R runs only when a component lattice or
-the product outgrows `caps.ideal_count`, and then it gives the capped
-lattice it always gave.  On a commutative ring each exact sided
+join closure over every element of R runs when a component lattice or the
+product outgrows `caps.ideal_count`, and then it gives the capped lattice it
+always gave; on a ring with one primary component it is that component's
+closure, and runs once, cut or not.  On a commutative ring each exact sided
 product here is computed once for all three sides (`ring_core.sided`), so
-the two radicals share their principal closures, r·R = R·r is sized once,
-and the sides share one colength memo (`ring_core.shared_side`).
+the two radicals share their principal closures and the sides share one
+colength memo (`ring_core.shared_side`).
 
 A copy S of R in other coordinates (R^G for G = 1 and R/0 when R's cyclic
 orders are not Smith invariant factors, R^N for N = 1) carries R's radicals
@@ -65,8 +67,8 @@ radical still goes through `Ideal.from_basis` (closure on S) and a
 nilpotency check on S; for J that check also proves every member
 quasi-regular, by the series above.  Each carried ideal is checked closed on
 S.  Everything else is computed on S as before: sampled lattices above
-`exhaustive_ideal_order`, lattices cut at `ideal_count`, principal ideals,
-uniform dimension and regular elements.
+`exhaustive_ideal_order`, lattices cut at `ideal_count`, principal ideals
+and uniform dimension.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ from .ring_core import (
     copy_source,
     cover,
     generated_ideal,
-    inverse,
     join_closure,
     minimal_closures,
     shared_side,
@@ -398,11 +399,13 @@ def _carried_lattice(ring: FiniteRing, side: str, caps: Caps):
 
 def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):
     """The `side` lattice from principal ideals: the product of the
-    component lattices (`_product_lattice`) when it is exact and within
-    `caps.ideal_count`, else the join closure of the principal ideals of
-    every element of R, exhaustive or flagged as `ideal_lattice` decides.
-    Every member of an exhaustive lattice gets its colength in the memo."""
-    members = _product_lattice(ring, side, caps) if exact_lattice(ring, caps) else None
+    component lattices (`_product_lattice`) when there are several, it is
+    exact and within `caps.ideal_count`, else the join closure of the
+    principal ideals of every element of R (for one component, its own
+    closure), exhaustive or flagged as `ideal_lattice` decides.  Every
+    member of an exhaustive lattice gets its colength in the memo."""
+    several = exact_lattice(ring, caps) and len(ring.primary_components()) > 1
+    members = _product_lattice(ring, side, caps) if several else None
     if members is None:
         above: dict = {}
         ideals, exhaustive = ideal_lattice(
@@ -597,66 +600,23 @@ def _udim_greedy(ring: FiniteRing, side: str, caps: Caps) -> UdimCertificate:
 
 # -- regular elements and the degenerate quotient ring ------------------------------
 
-@dataclass
-class RegularElements:
-    regular: tuple
-    goldie: bool
-    quotient_status: str      # "equals-ring" | "degenerate-undefined"
-    units: tuple | None
-    regular_are_units: bool | None
+def regular_elements_quotient(ring: FiniteRing) -> str:
+    """The quotient status: "equals-ring" when R has an identity, else
+    "degenerate-undefined".
 
-
-def regular_elements_quotient(ring: FiniteRing) -> RegularElements:
-    """Non-zero-divisors and the (degenerate) quotient ring situation.
-
-    A finite ring is always Goldie (finite lattices give both chain
-    conditions); in a finite unital ring regular elements are units, which
-    collapses the quotient ring to the ring itself.
+    A finite ring is Goldie (finite lattices give both chain conditions).
+    Let r be regular, so r·R = R = R·r and x ↦ r·x, x ↦ x·r are injective,
+    R being finite.  Then r·e = r for some e, and r·(e·x − x) = 0 gives
+    e·x = x; the right side gives an f with x·f = x, and e = e·f = f.  So a
+    finite ring with a regular element is unital, and in a unital finite
+    ring the regular elements are the units: the quotient ring is R.  If R
+    is unital, every g fixes 1_R, which is then R^G's identity, so Reg(R^G)
+    = U(R^G) ⊆ U(R) = Reg(R).  If not, Reg(R) = ∅, and the fixed-ring
+    regular elements that escape are U(R^G) when R^G is unital, else none.
+    Each identity was checked when its ring was built (`validate_ring`; the
+    fixed ring's image gets 1_R as its identity hint).
     """
-    return cached(ring._extra, "regular", lambda: _compute_regular_elements(ring))
-
-
-def _compute_regular_elements(ring: FiniteRing) -> RegularElements:
-    # R is finite, so x ↦ r·x is injective iff r·R = R, and likewise on the
-    # right; on a commutative ring R·r is r·R
-    gens = ring.generators()
-
-    def onto(products) -> bool:
-        return Subgroup.from_generators(ring.additive, products).size == ring.order
-    regular = _by_power_orbits(ring, lambda r: (
-        onto([ring.mul(r, g) for g in gens])
-        and (ring.is_commutative or onto([ring.mul(g, r) for g in gens]))))
-    if ring.is_unital:
-        units = _by_power_orbits(ring, lambda r: inverse(ring, r) is not None)
-        if regular != units:
-            raise CrossCheckError(
-                f"regular elements of unital finite {ring.name} are not "
-                f"exactly the units")
-        return RegularElements(tuple(sorted(regular)), True, "equals-ring",
-                               tuple(sorted(units)), True)
-    return RegularElements(tuple(sorted(regular)), True,
-                           "degenerate-undefined", None, None)
-
-
-def _by_power_orbits(ring: FiniteRing, test) -> set:
-    """The elements r with `test(r)`, for a test that is constant along the
-    powers r, r², r³, …; one call decides every power not yet decided.
-
-    Regularity and unit status are such tests: r^j·R ⊆ r·R, and r·R = R
-    gives r^j·R = R (so on the right); r^j is a unit iff r is.
-    """
-    verdicts: dict = {}
-    for r in ring.elements():
-        if r in verdicts:
-            continue
-        orbit, x = set(), r
-        while x not in orbit and x not in verdicts:
-            orbit.add(x)
-            x = ring.mul(x, r)
-        # a power decided earlier is a power of r too, so it carries r's verdict
-        verdict = verdicts[x] if x in verdicts else test(r)
-        verdicts.update(dict.fromkeys(orbit, verdict))
-    return {r for r, ok in verdicts.items() if ok}
+    return "equals-ring" if ring.is_unital else "degenerate-undefined"
 
 
 # -- finite modules and composition length -------------------------------------------

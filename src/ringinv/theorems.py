@@ -22,6 +22,7 @@ from .invariants import (
     is_proper_splitting,
     subgroup_power_nilpotency,
     torsion_ideal,
+    unit_group,
 )
 from .radicals import (
     enumerate_ideals,
@@ -190,16 +191,29 @@ def _cond_matches(cond: str, mask: str) -> bool:
     return cond == mask or cond.split("(")[0] == mask
 
 
+def parse_masks(text: str) -> frozenset:
+    """The specs of a comma-separated mask list; ValueError as in `check`."""
+    masks = frozenset(m.strip() for m in text.split(",") if m.strip())
+    _parsed_masks(masks)
+    return masks
+
+
 @functools.lru_cache(maxsize=16)
 def _parsed_masks(masks: frozenset) -> tuple[dict, tuple]:
     """(the masked conditions of each theorem, the sorted specs to echo),
-    parsed once per mask set.  A spec is THEOREM:condition; one with no
-    condition masks nothing."""
+    parsed once per mask set.  A spec is THEOREM:condition with a condition
+    stem (before any "(p=…)") in `HYPOTHESIS_CONDITIONS`; any other would
+    mask nothing, so the first in sorted order raises ValueError."""
     conds: dict = {}
-    for spec in masks:
+    for spec in sorted(masks):
         th, _, cond = spec.partition(":")
-        if cond:
-            conds.setdefault(th, []).append(cond)
+        if th not in HYPOTHESIS_CONDITIONS or not cond:
+            raise ValueError(f"{spec!r}: expected THEOREM:condition with a known "
+                             f"theorem id")
+        stem = cond.partition("(")[0]
+        if stem not in HYPOTHESIS_CONDITIONS[th]:
+            raise ValueError(f"{spec!r}: {th} has no hypothesis condition {stem!r}")
+        conds.setdefault(th, []).append(cond)
     return {th: tuple(c) for th, c in conds.items()}, tuple(sorted(masks))
 
 
@@ -604,17 +618,14 @@ def _chk_cor_a8(ctx: GActionContext, caps: Caps):
              "nonemptiness",
              "quotient-ring statements are evaluated in the finite degenerate "
              "form: every regular element of a finite unital ring is a unit"]
-    ring = ctx.ring
-    image = ctx.fixed_image()
-    reg_r = regular_elements_quotient(ring)
-    reg_s = regular_elements_quotient(image.ring)
-    reg_r_set = set(reg_r.regular)
-    bad = [s for s in reg_s.regular if image.from_image(s) not in reg_r_set]
-    if bad:
-        status, witness = FAILS, {"escaping_regular": [list(b) for b in bad]}
+    # regular elements are the units, none without identity: only the units
+    # of a unital R^G over a non-unital R escape (`regular_elements_quotient`)
+    ring, fixed = ctx.ring, ctx.fixed_image().ring
+    if ring.is_unital or not fixed.is_unital:
+        status, witness = HOLDS, {"ring_quotient": regular_elements_quotient(ring),
+                                  "fixed_quotient": regular_elements_quotient(fixed)}
     else:
-        status, witness = HOLDS, {"ring_quotient": reg_r.quotient_status,
-                                  "fixed_quotient": reg_s.quotient_status}
+        status, witness = FAILS, {"escaping_regular": [list(u) for u in unit_group(fixed)]}
     concls = [Clause("goldie", "both rings are Goldie together and fixed-ring regular "
                                "elements stay regular", status, witness=witness),
               _udim_bounds_clause(ctx, caps)]

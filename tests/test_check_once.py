@@ -3,28 +3,42 @@
 The action context of an instance is built once and shared by its tags and
 its checks; proper-splitting scans and the LEM_C6/COR_C8 clause scans are
 cached on the context; quotient lengths are read from a colength memo on
-the ring; regular elements and units are decided once per power orbit.
-Each cached or memoized result is compared here with the same fact computed
-afresh, on the named catalog, on `random_instances(100, s)` for two seeds
-and on the ladder rings.
+the ring.  Regular elements and units are not listed at all: a finite ring
+with a regular element is unital and its regular elements are its units,
+so COR_A8's goldie clause is read off unitality.  Each cached, memoized or
+derived result is compared here with the same fact computed afresh by
+element scans, on the named catalog, on `random_instances(100, s)` for two
+seeds and on the ladder rings; the goldie clause also on M2(F5) under
+conjugation by diag(2, 1) and on a non-unital ring with a unital fixed ring.
 """
 
 import pickle
 
 import pytest
 
-from ringinv import invariants, theorems
+from ringinv import groups, invariants, theorems
 from ringinv.caps import Caps
-from ringinv.catalog import derive_tags, named_instances, random_instances
+from ringinv.catalog import Instance, derive_tags, named_instances, random_instances
+from ringinv.groups import RingAutomorphism
 from ringinv.invariants import (
     GActionContext,
     NotInvertible,
     _scan_proper_splitting,
     averaging_idempotent,
     is_proper_splitting,
+    unit_group,
 )
 from ringinv.radicals import enumerate_ideals, quotient_length, regular_elements_quotient
-from ringinv.ring_core import LEFT, RIGHT, RingError, Subgroup, chain_length, generated_ideal
+from ringinv.ring_core import (
+    LEFT,
+    RIGHT,
+    RingError,
+    Subgroup,
+    chain_length,
+    cyclic_ring,
+    direct_product,
+    generated_ideal,
+)
 from ringinv.theorems import (
     _c6_clauses,
     _c6_scan,
@@ -36,6 +50,7 @@ from ringinv.theorems import (
 
 from oracles import regular_and_unit_scan
 from test_ladder import ladder_instances
+from test_lattice_once import _probe
 
 CAPS = Caps()
 SEEDS = (20260808, 20260909)
@@ -78,15 +93,56 @@ def test_caps_echo_is_a_fresh_copy():
     assert caps.as_dict() is not caps.as_dict()
 
 
-# -- regular elements and units by power orbit ----------------------------------------
+# -- regular elements and units read off unitality ------------------------------------
 
 def test_regular_elements_and_units_match_element_scans(instances):
+    """The regular elements are the units of a unital ring and there are
+    none otherwise; `unit_group` lists them in element order."""
     for inst in instances:
         ring = inst.ring
         regular, units = regular_and_unit_scan(ring)
-        out = regular_elements_quotient(ring)
-        assert set(out.regular) == regular, ring.name
-        assert out.units == (None if units is None else tuple(sorted(units))), ring.name
+        assert regular == (units if ring.is_unital else set()), ring.name
+        assert unit_group(ring) == sorted(regular), ring.name
+        assert regular_elements_quotient(ring) == (
+            "equals-ring" if ring.is_unital else "degenerate-undefined"), ring.name
+
+
+def _escaping_instance():
+    """F2 × (Z/3 with zero products) under x ↦ (x₁, −x₂): R has no identity
+    and R^G ≅ F2 has one, so R^G's unit escapes."""
+    ring = direct_product([cyclic_ring(2), cyclic_ring(3, 0)], name="f2xz3_c0")
+    gens = (RingAutomorphism(ring, [(1, 0), (0, 2)]),)
+    return Instance("f2xz3_c0", ring, groups.close_group(list(gens), ring=ring),
+                    "neg2", gens, "hand")
+
+
+def _goldie_by_scan(ctx):
+    """(status, witness) of COR_A8's goldie clause from element scans: the
+    regular elements of R^G whose images in R are not regular escape.  A
+    ring has a regular element iff it is unital, so that is when its
+    quotient ring is the ring itself."""
+    image = ctx.fixed_image()
+    reg_r, _ = regular_and_unit_scan(ctx.ring)
+    reg_s, _ = regular_and_unit_scan(image.ring)
+    escaping = sorted(s for s in reg_s if image.from_image(s) not in reg_r)
+    if escaping:
+        return "fails", {"escaping_regular": [list(s) for s in escaping]}
+    status = {True: "equals-ring", False: "degenerate-undefined"}
+    return "holds", {"ring_quotient": status[bool(reg_r)],
+                     "fixed_quotient": status[bool(reg_s)]}
+
+
+def test_cor_a8_goldie_clause_matches_element_scans(instances):
+    failing = []
+    for inst in instances + [_probe()[0], _escaping_instance()]:
+        ctx = inst.context()
+        goldie = next(c for c in check("COR_A8", ctx, CAPS).conclusion if c.cond == "goldie")
+        assert (goldie.status, goldie.witness) == _goldie_by_scan(ctx), inst.name
+        if goldie.status == "fails":
+            failing.append((inst.name, goldie.witness["escaping_regular"]))
+    # the zero fixed ring of zm_f4 is unital, with 1 = 0
+    assert ("zm_f4", [[]]) in failing and ("composite_s3", [[1]]) in failing
+    assert failing[-1] == ("f2xz3_c0", [[1]])
 
 
 # -- colengths ------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from ringinv.catalog import named_instances, random_instances, save
 from ringinv.cli import main
 from ringinv.radicals import CrossCheckError
 
+from oracles import regular_and_unit_scan
+
 
 @pytest.fixture(scope="module")
 def catalog_dir(tmp_path_factory):
@@ -262,6 +264,19 @@ def test_profile_z12(capsys):
     out = capsys.readouterr().out
     assert "prime radical: size 2" in out
     assert "agrees: True" in out
+
+
+@pytest.mark.parametrize("name, count, status", [
+    ("z12", 4, "equals-ring"), ("zm_f4", 0, "degenerate-undefined")])
+def test_profile_counts_the_regular_elements(capsys, name, count, status):
+    """The regular-elements line counts what an element scan finds: the
+    units of a unital ring, none on a ring without identity."""
+    ring = next(inst.ring for inst in named_instances() if inst.name == name)
+    regular, _ = regular_and_unit_scan(ring)
+    assert len(regular) == count
+    assert main(["profile", name]) == 0
+    assert (f"  regular elements: {count}, quotient ring: {status}\n"
+            in capsys.readouterr().out)
 
 
 def test_profile_and_catalog_keep_the_exit_codes(tmp_path, capsys):

@@ -42,6 +42,7 @@ from ringinv.ring_core import (
 )
 from ringinv.theorems import THEOREM_IDS, check
 
+from oracles import regular_and_unit_scan
 from test_ladder import ladder_instances
 
 CAPS = Caps()
@@ -125,12 +126,6 @@ def _trace_scan(ctx, powers):
     return None, None, None, capped
 
 
-def _regular_by_scan(ring):
-    nonzero = [x for x in ring.elements() if any(x)]
-    return tuple(r for r in ring.elements()
-                 if all(any(ring.mul(r, x)) and any(ring.mul(x, r)) for x in nonzero))
-
-
 # -- the rule on commutative rings ------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -190,7 +185,10 @@ def test_shared_products_equal_their_per_side_recomputation(commutative_instance
             got = (ideal and ideal.side, ideal and ideal.sub, d, capped)
             assert got == want, (inst.name, powers)
 
-        assert regular_elements_quotient(ring).regular == _regular_by_scan(ring)
+        regular, units = regular_and_unit_scan(ring)
+        assert regular == (units if ring.is_unital else set()), inst.name
+        assert regular_elements_quotient(ring) == (
+            "equals-ring" if ring.is_unital else "degenerate-undefined"), inst.name
 
 
 # -- noncommutative rings keep one product per side ---------------------------------

@@ -4,8 +4,9 @@ R is the direct product of its primary components R_p, so every sided ideal
 of R is ⊕_p I_p with I_p a sided ideal of R in R_p, and len(R/I) is
 Σ_p len(R_p/I_p).  `radicals.enumerate_ideals` closes the principal ideals
 of each R_p on its own and joins one member of each; the closure over every
-element of R runs only when a component lattice or the product outgrows
-`caps.ideal_count`.  Each lattice is compared here with that closure
+element of R runs when a component lattice or the product outgrows
+`caps.ideal_count`, and on a ring with one primary component, where it is
+that component's closure and runs once.  Each lattice is compared here with that closure
 (`oracles.whole_ring_lattice`) and each colength with `chain_length`, on
 the named catalog, `random_instances(100, s)` for two seeds, the ladder
 rings and three hand-built rings with two or three primes; the whole-ring
@@ -174,6 +175,32 @@ def test_capped_products_take_the_whole_ring_closure(monkeypatch):
                            Caps(ideal_count=4)) == 3
     assert enumerate_ideals(z2xz3xz7, TWOSIDED, Caps(ideal_count=8))[1]
     assert calls == [zm22xz9.name, z2xz3xz7.name]
+
+
+def test_one_prime_lattices_take_one_join_closure(monkeypatch):
+    """The zero ring on Z/3 × Z/3 has one primary component, so its
+    component closure is the whole-ring closure, over the same elements in
+    the same order.  Its 6 ideals are every subgroup, and the whole ring is
+    the one that is not principal: with 4 allowed the closure is cut, at the
+    default caps it is exhaustive, and either way it runs once and equals
+    the whole-ring closure."""
+    ring = zero_mult_ring((3, 3), name="zm33")
+    assert _primes(ring) == 1
+    calls = []
+    real = radicals.join_closure
+
+    def counting(*args, **kwargs):
+        calls.append(ring.name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(radicals, "join_closure", counting)
+    for caps, want_exhaustive in ((Caps(ideal_count=4), False), (CAPS, True)):
+        calls.clear()
+        ideals, exhaustive = enumerate_ideals(ring, LEFT, caps)
+        want, _ = whole_ring_lattice(ring, LEFT, caps)
+        assert len(calls) == 1, caps.ideal_count
+        assert exhaustive == want_exhaustive, caps.ideal_count
+        assert [i.key for i in ideals] == [i.key for i in want], caps.ideal_count
+    assert len(ideals) == 6
 
 
 # SHA-256 of `ringinv check --random 100 --seed 20260808` at a low

@@ -22,7 +22,7 @@ from ringinv.radicals import (
     uniform_dimension,
 )
 from ringinv.caps import Caps
-from ringinv.invariants import subgroup_power_nilpotency
+from ringinv.invariants import subgroup_power_nilpotency, unit_group
 from ringinv.ring_core import (
     LEFT,
     RIGHT,
@@ -39,7 +39,7 @@ from ringinv.ring_core import (
     zero_mult_ring,
 )
 
-from oracles import ring_as_module
+from oracles import regular_and_unit_scan, ring_as_module
 from test_ring_core import generator_sets, oracle_instances, rebuild_closure
 
 
@@ -234,23 +234,28 @@ def test_udim_witness_reverified():
 # -- regular elements ----------------------------------------------------------------
 
 def test_regular_elements_z12():
-    out = regular_elements_quotient(cyclic_ring(12))
-    assert out.regular == ((1,), (5,), (7,), (11,))
-    assert out.units == out.regular
-    assert out.quotient_status == "equals-ring"
-    assert out.goldie
+    ring = cyclic_ring(12)
+    regular, units = regular_and_unit_scan(ring)
+    assert regular == units == {(1,), (5,), (7,), (11,)}
+    assert unit_group(ring) == sorted(units)
+    assert regular_elements_quotient(ring) == "equals-ring"
 
 
 def test_regular_elements_m2f2_gl2():
-    out = regular_elements_quotient(m2f2())
-    assert len(out.regular) == 6  # |GL_2(F_2)|
-    assert out.regular_are_units
+    ring = m2f2()
+    regular, units = regular_and_unit_scan(ring)
+    assert len(regular) == 6  # |GL_2(F_2)|
+    assert regular == units
+    assert unit_group(ring) == sorted(units)
+    assert regular_elements_quotient(ring) == "equals-ring"
 
 
 def test_regular_elements_zero_mult_degenerate():
-    out = regular_elements_quotient(zero_mult_ring((2, 2)))
-    assert out.regular == ()
-    assert out.quotient_status == "degenerate-undefined"
+    ring = zero_mult_ring((2, 2))
+    regular, units = regular_and_unit_scan(ring)
+    assert regular == set() and units is None
+    assert unit_group(ring) == []
+    assert regular_elements_quotient(ring) == "degenerate-undefined"
 
 
 # -- modules and length --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ringinv.caps import Caps
@@ -11,6 +13,7 @@ from ringinv.theorems import (
     big_power,
     check,
     counterexample_search,
+    parse_masks,
     power_at_least,
     rebuild_context,
     to_jsonable,
@@ -114,6 +117,22 @@ def test_masked_n2_finds_designed_violation(named_contexts):
 def test_counterexample_search_soundness(named_catalog, named_contexts):
     contexts = [named_contexts[i.name] for i in named_catalog]
     assert counterexample_search(THEOREM_IDS, contexts) == []
+
+
+@pytest.mark.parametrize("mask", [
+    "C1_5:semiprme", "foo", "NOT_A_THEOREM:1", "N1:", "N1:4(p=2)"])
+def test_a_mask_that_would_mask_nothing_is_refused(named_contexts, mask):
+    """A spec naming no theorem, no condition or a condition its theorem
+    does not have raises on the library path too, naming the spec, instead
+    of masking nothing and echoing it."""
+    ctx = named_contexts["f3xf3"]
+    with pytest.raises(ValueError, match=re.escape(repr(mask))):
+        check("C1_5", ctx, masks=("C1_5:semiprime", mask))
+    with pytest.raises(ValueError, match=re.escape(repr(mask))):
+        counterexample_search(["C1_5"], [ctx], masks={mask})
+    with pytest.raises(ValueError, match=re.escape(repr(mask))):
+        parse_masks(f"N2:2, {mask}")
+    assert parse_masks(" N2:2,, N1:B(p=2) ") == {"N2:2", "N1:B(p=2)"}
 
 
 def test_counterexample_search_masked_and_budget(named_catalog, named_contexts):
