@@ -148,6 +148,9 @@ def cmd_check(ns) -> int:
         if th not in THEOREM_IDS:
             print(f"unknown theorem id {th!r}", file=sys.stderr)
             return 2
+    if not theorems:
+        print(f"no theorem to check: --theorems {ns.theorems!r} names none", file=sys.stderr)
+        return 2
     if ns.random < 0:
         return _negative_random(ns.random)
     if ns.jobs < 1:
@@ -157,6 +160,9 @@ def cmd_check(ns) -> int:
         instances = _resolve_instances(ns.instances, ns.random, ns.seed)
     except (ParseError, ValidationError, OSError) as exc:
         return _load_error(exc)
+    if not instances:
+        print(f"no instance to check: --instances {ns.instances!r} names none", file=sys.stderr)
+        return 2
     work = [(inst, theorems, caps, masks, ns.seed) for inst in instances]
     # the pool forks all its workers at the first submit: no more than
     # there are instances

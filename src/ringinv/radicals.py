@@ -3,23 +3,23 @@
 The prime radical (largest nilpotent ideal) and the Jacobson radical
 (quasi-regularity) are decided by independent tests, nilpotency and
 quasi-regularity; their agreement on finite rings is checked whenever a
-profile is built, never assumed.  Principal ideals are closed once per
-cyclic subgroup: the generators of <x> all generate the ideal x does.  Both
-radicals are sums of the principal ideals that pass a test, the prime
-radical's one nilpotency test per two-sided principal ideal, the Jacobson
-radical's one quasi-regularity verdict per principal left ideal, and both
-are found by one walk (`_radical_span`).  The cross-check therefore
-guards the two tests, not the walk they share: a walk that missed a coset
-would shift both radicals alike and they would still agree, so the walk is
-held to the whole-ring walks kept in `tests/oracles.py` by the test suite
+profile is built, never assumed.  Both radicals are sums of principal left
+ideals R¹x: x lies in the prime radical iff R¹x is nilpotent (the proof is
+in `prime_radical`), and in the Jacobson radical iff every member of R¹x is
+quasi-regular.  So both are found by one walk (`_radical_span`) over the
+same principal left ideals, each closed once per cyclic subgroup (the
+generators of <x> all generate the ideal x does), and the two oracles
+differ only in the test each ideal gets.  The cross-check therefore guards
+the two tests, not the walk they share: a walk that missed a coset would
+shift both radicals alike and they would still agree, so the walk is held
+to the whole-ring walks kept in `tests/oracles.py` by the test suite
 instead.  A finite ring is the direct product of its primary components R_p
 (`FiniteRing.primary_components`), so each radical is the sum of its parts
 in the components, and the walk visits component elements only; a radical
 is an additive subgroup, so membership is constant on the cosets of the
-part found so far, and the walk decides one element per coset.  A
-nilpotent element y has the quasi-inverse Σ_{k≥1} (−y)^k, read off its own
-powers; any other element is decided by its powers under a∘b = a + b + ab,
-which reach 0 iff it is quasi-regular, and every quasi-inverse is checked.
+part found so far, and the walk decides one element per coset.  An element
+is decided quasi-regular by its powers under a∘b = a + b + ab, which reach
+0 iff it is, and every quasi-inverse is checked.
 Uniform dimension, regular elements, and composition lengths of finite
 modules round out the structure data the checkers need.
 
@@ -51,8 +51,7 @@ product outgrows `caps.ideal_count`, and then it gives the capped lattice it
 always gave; on a ring with one primary component it is that component's
 closure, and runs once, cut or not.  On a commutative ring each exact sided
 product here is computed once for all three sides (`ring_core.sided`), so
-the two radicals share their principal closures and the sides share one
-colength memo (`ring_core.shared_side`).
+the sides share one colength memo (`ring_core.shared_side`).
 
 A copy S of R in other coordinates (R^G for G = 1 and R/0 when R's cyclic
 orders are not Smith invariant factors, R^N for N = 1) carries R's radicals
@@ -64,8 +63,8 @@ nilpotent ideals and quasi-inverses to quasi-inverses, so it maps the prime
 and the Jacobson radical of R onto those of S, and the sided ideals of R
 onto those of S with their inclusions, so each colength too.  Each carried
 radical still goes through `Ideal.from_basis` (closure on S) and a
-nilpotency check on S; for J that check also proves every member
-quasi-regular, by the series above.  Each carried ideal is checked closed on
+nilpotency check on S, which for J also proves every member
+quasi-regular (`_checked_radical`).  Each carried ideal is checked closed on
 S.  Everything else is computed on S as before: sampled lattices above
 `exhaustive_ideal_order`, lattices cut at `ideal_count`, principal ideals
 and uniform dimension.
@@ -145,19 +144,21 @@ def principal_ideal(ring: FiniteRing, x: Element, side: str) -> Ideal:
 
 # -- the two radicals --------------------------------------------------------------
 
-def _radical_span(ring: FiniteRing, side: str, passes) -> Subgroup:
-    """The sum of the principal `side` ideals of R that pass `passes`, for
-    a radical in which x lies iff its principal ideal passes.
+def _radical_span(ring: FiniteRing, test) -> Subgroup:
+    """The sum of the principal left ideals R¹x of R that pass `test`, for
+    a radical in which x lies iff R¹x passes; `test` runs once per distinct
+    ideal, memoized by its key.
 
     Such a radical is an additive subgroup, so it is ⊕_p (rad ∩ R_p) over
-    the primary components (`FiniteRing.primary_components`); the principal
-    ideal of x ∈ R_p lies in R_p, so each component is walked alone.  For
-    a part S found so far, x and x + s (s ∈ S) are both in the radical or
-    both out of it, so the walk decides one element per coset of S: each
-    coset is named by its least representative (`Subgroup.coset_rep`), a
-    rejected coset stays rejected as S grows (its names are re-reduced),
-    and each time S grows the walk starts over on the cosets of the larger S.
+    the primary components (`FiniteRing.primary_components`); R¹x lies in
+    R_p for x ∈ R_p, so each component is walked alone.  For a part S found
+    so far, x and x + s (s ∈ S) are both in the radical or both out of it,
+    so the walk decides one element per coset of S: each coset is named by
+    its least representative (`Subgroup.coset_rep`), a rejected coset stays
+    rejected as S grows (its names are re-reduced), and each time S grows
+    the walk starts over on the cosets of the larger S.
     """
+    verdicts: dict = {}
     total = Subgroup.zero(ring.additive)
     for _, component in ring.primary_components():
         span, rejected, grown = Subgroup.zero(ring.additive), set(), True
@@ -167,8 +168,8 @@ def _radical_span(ring: FiniteRing, side: str, passes) -> Subgroup:
                 name = span.coset_rep(x)
                 if name in rejected:
                     continue
-                ideal = principal_ideal(ring, x, side)
-                if passes(ideal):
+                ideal = principal_ideal(ring, x, LEFT)
+                if cached(verdicts, ideal.key, lambda: test(ideal)):
                     span = span.join(ideal.sub)
                     rejected = {span.coset_rep(r) for r in rejected}
                     grown = True
@@ -178,18 +179,21 @@ def _radical_span(ring: FiniteRing, side: str, passes) -> Subgroup:
     return total
 
 
-def _checked_radical(ring: FiniteRing, radical, walk, kind: str) -> Ideal:
+def _checked_radical(ring: FiniteRing, radical, test, kind: str) -> Ideal:
     """`radical(ring)` as a two-sided ideal, verified to be one and to be
     nilpotent: `radical(R)` mapped by `project` when `ring` is a checked
-    full-order copy of R (`ring_core.copy_source`), else `walk(ring)`.
+    full-order copy of R (`ring_core.copy_source`), else the walk
+    `_radical_span(ring, test)`.
 
     An isomorphism maps each radical of R onto that of the copy; the basis
     it maps spans the same subgroup the walk would find, and its key is the
-    same canonical key.
+    same canonical key.  The nilpotency check also proves a carried Jacobson
+    radical quasi-regular: a member y of a nilpotent ideal has the
+    quasi-inverse Σ_{k≥1} (−y)^k, a finite sum.
     """
     source = copy_source(ring)
     if source is None:
-        basis = walk(ring).basis
+        basis = _radical_span(ring, test).basis
     else:
         parent, project = source
         basis = [project(b) for b in radical(parent).basis]
@@ -200,49 +204,28 @@ def _checked_radical(ring: FiniteRing, radical, walk, kind: str) -> Ideal:
 
 
 def prime_radical(ring: FiniteRing) -> Ideal:
-    """Largest nilpotent ideal: elements whose principal two-sided ideal is
-    nilpotent.  The result is verified to be a nilpotent two-sided ideal."""
+    """Largest nilpotent ideal N: the x whose principal left ideal R¹x is
+    nilpotent.  The result is verified to be a nilpotent two-sided ideal.
+
+    x ∈ N iff R¹x is nilpotent.  (⇒) N is a left ideal containing x, so
+    R¹x ⊆ N.  (⇐) Let L = R¹x with L^n = 0.  I = L + LR is a two-sided
+    ideal, as RL ⊆ L and LRR ⊆ LR.  In a product of m elements l_i·r_i of
+    I (r_i ∈ R¹), each r_i·l_(i+1) lies in RL + L ⊆ L, so the product lies
+    in L^m·R¹; hence I^n = 0, and x ∈ I ⊆ N.
+    """
     return cached(ring._extra, "prime_radical", lambda: _checked_radical(
-        ring, prime_radical, _prime_radical_span, "prime radical"))
+        ring, prime_radical, _is_nilpotent, "prime radical"))
 
 
-def _prime_radical_span(ring: FiniteRing) -> Subgroup:
-    verdicts: dict = {}
-    # every y in a nilpotent ideal generates a nilpotent subideal
-    return _radical_span(ring, TWOSIDED, lambda ideal: cached(
-        verdicts, ideal.key, lambda: nilpotency_index(ring, ideal.sub) is not None))
+def _is_nilpotent(ideal: Ideal) -> bool:
+    return nilpotency_index(ideal.ring, ideal.sub) is not None
 
 
 def is_quasi_regular(ring: FiniteRing, y: Element) -> bool:
-    """Left quasi-regularity: some z satisfies z + y + z*y = 0.
-
-    A nilpotent y has z = Σ_{k≥1} (−y)^k (`_series_quasi_inverse`); any
-    other y is decided by its circle powers (`_circle_powers`), which
-    decide every power of y with it.  Every quasi-inverse found either way
-    is checked before it is believed.
-    """
-    return cached(ring._extra, ("qr", y), lambda: _decide_quasi_regular(ring, y))
-
-
-def _series_quasi_inverse(ring: FiniteRing, y: Element) -> Element | None:
-    """Σ_{k≥1} (−y)^k when (−y)^n = 0 for some n ≤ the bit length of |R|,
-    else None.
-
-    With w = −y and w^n = 0, z = w + … + w^(n−1) gives z·y = −(w² + … + w^n),
-    so z + y + z·y = w − w^n + y = 0.  The bound loses no nilpotent y: while
-    y^k ≠ 0 the chain y·R¹ ⊋ y²·R¹ ⊋ … is strict (y^k·R¹ = y^(k+1)·R¹ gives
-    y^k = y^(k+1)·r = y^m·y^k·r^m for every m, so y^k = 0), and a strict
-    chain of nonzero subgroups of R has at most log2 |R| members.  A y that
-    is not caught here only goes to the solve.
-    """
-    w = ring.neg(y)
-    power, z = w, ring.zero
-    for _ in range(ring.order.bit_length()):
-        if power == ring.zero:
-            return z
-        z = ring.add(z, power)
-        power = ring.mul(power, w)
-    return None
+    """Left quasi-regularity: some z satisfies z + y + z*y = 0, decided by
+    the circle powers of y (`_circle_powers`), which decide every power of
+    y with it; every quasi-inverse found is checked before it is believed."""
+    return cached(ring._extra, ("qr", y), lambda: _circle_powers(ring, y))
 
 
 def _circle(ring: FiniteRing, a: Element, b: Element) -> Element:
@@ -253,14 +236,6 @@ def _circle(ring: FiniteRing, a: Element, b: Element) -> Element:
 def _check_quasi_inverse(ring: FiniteRing, z: Element, y: Element) -> None:
     if _circle(ring, z, y) != ring.zero:
         raise CrossCheckError(f"quasi-inverse of {y} in {ring.name} does not check")
-
-
-def _decide_quasi_regular(ring: FiniteRing, y: Element) -> bool:
-    z = _series_quasi_inverse(ring, y)
-    if z is None:
-        return _circle_powers(ring, y)
-    _check_quasi_inverse(ring, z, y)
-    return True
 
 
 def _circle_powers(ring: FiniteRing, y: Element) -> bool:
@@ -294,33 +269,20 @@ def _circle_powers(ring: FiniteRing, y: Element) -> bool:
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
-    """Quasi-regularity radical: x belongs iff every member of the left ideal
-    generated by x (unitalization convention) is left quasi-regular.
+    """Quasi-regularity radical: x belongs iff every member of its principal
+    left ideal R¹x is left quasi-regular.
 
     The walk (`_radical_span`) decides one principal left ideal per coset of
     the part found so far, in each primary component; each distinct ideal
-    gets one verdict: an ideal holding a known non-quasi-regular element
-    fails without a scan, and a passing ideal joins the radical whole.
+    gets one verdict, a scan that stops at its first element that is not
+    quasi-regular, and a passing ideal joins the radical whole.
     """
     return cached(ring._extra, "jacobson_radical", lambda: _checked_radical(
-        ring, jacobson_radical, _jacobson_radical_span, "Jacobson radical"))
+        ring, jacobson_radical, _is_quasi_regular_ideal, "Jacobson radical"))
 
 
-def _jacobson_radical_span(ring: FiniteRing) -> Subgroup:
-    witnesses, verdicts = [], {}
-
-    def passes(ideal: Ideal) -> bool:
-        if any(ideal.contains(w) for w in witnesses):
-            return False
-        for y in ideal.sub:
-            if not is_quasi_regular(ring, y):
-                witnesses.append(y)
-                return False
-        return True
-
-    # R¹y ⊆ R¹x for every y in R¹x, so each of them passes too
-    return _radical_span(ring, LEFT, lambda ideal: cached(
-        verdicts, ideal.key, lambda: passes(ideal)))
+def _is_quasi_regular_ideal(ideal: Ideal) -> bool:
+    return all(is_quasi_regular(ideal.ring, y) for y in ideal.sub)
 
 
 @dataclass

@@ -110,6 +110,12 @@ def test_check_byte_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # the random instances alone, with no named one: the same reports
+    c = tmp_path / "c.json"
+    assert main(args + ["--instances", ",", "--out", str(c)]) == 0
+    named = {inst.name for inst in named_instances()}
+    assert json.loads(c.read_text()) == [
+        r for r in json.loads(a.read_text()) if r["ring"] not in named]
 
 
 def test_check_masked_exit_code(tmp_path):
@@ -201,10 +207,14 @@ def test_hypothesis_condition_table_matches_the_checkers(named_contexts):
     (["--instances", "{tmp}/order1.ring"], 2),
     (["--instances", "{tmp}/order0.ring"], 2),
     (["--caps", "splitting_enum=-1"], 2),
+    (["--theorems", ","], 2),
+    (["--instances", ","], 2),
+    (["--instances", "{tmp}/empty"], 2),
 ])
 def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
     """Bad caps or instance files exit 2 (3 for a ring that fails validation)
-    with one stderr line and no report."""
+    with one stderr line and no report; so does a check of no theorem or no
+    instance."""
     (tmp_path / "bad.ring").write_text("ring x\nadd 2\nmul 1 -> 0\n")
     (tmp_path / "nonassoc.ring").write_text(
         "ring x\nadd 2 2\n"
@@ -212,7 +222,8 @@ def test_check_bad_input_exit_codes(tmp_path, capsys, args, code):
         "group g =\n")
     (tmp_path / "order1.ring").write_text(ORDER_1)
     (tmp_path / "order0.ring").write_text(ORDER_0)
-    for name, manifest in (("notjson", "[{not json"), ("nofile", '[{"name": "z12"}]')):
+    for name, manifest in (("notjson", "[{not json"), ("nofile", '[{"name": "z12"}]'),
+                           ("empty", "[]")):
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(manifest)
     args = [a.format(tmp=tmp_path) for a in args]

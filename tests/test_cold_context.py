@@ -1,12 +1,16 @@
 """What a cold context computes again, done with less work.
 
-Both radicals walk the primary components of R one coset of the part found
-so far at a time, a nilpotent element gets its quasi-inverse from its own
-powers, a given identity is checked on the generators rather than solved
-for, and torsion ideals are sums of primary components.  Each is compared
-here with the whole-ring computation it replaced (`tests/oracles.py`), on
-the named catalog, `random_instances(100, s)` for two seeds, the ladder
-rings and a few mixed-order rings.
+Both radicals walk the principal left ideals R¹x of the primary components
+of R, one coset of the part found so far at a time, and differ only in the
+test each ideal gets: nilpotency for the prime radical (x ∈ N(R) iff R¹x
+is nilpotent) and quasi-regularity of every member, by circle powers, for
+the Jacobson radical.  A given identity is checked on the generators
+rather than solved for, and torsion ideals are sums of primary components.
+Each is compared here with the whole-ring computation it replaced
+(`tests/oracles.py`), on the named catalog, `random_instances(100, s)` for
+two seeds, the ladder rings and a few mixed-order rings; the left-ideal
+lemma is checked element by element on noncommutative rings where R¹x and
+R¹xR¹ differ.
 """
 
 import pytest
@@ -15,7 +19,6 @@ from ringinv import radicals
 from ringinv.catalog import named_instances, random_instances
 from ringinv.invariants import GActionContext, torsion_ideal
 from ringinv.radicals import (
-    CrossCheckError,
     is_quasi_regular,
     jacobson_radical,
     prime_radical,
@@ -23,13 +26,17 @@ from ringinv.radicals import (
     radical_profile,
 )
 from ringinv.ring_core import (
+    LEFT,
+    TWOSIDED,
     Ideal,
     NotUnital,
     Subgroup,
     cyclic_ring,
     direct_product,
     factorize,
+    generated_ideal,
     group_ring,
+    matrix_ring,
     validate_ring,
     zero_mult_ring,
 )
@@ -137,36 +144,71 @@ def test_walks_skip_the_cosets_of_the_part_found(monkeypatch):
     assert asked == [(1, 0), (2, 0)] + [(0, k) for k in range(1, 7)]
 
 
+def triangular_ring(n):
+    """T2(Z/n), the upper triangular 2 × 2 matrices over Z/n, on the basis
+    e11, e12, e22."""
+    e11, e12, e22, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return validate_ring((n, n, n), [[e11, e12, zero], [zero, zero, e12], [zero, zero, e22]],
+                         name=f"t2_z{n}")
+
+
+def noncommutative_rings():
+    """The noncommutative rings of the catalog, T2(Z/n) for n = 2, 3, 4, 9,
+    M2(Z/4), M2(Z/9), F2[S3], F3[S3] and Z/4[S3]."""
+    s3 = s3_cayley()
+    return ([inst.ring for inst in named_instances() if not inst.ring.is_commutative]
+            + [triangular_ring(n) for n in (2, 3, 4, 9)]
+            + [matrix_ring(cyclic_ring(n), 2, name=f"m2_z{n}") for n in (4, 9)]
+            + [group_ring(cyclic_ring(n), s3, name=f"z{n}_s3") for n in (2, 3, 4)])
+
+
+def test_prime_radical_is_the_sum_of_nilpotent_left_ideals(monkeypatch):
+    """x ∈ N(R) iff R¹x is nilpotent: element by element, R¹x is nilpotent
+    iff R¹xR¹ is; the prime radical is the whole-ring walk over R¹xR¹; and
+    the radicals close left ideals only, the Jacobson oracle none that the
+    prime oracle has not closed already."""
+    rings = [fresh(ring) for ring in noncommutative_rings()]
+    assert all(not ring.is_commutative for ring in rings)
+    for ring in rings:
+        nilpotent, differ = {}, False
+        for x in ring.elements():
+            left = principal_ideal(ring, x, LEFT).sub
+            two = generated_ideal(ring, [x], TWOSIDED).sub
+            differ = differ or left != two
+            for sub in (left, two):
+                if sub.key not in nilpotent:
+                    nilpotent[sub.key] = ring.power_chain(sub)[0] is not None
+            assert nilpotent[left.key] == nilpotent[two.key], (ring.name, x)
+        assert differ, ring.name
+
+    closed = []
+    real = radicals.generated_ideal
+
+    def counting(ring, gens, side):
+        closed.append(side)
+        return real(ring, gens, side)
+    monkeypatch.setattr(radicals, "generated_ideal", counting)
+    for ring in rings:
+        ring = fresh(ring)
+        nil = prime_radical(ring)
+        before = len(closed)
+        radical_profile(ring)
+        assert len(closed) == before, ring.name
+        assert nil.sub == whole_ring_prime_radical(ring), ring.name
+    assert set(closed) == {LEFT}
+
+
 # -- quasi-inverses ------------------------------------------------------------------
-
-def test_nilpotent_elements_take_the_series(monkeypatch):
-    ring = cyclic_ring(8)
-    y = (2,)
-    z = radicals._series_quasi_inverse(ring, y)
-    assert z is not None
-    assert ring.add(ring.add(z, y), ring.mul(z, y)) == ring.zero
-
-    def no_walk(*args, **kwargs):
-        raise AssertionError("a nilpotent element went to the circle powers")
-    monkeypatch.setattr(radicals, "_circle_powers", no_walk)
-    assert is_quasi_regular(cyclic_ring(8), (2,))
-    assert is_quasi_regular(cyclic_ring(8), (4,))
-
-
-def test_series_quasi_inverse_is_checked(monkeypatch):
-    monkeypatch.setattr(radicals, "_series_quasi_inverse", lambda ring, y: (1,))
-    with pytest.raises(CrossCheckError, match="does not check"):
-        is_quasi_regular(cyclic_ring(8), (2,))
-
 
 def test_units_and_other_elements_go_to_the_solve():
     f3 = cyclic_ring(3)
-    # 1 is not nilpotent; z = 1 solves z + 1 + z·1 = 0 in F3
-    assert radicals._series_quasi_inverse(f3, (1,)) is None
+    # z = 1 solves z + 1 + z·1 = 0 in F3
     assert is_quasi_regular(f3, (1,))
     # −1: z − 1 − z = −1 for every z
-    assert radicals._series_quasi_inverse(f3, (2,)) is None
     assert not is_quasi_regular(f3, (2,))
+    # nilpotent elements of Z/8: 2∘2 = 2 + 2 + 4 = 0 and 4∘4 = 4 + 4 + 16 = 0
+    assert is_quasi_regular(cyclic_ring(8), (2,))
+    assert is_quasi_regular(cyclic_ring(8), (4,))
 
 
 def test_quasi_regularity_matches_the_solve(rings):

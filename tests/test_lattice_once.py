@@ -8,8 +8,9 @@ of these is compared here with the reference it replaced on the exact path:
 join closure (`oracles.per_orbit_invariant_ideals`) for invariant lattices,
 on the named catalog, `random_instances(100, s)` for two seeds, the ladder
 rings and M2(F5) under conjugation by diag(2, 1) with the caps raised to
-|R|.  Sampled and capped lattices keep the cover climbs, `minimal_closures`
-and the per-orbit closure, and their report bytes.
+|R|.  The report bytes of that exact path are pinned on M2(F5) and M2(F7).
+Sampled and capped lattices keep the cover climbs, `minimal_closures` and
+the per-orbit closure, and their report bytes.
 """
 
 import hashlib
@@ -40,11 +41,12 @@ CAPS = Caps()
 SEEDS = (20260808, 20260909)
 
 
-def _probe():
-    """(M2(F5) under conjugation by diag(2, 1), the caps raised to |R|)."""
-    ring = matrix_ring(cyclic_ring(5), 2, name="m2_f5")
-    gens = (inner_automorphism(ring, (2, 0, 0, 1)),)
-    inst = Instance("m2_f5", ring, groups.close_group(list(gens), ring=ring),
+def _probe(p=5, a=2):
+    """(M2(F_p) under conjugation by diag(a, 1), the caps raised to |R|),
+    M2(F5) under diag(2, 1) by default."""
+    ring = matrix_ring(cyclic_ring(p), 2, name=f"m2_f{p}")
+    gens = (inner_automorphism(ring, (a, 0, 0, 1)),)
+    inst = Instance(f"m2_f{p}", ring, groups.close_group(list(gens), ring=ring),
                     "diag", gens, "probe")
     return inst, CAPS.updated(exhaustive_ideal_order=ring.order,
                               udim_exhaustive_order=ring.order, module_order=ring.order)
@@ -146,6 +148,26 @@ def test_exhaustive_check_path_makes_no_climbs(monkeypatch):
             check(theorem, ctx, caps, (), seed=0)
 
 
+def _digest(reports) -> str:
+    payload = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, a, digest", [
+    (5, 2, "9f97478a70bd7046bcc687ba5d29be12e2587ed1cba7a69cdfe18f614345554a"),
+    (7, 3, "1bd502de0b325cf66b9aad0631ee20bec2b127e29da2e468cd491f51fac6404a"),
+])
+def test_exact_probe_reports_keep_their_bytes(p, a, digest):
+    """All 18 statements on M2(F_p) under diag(a, 1) with every lattice
+    exact: 12 verified and 6 vacuous on both probes."""
+    inst, caps = _probe(p, a)
+    ctx = inst.context()
+    reports = [check(theorem, ctx, caps, (), seed=0).as_json() for theorem in THEOREM_IDS]
+    verdicts = [r["verdict"] for r in reports]
+    assert (verdicts.count("verified"), verdicts.count("vacuous")) == (12, 6)
+    assert _digest(reports) == digest
+
+
 # -- sampled and capped lattices keep their paths and bytes -----------------------------
 
 FALLBACK_CAPS = Caps(ideal_count=4, exhaustive_ideal_order=8, udim_exhaustive_order=8)
@@ -179,6 +201,5 @@ def test_fallback_check_reports_keep_their_bytes():
             ctx = inst.context()
             reports.extend(check(theorem, ctx, FALLBACK_CAPS, (), seed=0).as_json()
                            for theorem in THEOREM_IDS)
-    payload = json.dumps(reports, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
+    assert _digest(reports) == (
         "d90b568aef2949c68893fd225312ed54a9cf4cdd288c0aa016ca8c3e23e57dd8")

@@ -109,14 +109,35 @@ def test_every_definition_is_used_in_the_package():
     assert not unused, unused
 
 
+def _attributes(trees) -> set[str]:
+    """Every name a package module loads as an attribute."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_method_is_used_in_the_package():
+    """Each method or property of a top-level class, dunders aside, has a
+    name some package module loads as an attribute (`x.name`).  The test is
+    by name alone, so a method shares a use with every attribute of its
+    name; the tracer's targets are exempt, as above."""
+    trees, _ = _package()
+    attributes = _attributes(trees)
+    exempt = {f"{module}.{qualname}" for module, qualname in _targets()}
+    unused = [f"{module}.py:{cls.name}.{fn.name}" for module, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              if not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in attributes and f"{module}.{cls.name}.{fn.name}" not in exempt]
+    assert not unused, unused
+
+
 def test_dead_tracer_targets_are_pinned():
     """The tracer targets nothing in the package uses, which the test above
     exempts: a function no module uses as above, or a method whose name no
     module loads as an attribute.  A target that loses its last caller must
     show up here."""
     trees, used = _package()
-    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    attributes = _attributes(trees)
     dead = {f"{module}.{qualname}" for module, qualname in _targets()
             if ((qualname.split(".")[1] not in attributes) if "." in qualname
                 else (module, qualname) not in used)}
