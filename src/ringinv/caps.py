@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import cached_property
 
 
@@ -26,6 +26,15 @@ class Caps:
     def _echo(self) -> dict:
         # built once: the fields are frozen, and `asdict` deep-copies them
         return asdict(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the hash of the field tuple, as the generated one, built once: a
+        # memo key that holds the caps hashes them on every lookup
+        return hash(astuple(self))
 
     def updated(self, **kv) -> "Caps":
         return replace(self, **kv)

@@ -4,9 +4,16 @@ A ring lives on an additive group ⊕_i Z/d_i; elements are coordinate tuples
 in canonical reduced form and multiplication is the bilinear extension of a
 k×k table of generator products.  Ideals and subrings are additive subgroups
 canonicalized by the Hermite form of their preimage lattice, so equality
-tests never enumerate elements.  Keys grow by insertion: `Subgroup.extend`
-adds the generators outside a key to it and returns the subgroup itself when
-there are none, so generating and joining never rebuild a key;
+tests never enumerate elements.  A group interns its subgroups: it holds
+one `Subgroup` object per key (`AdditiveGroup.subgroup`, the one
+constructor) and memoizes every span taken on it by (key, generators), so
+a subgroup's basis, size and elements are computed once and a span taken
+again is one table lookup.  The tables live on the group object, and every
+ring has a group of its own (`validate_ring`), so they never cross rings: a
+rebuilt context re-checks with tables of its own.  Keys grow by insertion:
+`Subgroup.extend` adds the generators outside a key to it and returns the
+subgroup itself when there are none, so generating and joining never
+rebuild a key;
 `AdditiveMap` holds the one Hermite form still computed from scratch;
 `lattices.hermite_solve` (coordinates), `lattices.in_hermite_span`
 (membership) and `lattices.hermite_reduce` (least coset representatives)
@@ -43,7 +50,7 @@ hint that passes is the one the solve would find.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from math import lcm, prod
 from typing import Callable, Iterable, Iterator
@@ -98,14 +105,34 @@ class WrongSide(RingError):
 
 @dataclass(frozen=True)
 class AdditiveGroup:
-    """The additive carrier ⊕_i Z/d_i; every d_i >= 2."""
+    """The additive carrier ⊕_i Z/d_i; every d_i >= 2.
+
+    A group holds one `Subgroup` object per Hermite key, made by `subgroup`,
+    and memoizes each span taken on it by (key, generators) (`Subgroup.
+    extend`).  Both tables live on this object and die with it, and equality
+    and hashing ignore them.  `validate_ring` builds a fresh group for every
+    ring, so no table spans two rings: a rebuilt context, a coordinate ring
+    and an unpickled group (`__getstate__`) all start with empty tables.
+    """
 
     cyclic_orders: tuple[int, ...]
+    _subgroups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for d in self.cyclic_orders:
             if d < 2:
                 raise ValueError(f"cyclic order {d} < 2")
+
+    def subgroup(self, key: tuple[tuple[int, ...], ...]) -> "Subgroup":
+        """The one subgroup of this group with the full-rank Hermite key `key`."""
+        sub = self._subgroups.get(key)
+        if sub is None:
+            sub = self._subgroups[key] = Subgroup(self, key)
+        return sub
+
+    def __getstate__(self):
+        return dict(self.__dict__, _subgroups={}, _spans={})
 
     @cached_property
     def order(self) -> int:
@@ -174,8 +201,12 @@ class Subgroup:
 
     `key` is the full-rank Hermite form of the preimage lattice (generators
     plus the order relations); two subgroups are equal iff keys are equal.
-    Keys grow from keys: `extend` inserts only the vectors outside the span.
-    `basis` is the human-facing generating set: nonzero key rows reduced.
+    Every subgroup is made by `AdditiveGroup.subgroup`, so a group has one
+    object per key, and its `basis`, `size` and `elements()` are computed
+    once.  Keys grow from keys: `extend` inserts only the vectors outside
+    the span, returns `self` when there are none, and answers a span
+    already taken on the group from its table.  `basis` is the human-facing
+    generating set: nonzero key rows reduced.
     """
 
     __slots__ = ("group", "key", "size", "_basis", "_elements")
@@ -197,16 +228,19 @@ class Subgroup:
 
     @classmethod
     def from_generators(cls, group: AdditiveGroup, gens: Iterable[Element]) -> "Subgroup":
-        return cls(group, hermite_extend(group.relations, gens))
+        return cls.zero(group).extend(gens)
 
     @classmethod
     def zero(cls, group: AdditiveGroup) -> "Subgroup":
-        return cls(group, group.relations)
+        return group.subgroup(group.relations)
 
     def extend(self, gens: Iterable[Element]) -> "Subgroup":
         """The subgroup generated by self and `gens`; `self` when they lie in it."""
-        key = hermite_extend(self.key, gens)
-        return self if key is self.key else Subgroup(self.group, key)
+        memo, spans = (self.key, tuple(gens)), self.group._spans
+        sub = spans.get(memo)
+        if sub is None:
+            sub = spans[memo] = self.group.subgroup(hermite_extend(self.key, memo[1]))
+        return sub
 
     def contains(self, x: Element) -> bool:
         return in_hermite_span(self.key, x)
@@ -267,15 +301,20 @@ class Subgroup:
         return self.size == 1
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup)
-                and self.group.cyclic_orders == other.group.cyclic_orders
-                and self.key == other.key)
+        return self is other or (
+            isinstance(other, Subgroup)
+            and self.group.cyclic_orders == other.group.cyclic_orders
+            and self.key == other.key)
 
     def __hash__(self):
         return hash((self.group.cyclic_orders, self.key))
 
     def __lt__(self, other: "Subgroup") -> bool:
         return self.key < other.key
+
+    def __reduce__(self):
+        # an unpickled subgroup is interned on its unpickled group
+        return self.group.subgroup, (self.key,)
 
     def __repr__(self):
         return f"Subgroup(size={self.size}, basis={list(self.basis)})"
@@ -660,7 +699,7 @@ class AdditiveMap:
         if not all(in_hermite_span(key, r) for r in group.relations):
             raise RingError("the map is not well defined on the group")
         self.group = group
-        self.kernel = Subgroup(group, key)
+        self.kernel = group.subgroup(key)
         self._graph = hnf[:m]
 
     def preimage(self, target) -> Element | None:

@@ -12,6 +12,7 @@ seeds and on the ladder rings; the goldie clause also on M2(F5) under
 conjugation by diag(2, 1) and on a non-unital ring with a unital fixed ring.
 """
 
+import json
 import pickle
 
 import pytest
@@ -91,6 +92,26 @@ def test_caps_echo_is_a_fresh_copy():
     echo["masks"] = ["N1:B"]
     assert caps.as_dict() == {**Caps().as_dict(), "d_search": 3}
     assert caps.as_dict() is not caps.as_dict()
+
+
+def test_equal_caps_hash_once_and_alike():
+    """Caps hash as their field tuple, computed once per object: equal caps
+    from `Caps()`, `Caps.parse` and `updated`, and one sent through pickle
+    as to a `--jobs` worker, hash equal and find each other's memo entries;
+    the echo keeps its bytes."""
+    made = [Caps(d_search=3), Caps.parse("d_search=3"), Caps().updated(d_search=3),
+            Caps.parse("d_search=7").updated(d_search=3)]
+    made.append(pickle.loads(pickle.dumps(made[0])))
+    tuple_hash = hash(tuple(Caps(d_search=3).as_dict().values()))
+    for caps in made:
+        assert caps == made[0] and hash(caps) == hash(caps) == tuple_hash
+        store = {("inv_ideals", caps, "left"): caps}
+        assert all(store.get(("inv_ideals", other, "left")) is caps for other in made)
+    assert hash(Caps()) == hash(tuple(Caps().as_dict().values())) != tuple_hash
+    assert json.dumps(Caps.parse("").as_dict(), sort_keys=True) == (
+        '{"d_search": 16, "exhaustive_ideal_order": 256, "group_cap": 720, '
+        '"ideal_count": 4096, "module_order": 4096, "nilpotency_iterations": 64, '
+        '"sample_count": 48, "splitting_enum": 2048, "udim_exhaustive_order": 256}')
 
 
 # -- regular elements and units read off unitality ------------------------------------

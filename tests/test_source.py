@@ -145,3 +145,26 @@ def test_dead_tracer_targets_are_pinned():
         "lattices.solve_mod_p", "groups.quotient_action",
         "invariants.centralizer_normalizer", "radicals.module_length",
         "radicals.FiniteModule.minimal_submodules", "theorems.counterexample_search"}
+
+
+def test_subgroups_are_made_only_by_the_interning_constructor():
+    """No package module calls `Subgroup(`, nor `cls(` inside `Subgroup`,
+    except `AdditiveGroup.subgroup`: every subgroup goes through its
+    group's table, so a group holds one object per key.  Tests may still
+    build raw subgroups as oracles."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed, in_subgroup = set(), set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "AdditiveGroup":
+                allowed.update(id(node) for fn in cls.body if getattr(fn, "name", "") == "subgroup"
+                               for node in ast.walk(fn))
+            if isinstance(cls, ast.ClassDef) and cls.name == "Subgroup":
+                in_subgroup.update(map(id, ast.walk(cls)))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and id(node) not in allowed
+                  and (node.func.id == "Subgroup"
+                       or (node.func.id == "cls" and id(node) in in_subgroup))]
+    assert not found, found
