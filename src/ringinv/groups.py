@@ -69,7 +69,18 @@ class RingAutomorphism:
             self._validate()
 
     def _validate(self) -> None:
+        """Raise InvalidAutomorphism unless the images define an automorphism.
+
+        Each image must be killed by its generator's order (so the map is
+        well defined), the images must span the group (so it is onto, hence
+        bijective), and products of generators must map to products of
+        images (so, by biadditivity, it is multiplicative).  Images equal
+        to the generators return at once: the identity map is an
+        automorphism.
+        """
         ring = self.ring
+        if self.images == ring.generators():
+            return
         if len(self.images) != ring.rank:
             raise InvalidAutomorphism("wrong number of generator images")
         for i, im in enumerate(self.images):

@@ -575,8 +575,8 @@ def regular_elements_quotient(ring: FiniteRing) -> str:
     is unital, every g fixes 1_R, which is then R^G's identity, so Reg(R^G)
     = U(R^G) ⊆ U(R) = Reg(R).  If not, Reg(R) = ∅, and the fixed-ring
     regular elements that escape are U(R^G) when R^G is unital, else none.
-    Each identity was checked when its ring was built (`validate_ring`; the
-    fixed ring's image gets 1_R as its identity hint).
+    Each identity was checked when its ring was built (`checked_identity`;
+    the fixed ring's image gets 1_R as its identity hint).
     """
     return "equals-ring" if ring.is_unital else "degenerate-undefined"
 

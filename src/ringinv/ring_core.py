@@ -9,7 +9,7 @@ one `Subgroup` object per key (`AdditiveGroup.subgroup`, the one
 constructor) and memoizes every span taken on it by (key, generators), so
 a subgroup's basis, size and elements are computed once and a span taken
 again is one table lookup.  The tables live on the group object, and every
-ring has a group of its own (`validate_ring`), so they never cross rings: a
+ring has a group of its own (`_checked_table`), so they never cross rings: a
 rebuilt context re-checks with tables of its own.  Keys grow by insertion:
 `Subgroup.extend` adds the generators outside a key to it and returns the
 subgroup itself when there are none, so generating and joining never
@@ -42,9 +42,12 @@ Direct products, matrix rings and group rings are block rings, one copy of a
 ring per block, and `_block_ring` is the one layout of their structure
 constants.  `FiniteRing.primary_components` splits a ring into the direct
 product of its p-primary parts R_p = (e/p^a)·R, which the radicals and the
-torsion ideals walk one at a time.  `validate_ring` checks a given identity
-on the generators instead of solving for one: an identity is unique, so a
-hint that passes is the one the solve would find.
+torsion ideals walk one at a time; each R_p is a diagonal key read off the
+cyclic orders.  `checked_identity` checks a given identity on the
+generators instead of solving for one: an identity is unique, so a hint
+that passes is the one the solve would find.  `validate_ring` reads
+associativity off the structure constants; a coordinate ring skips it, as
+its isomorphism with the parent proves it (`_coordinate_ring`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator
 
 from .lattices import (
@@ -110,9 +113,10 @@ class AdditiveGroup:
     A group holds one `Subgroup` object per Hermite key, made by `subgroup`,
     and memoizes each span taken on it by (key, generators) (`Subgroup.
     extend`).  Both tables live on this object and die with it, and equality
-    and hashing ignore them.  `validate_ring` builds a fresh group for every
-    ring, so no table spans two rings: a rebuilt context, a coordinate ring
-    and an unpickled group (`__getstate__`) all start with empty tables.
+    and hashing ignore them.  Every ring gets a fresh group
+    (`_checked_table`, and `theorems.rebuild_context` from its record), so
+    no table spans two rings: a rebuilt context, a coordinate ring and an
+    unpickled group (`__getstate__`) all start with empty tables.
     """
 
     cyclic_orders: tuple[int, ...]
@@ -333,15 +337,20 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+_MISSING = object()
+
+
 def cached(store: dict, key, compute):
     """`store[key]`, filled by `compute()` on the first request.
 
     Derived data is cached this way on a ring (in `FiniteRing._extra`) and
-    on an action context; a side-indexed product is cached by `sided`.
+    on an action context; a side-indexed product is cached by `sided`.  A
+    hit is one `dict.get`; the sentinel tells a stored None from a miss.
     """
-    if key not in store:
-        store[key] = compute()
-    return store[key]
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = compute()
+    return value
 
 
 class FiniteRing:
@@ -438,12 +447,20 @@ class FiniteRing:
         components c_p·x ∈ R_p; an additive subgroup holds the integer
         multiples of its members, so every subgroup S is ⊕_p (S ∩ R_p), and
         every sided ideal with it.
+
+        R_p is read off the cyclic orders, with no span.  d_i divides e, so
+        gcd(d_i, p^a) is the p-part of d_i and m_i = d_i/gcd(d_i, p^a) its
+        part prime to p; in Z/d_i the elements killed by a power of p are the
+        multiples of m_i, and (e/p^a)·Z/d_i is that subgroup, since
+        gcd(e/p^a, d_i) = m_i.  So R_p = ⊕_i m_i·Z/d_i, whose preimage lattice
+        is spanned by the diagonal rows m_i·e_i: a Hermite key as it stands.
         """
         def compute():
-            e, gens = self.exponent, self.generators()
-            return tuple((p, Subgroup.from_generators(
-                self.additive, [self.smul(e // p ** a, g) for g in gens]))
-                for p, a in sorted(factorize(e).items()))
+            k = self.rank
+            return tuple((p, self.additive.subgroup(tuple(
+                tuple(d // gcd(d, p ** a) if j == i else 0 for j in range(k))
+                for i, d in enumerate(self.cyclic_orders))))
+                for p, a in sorted(factorize(self.exponent).items()))
         return cached(self._extra, "primary_components", compute)
 
     def generator(self, i: int) -> Element:
@@ -477,18 +494,10 @@ class FiniteRing:
         return state
 
 
-def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
-                  name: str | None = None) -> FiniteRing:
-    """Validate raw structure constants and return the ring.
-
-    Checks bilinear well-definedness and associativity on generator triples
-    (which suffices by biadditivity).  A given `unit_hint` u is checked on
-    the generators, u·g = g = g·u, which by biadditivity makes it a
-    two-sided identity; an identity is unique (u = u·u' = u' for two of
-    them), so u is the one a solve would find, and the ring is the same.
-    Without a hint the identity is solved for: one preimage of the
-    generators under u ↦ (u·g_j, g_j·u)_j, and None when there is none.
-    """
+def _checked_table(cyclic_orders, table) -> tuple[AdditiveGroup, list]:
+    """(a fresh group on `cyclic_orders`, `table` reduced in it), after the
+    shape check and the bilinear well-definedness check: each generator
+    product is killed by the additive orders of both of its factors."""
     group = AdditiveGroup(tuple(int(d) for d in cyclic_orders))
     k = group.rank
     if len(table) != k or any(len(row) != k for row in table):
@@ -504,27 +513,60 @@ def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
             di, dj = group.cyclic_orders[i], group.cyclic_orders[j]
             if any(group.smul(di, c)) or any(group.smul(dj, c)):
                 raise IllDefined(i, j)
-    ring = FiniteRing(group, reduced, None, name=name)
-    gens = ring.generators()
-    for i in range(k):
-        for j in range(k):
-            cij = reduced[i][j]
-            for l in range(k):
-                left = ring.mul(cij, gens[l])
-                right = ring.mul(gens[i], reduced[j][l])
-                if left != right:
-                    raise NonAssociative(i, j, l)
-    # u is the identity iff u·g_j = g_j = g_j·u for every generator g_j
-    if unit_hint is not None:
-        unit = group.reduce(unit_hint)
+    return group, reduced
+
+
+def checked_identity(ring: FiniteRing, hint: Element | None = None) -> Element | None:
+    """The identity of `ring`, or None when it has none.
+
+    A given `hint` u is checked on the generators, u·g = g = g·u, which by
+    biadditivity makes it a two-sided identity; an identity is unique (u =
+    u·u' = u' for two of them), so u is the one a solve would find.
+    Without a hint one left identity e is solved for, the preimage of the
+    generators under u ↦ (u·g_j)_j (k + k² graph rows), and then checked on
+    the right, g·e = g.  In a unital ring every left identity is 1, since e
+    = e·1 = 1, so the solve finds 1 and the check passes; in a ring with
+    no identity either no e exists or the check fails.  Either way the
+    answer is the one the two-sided solve gives.
+    """
+    group, gens = ring.additive, ring.generators()
+    if hint is not None:
+        unit = group.reduce(hint)
         if any(ring.mul(unit, g) != g or ring.mul(g, unit) != g for g in gens):
             raise NotUnital(f"claimed identity {unit} is not one")
-    else:
-        images = [sum((reduced[i][j] for j in range(k)), ())
-                  + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
-        pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
-        unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
-    ring.unit = unit
+        return unit
+    images = [sum(row, ()) for row in ring.mul_table]
+    rows = AdditiveGroup(group.cyclic_orders * ring.rank)
+    unit = AdditiveMap(group, images, rows.relations).preimage(sum(gens, ()))
+    if unit is None or any(ring.mul(g, unit) != g for g in gens):
+        return None
+    return unit
+
+
+def validate_ring(cyclic_orders, table, unit_hint: Element | None = None,
+                  name: str | None = None) -> FiniteRing:
+    """Validate raw structure constants and return the ring.
+
+    Checks bilinear well-definedness (`_checked_table`) and associativity
+    on generator triples, which suffices by biadditivity: (g_i·g_j)·g_l =
+    Σ_t c_ij[t]·c_tl against g_i·(g_j·g_l) = Σ_t c_jl[t]·c_it, read off the
+    structure constants in the order (i, j, l), so the first failing triple
+    is the one `NonAssociative` names.  The identity comes from
+    `checked_identity`: `unit_hint` checked on the generators, or one
+    left-identity solve and a right check.
+    """
+    group, reduced = _checked_table(cyclic_orders, table)
+    k = group.rank
+    columns = [[reduced[t][l] for t in range(k)] for l in range(k)]
+    for i in range(k):
+        row = reduced[i]
+        for j in range(k):
+            cij, cj = row[j], reduced[j]
+            for l in range(k):
+                if group.combine(cij, columns[l]) != group.combine(cj[l], row):
+                    raise NonAssociative(i, j, l)
+    ring = FiniteRing(group, reduced, None, name=name)
+    ring.unit = checked_identity(ring, unit_hint)
     return ring
 
 
@@ -988,11 +1030,19 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
     R^G for G = 1 and R/0 share R's object and its caches.  The order
     matches, so A/L is all of R and both maps are the identity; the table
     built below would be `parent.mul_table` entry for entry, and that table
-    was validated when `parent` was built, so skipping `validate_ring` and
-    `Coordinates.check` drops no verification.  Other coordinates, such as
-    the Smith orders (6,) of F2×F3's (2, 3), get a validated copy.  A copy
-    of full order is all of `parent` in other coordinates: once
-    `Coordinates.check` has proved `project` a ring isomorphism, the copy
+    was validated when `parent` was built, so skipping the checks below
+    drops no verification.
+
+    Other coordinates, such as the Smith orders (6,) of F2×F3's (2, 3), get
+    a copy S proved by its isomorphism.  Its table gets the well-definedness
+    check only (`_checked_table`), which makes S's product biadditive; then
+    `Coordinates.check` proves `project` a ring isomorphism A/L → S, so S's
+    product is `parent`'s carried over and associative with it, and no
+    associativity loop runs.  The identity is the hint `unit`, the image of
+    1_R, checked on S's generators (`checked_identity`).  A copy of full
+    order with no hint has none: it is isomorphic to `parent`, which has
+    none.  Only a proper subquotient with no hint solves for its identity.
+    A copy of full order is all of `parent` in other coordinates, so it
     records (parent, project) for `copy_source`, and the radicals and the
     exhaustive ideal lattices are carried over rather than found again.
     """
@@ -1001,11 +1051,15 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
                     for g in parent.generators())):
         return parent
     gens = coords.generators
-    table = [[coords.project(parent.mul(a, b)) for b in gens] for a in gens]
-    ring = validate_ring(coords.image.cyclic_orders, table, unit_hint=unit, name=name)
+    group, table = _checked_table(
+        coords.image.cyclic_orders,
+        [[coords.project(parent.mul(a, b)) for b in gens] for a in gens])
+    ring = FiniteRing(group, table, None, name=name)
     if ring.order != order:
         raise RingError(f"coordinate ring has order {ring.order}, not {order}")
     coords.check(parent.mul, ring.mul)
+    if unit is not None or order != parent.order:
+        ring.unit = checked_identity(ring, unit)
     if order == parent.order:
         ring._extra["copy_source"] = (parent, coords.project)
     return ring
@@ -1064,8 +1118,8 @@ class SubringView:
         The coordinates are those of the order relations written in the
         subgroup's Hermite key.  When 1_R lies in the subgroup (as it does
         in every fixed ring of a unital R), its image is passed to
-        `validate_ring` as the identity to check; otherwise the identity is
-        solved for.  The image is memoized on the parent ring by that key,
+        `checked_identity` as the identity to check; otherwise a proper
+        subring solves for its identity (`_coordinate_ring`).  The image is memoized on the parent ring by that key,
         so every view of one subgroup shares one ring and its caches, under
         the name of the first request.
         """

@@ -13,10 +13,14 @@ from ringinv.radicals import FiniteModule, ideal_lattice, jacobson_radical, prim
 from ringinv.ring_core import (
     LEFT,
     TWOSIDED,
+    AdditiveGroup,
     AdditiveMap,
     Element,
     FiniteRing,
+    IllDefined,
     Ideal,
+    NonAssociative,
+    NotUnital,
     RingError,
     Subgroup,
     generated_ideal,
@@ -181,3 +185,46 @@ def whole_ring_lattice(ring: FiniteRing, side: str, caps: Caps):
     subs, exhaustive = join_closure(
         (generated_ideal(ring, [x], side).sub for x in ring.elements()), caps.ideal_count)
     return [Ideal(ring, side, s) for s in subs], exhaustive
+
+
+def element_validated_ring(cyclic_orders, table, unit_hint: Element | None = None,
+                           name: str | None = None) -> FiniteRing:
+    """Raw structure constants validated through ring multiplication: the
+    reference for `validate_ring`, which reads associativity off the
+    structure constants and solves for a left identity only.
+
+    Associativity is tested as (g_i·g_j)·g_l = g_i·(g_j·g_l) with
+    `FiniteRing.mul`, in the order (i, j, l); without a hint the identity
+    is the preimage of the generators under u ↦ (u·g_j, g_j·u)_j, a graph
+    of k + 2k² rows."""
+    group = AdditiveGroup(tuple(int(d) for d in cyclic_orders))
+    k = group.rank
+    if len(table) != k or any(len(row) != k for row in table):
+        raise RingError(f"table must be {k}x{k}")
+    reduced = [[group.reduce(c) for c in row] for row in table]
+    if any(len(c) != k for row in reduced for c in row):
+        raise RingError("structure constant of wrong length")
+    for i in range(k):
+        for j in range(k):
+            c = reduced[i][j]
+            if any(group.smul(group.cyclic_orders[i], c)) or any(
+                    group.smul(group.cyclic_orders[j], c)):
+                raise IllDefined(i, j)
+    ring = FiniteRing(group, reduced, None, name=name)
+    gens = ring.generators()
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if ring.mul(reduced[i][j], gens[l]) != ring.mul(gens[i], reduced[j][l]):
+                    raise NonAssociative(i, j, l)
+    if unit_hint is not None:
+        unit = group.reduce(unit_hint)
+        if any(ring.mul(unit, g) != g or ring.mul(g, unit) != g for g in gens):
+            raise NotUnital(f"claimed identity {unit} is not one")
+    else:
+        images = [sum((reduced[i][j] for j in range(k)), ())
+                  + sum((reduced[j][i] for j in range(k)), ()) for i in range(k)]
+        pairs = AdditiveGroup(group.cyclic_orders * (2 * k))
+        unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
+    ring.unit = unit
+    return ring

@@ -261,12 +261,15 @@ def test_circle_powers_match_the_solve(copies):
 # -- the identity hint of subring images ----------------------------------------------
 
 def test_fixed_images_take_the_identity_as_a_checked_hint(monkeypatch):
+    """A fixed-ring image of a unital R gets 1_R's image as the identity to
+    check, never a solve; a full-order copy of a ring with no identity gets
+    none, and a proper subring of one solves (hint None)."""
     hints = []
-    real_validate = ring_core.validate_ring
+    real_identity = ring_core.checked_identity
 
-    def spying(orders, table, unit_hint=None, name=None):
-        hints.append(unit_hint)
-        return real_validate(orders, table, unit_hint=unit_hint, name=name)
+    def spying(ring, hint=None):
+        hints.append(hint)
+        return real_identity(ring, hint)
     copied = 0
     for inst in named_instances():
         # a fresh ring, so that no image of it is memoized yet
@@ -274,12 +277,17 @@ def test_fixed_images_take_the_identity_as_a_checked_hint(monkeypatch):
         fixed = SubringView(ring, Subgroup(ring.additive, inst.context().fixed.sub.key))
         hints.clear()
         with monkeypatch.context() as m:
-            m.setattr(ring_core, "validate_ring", spying)
+            m.setattr(ring_core, "checked_identity", spying)
             image = fixed.image()
         if image.ring is ring:
             continue
         copied += 1
-        assert hints == [image.to_image(ring.unit) if ring.is_unital else None], ring.name
+        if ring.is_unital:
+            assert hints == [image.to_image(ring.unit)], ring.name
+        elif image.ring.order == ring.order:
+            assert hints == [] and image.ring.unit is None, ring.name
+        else:
+            assert hints == [None], ring.name
         assert image.ring.table_key() == fresh(image.ring).table_key(), ring.name
     assert copied
 

@@ -168,3 +168,17 @@ def test_subgroups_are_made_only_by_the_interning_constructor():
                   and (node.func.id == "Subgroup"
                        or (node.func.id == "cls" and id(node) in in_subgroup))]
     assert not found, found
+
+
+def test_trusted_constructors_in_theorems_sit_in_rebuild_context():
+    """In `theorems`, `validated=True` and `verified=True` (which skip an
+    automorphism's or a group's checks) appear only inside
+    `rebuild_context`, which builds from a record validated in full."""
+    tree = ast.parse((PACKAGE / "theorems.py").read_text())
+    inside = {id(node) for fn in tree.body if getattr(fn, "name", "") == "rebuild_context"
+              for node in ast.walk(fn)}
+    trusted = [node for node in ast.walk(tree) if isinstance(node, ast.keyword)
+               and node.arg in ("validated", "verified")
+               and isinstance(node.value, ast.Constant) and node.value.value is True]
+    assert {kw.arg for kw in trusted if id(kw) in inside} == {"validated", "verified"}
+    assert not [kw.lineno for kw in trusted if id(kw) not in inside]
