@@ -13,7 +13,8 @@ ring has a group of its own (`_checked_table`), so they never cross rings: a
 rebuilt context re-checks with tables of its own.  Keys grow by insertion:
 `Subgroup.extend` adds the generators outside a key to it and returns the
 subgroup itself when there are none, so generating and joining never
-rebuild a key;
+rebuild a key; a key made any other way (a primary component's diagonal,
+a kernel) is checked to be a Hermite key first (`checked_key`);
 `AdditiveMap` holds the one Hermite form still computed from scratch;
 `lattices.hermite_solve` (coordinates), `lattices.in_hermite_span`
 (membership) and `lattices.hermite_reduce` (least coset representatives)
@@ -30,10 +31,12 @@ request the joins strictly above each member), `cover`
 (one step up such a lattice, searching one element per coset; atoms by
 `minimal_closures`, composition lengths by `chain_length`), and
 `Coordinates` (Smith-form coordinates on a subquotient A/L given by two
-Hermite keys, reached by back-substitution down A's key: quotient rings and
-subring images), whose one check proves the transported ring correct; on
-R's own coordinates the subquotient is R itself, and a copy of full order in
-other coordinates records R and the checked map (`copy_source`).
+Hermite keys, reached by back-substitution down A's key, or by none when A
+is the whole group: quotient rings and subring images), whose one check
+proves the transported ring correct.  A whole ring whose cyclic orders form
+a divisibility chain is its own image, before any coordinates are built
+(`_own_image`), and a copy of full order in other coordinates records R and
+the checked map (`copy_source`).
 `FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 On a commutative ring the three sides have the same ideals, so every exact
 side-indexed product is computed once and relabelled: `sided` is the one
@@ -267,19 +270,9 @@ class Subgroup:
         """
         bounds = (self.group.cyclic_orders if below is None
                   else [row[i] for i, row in enumerate(below.key)])
-        add = self.group.add
         steps = [(self.group.reduce(row), b // row[i]) for i, (row, b)
                  in enumerate(zip(self.key, bounds)) if b // row[i] > 1]
-
-        def walk(i, v):
-            if i == len(steps):
-                yield v
-                return
-            row, n = steps[i]
-            for _ in range(n):
-                yield from walk(i + 1, v)
-                v = add(v, row)
-        return walk(0, self.group.zero)
+        return _walk(self.group.add, steps, 0, self.group.zero)
 
     def elements(self) -> frozenset:
         if self._elements is None:
@@ -322,6 +315,47 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(size={self.size}, basis={list(self.basis)})"
+
+
+def _walk(add, steps, i: int, v: Element) -> Iterator[Element]:
+    """v + Σ_{t >= i} c_t·row_t over 0 <= c_t < n_t for (row_t, n_t) in
+    `steps`, in lexicographic order of (c_t).  A module-level generator, so
+    that a walk holds no reference to itself and is freed when it ends."""
+    if i == len(steps):
+        yield v
+        return
+    row, n = steps[i]
+    for _ in range(n):
+        yield from _walk(add, steps, i + 1, v)
+        v = add(v, row)
+
+
+def checked_key(group: AdditiveGroup, key: tuple[tuple[int, ...], ...]):
+    """`key` itself, once it is checked to be a full-rank Hermite key of a
+    subgroup of `group`: square, with pivot i in row i, each pivot positive
+    and dividing d_i, every entry left of a pivot zero, every entry above a
+    pivot in [0, pivot), and every relation d_i·e_i in its span; RingError
+    otherwise.
+
+    A key grown by `hermite_extend` is one by construction; a key made any
+    other way goes through this check before `AdditiveGroup.subgroup`
+    interns it, which checks nothing, so that its lookups stay one
+    `dict.get`.
+    """
+    k = group.rank
+    if len(key) != k or any(len(row) != k for row in key):
+        raise RingError(f"a key of a rank-{k} group must be {k}x{k}")
+    for i, (row, d) in enumerate(zip(key, group.cyclic_orders)):
+        pivot = row[i]
+        if pivot <= 0 or d % pivot:
+            raise RingError(f"pivot {pivot} of row {i} is not a positive divisor of {d}")
+        if any(row[:i]):
+            raise RingError(f"row {i} has a nonzero entry left of its pivot")
+        if any(not 0 <= key[r][i] < pivot for r in range(i)):
+            raise RingError(f"column {i} has an entry above its pivot outside [0, {pivot})")
+    if not all(in_hermite_span(key, r) for r in group.relations):
+        raise RingError("the key does not span the order relations")
+    return key
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -453,14 +487,13 @@ class FiniteRing:
         part prime to p; in Z/d_i the elements killed by a power of p are the
         multiples of m_i, and (e/p^a)·Z/d_i is that subgroup, since
         gcd(e/p^a, d_i) = m_i.  So R_p = ⊕_i m_i·Z/d_i, whose preimage lattice
-        is spanned by the diagonal rows m_i·e_i: a Hermite key as it stands.
+        is spanned by the diagonal rows m_i·e_i (`_primary_key`): a Hermite
+        key as it stands, which `checked_key` confirms before it is interned.
         """
         def compute():
-            k = self.rank
-            return tuple((p, self.additive.subgroup(tuple(
-                tuple(d // gcd(d, p ** a) if j == i else 0 for j in range(k))
-                for i, d in enumerate(self.cyclic_orders))))
-                for p, a in sorted(factorize(self.exponent).items()))
+            group = self.additive
+            return tuple((p, group.subgroup(checked_key(group, _primary_key(group, p ** a))))
+                         for p, a in sorted(factorize(self.exponent).items()))
         return cached(self._extra, "primary_components", compute)
 
     def generator(self, i: int) -> Element:
@@ -492,6 +525,15 @@ class FiniteRing:
         state["_mul_cache"] = {} if self._mul_cache is not None else None
         state["_extra"] = {}
         return state
+
+
+def _primary_key(group: AdditiveGroup, q: int) -> tuple[tuple[int, ...], ...]:
+    """The diagonal key of the elements of `group` killed by the prime power
+    q: row i is m_i·e_i with m_i = d_i/gcd(d_i, q)
+    (`FiniteRing.primary_components`)."""
+    k = group.rank
+    return tuple(tuple(d // gcd(d, q) if j == i else 0 for j in range(k))
+                 for i, d in enumerate(group.cyclic_orders))
 
 
 def _checked_table(cyclic_orders, table) -> tuple[AdditiveGroup, list]:
@@ -737,9 +779,9 @@ class AdditiveMap:
         hnf = hermite_form(rows, m + n)
         if len(hnf) != m + n:
             raise RingError("the graph lattice is not of full rank")
-        key = tuple(row[m:] for row in hnf[m:])
-        if not all(in_hermite_span(key, r) for r in group.relations):
-            raise RingError("the map is not well defined on the group")
+        # a kernel key that misses a relation means the map is not well
+        # defined on the group
+        key = checked_key(group, tuple(row[m:] for row in hnf[m:]))
         self.group = group
         self.kernel = group.subgroup(key)
         self._graph = hnf[:m]
@@ -973,12 +1015,20 @@ class Coordinates:
     `image` = ⊕_t Z/c_t and the integer matrices of `project` (a reduced
     element of A to its image coordinates) and `lift`; `generators` lift the
     coordinate generators.
+
+    When `above` is the identity key, A is the whole group (every quotient,
+    and every image of a whole ring, such as Z/5 × Z/8 → Z/40): the
+    back-substitution down the identity returns the vector itself, so
+    `project` applies the Smith matrix alone.  A whole ring whose cyclic
+    orders form a divisibility chain never gets here: its image is itself
+    (`SubringView.image`, `quotient_by_ideal`).
     """
 
     def __init__(self, group: AdditiveGroup, above, below):
         k = group.rank
         self.group = group
         self._above = above
+        self._whole = above == group.generators
         diag, v, vinv = smith_form([self._solve(r) for r in below], k)
         kept = [j for j in range(k) if diag[j] > 1]
         lift = mat_mul([vinv[j] for j in kept], above)
@@ -988,8 +1038,11 @@ class Coordinates:
         self.generators = [group.reduce(r) for r in lift]
         self._domain = [g for g in map(group.reduce, above) if any(g)]
 
-    def _solve(self, x) -> list[int]:
-        """The integer y with y·above = x, or RingError when x is not in A."""
+    def _solve(self, x):
+        """The integer y with y·above = x, or RingError when x is not in A;
+        x itself when `above` is the identity key."""
+        if self._whole:
+            return x
         solved = hermite_solve(self._above, x)
         if solved is None:
             raise RingError(f"{tuple(x)} is not in the subgroup")
@@ -1011,31 +1064,28 @@ class Coordinates:
         of A/L onto `image`, and `project` must turn `op` on every pair of
         generators of A into `image_op`.  `image_op` is well defined (a
         validated table), so by biadditivity this proves a ring isomorphism.
+        Each generator of A is projected once.
         """
         for t, g in enumerate(self.generators):
             if self.project(g) != self.image.generator(t):
                 raise RingError("coordinate maps do not round-trip")
-        for a in self._domain:
-            for b in self._domain:
-                if self.project(op(a, b)) != image_op(self.project(a), self.project(b)):
+        images = [self.project(a) for a in self._domain]
+        for a, pa in zip(self._domain, images):
+            for b, pb in zip(self._domain, images):
+                if self.project(op(a, b)) != image_op(pa, pb):
                     raise RingError(f"coordinates do not preserve {a}·{b}")
 
 
 def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
                      name: str, unit: Element | None = None) -> FiniteRing:
-    """The ring that `coords` carry over from `parent`, checked isomorphic.
+    """The ring that `coords` carry over from `parent`: a copy S proved by
+    its isomorphism.
 
-    When the coordinates are `parent`'s own (the same cyclic orders, and
-    `project` and `lift` fix every generator), this is `parent` itself, so
-    R^G for G = 1 and R/0 share R's object and its caches.  The order
-    matches, so A/L is all of R and both maps are the identity; the table
-    built below would be `parent.mul_table` entry for entry, and that table
-    was validated when `parent` was built, so skipping the checks below
-    drops no verification.
-
-    Other coordinates, such as the Smith orders (6,) of F2×F3's (2, 3), get
-    a copy S proved by its isomorphism.  Its table gets the well-definedness
-    check only (`_checked_table`), which makes S's product biadditive; then
+    R itself never comes here: the two entry points return it at once when
+    A/L is all of R in R's own coordinates (`_own_image`).  So S's
+    coordinates are not R's, such as the Smith orders (6,) of F2×F3's
+    (2, 3).  Its table gets the well-definedness check only
+    (`_checked_table`), which makes S's product biadditive; then
     `Coordinates.check` proves `project` a ring isomorphism A/L → S, so S's
     product is `parent`'s carried over and associative with it, and no
     associativity loop runs.  The identity is the hint `unit`, the image of
@@ -1046,10 +1096,6 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
     records (parent, project) for `copy_source`, and the radicals and the
     exhaustive ideal lattices are carried over rather than found again.
     """
-    if (coords.image.cyclic_orders == parent.cyclic_orders and order == parent.order
-            and all(coords.project(g) == g and coords.lift(g) == g
-                    for g in parent.generators())):
-        return parent
     gens = coords.generators
     group, table = _checked_table(
         coords.image.cyclic_orders,
@@ -1063,6 +1109,30 @@ def _coordinate_ring(parent: FiniteRing, coords: Coordinates, order: int,
     if order == parent.order:
         ring._extra["copy_source"] = (parent, coords.project)
     return ring
+
+
+def _own_image(parent: FiniteRing, order: int) -> RingImage | None:
+    """R itself, with `AdditiveGroup.reduce` as both maps, when a
+    subquotient of `order` elements is all of R and R's cyclic orders form
+    a divisibility chain d_1 | d_2 | ... | d_k; else None.
+
+    A/L of full order is the whole group modulo zero, so its coordinates
+    are the Smith form of diag(d) written in the identity key.  The Smith
+    form of a diagonal matrix whose entries divide each other in order is
+    that matrix with identity transforms (H. Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, §2.4), so `Coordinates`
+    would give R's cyclic orders with `project` and `lift` the reduction,
+    and the table carried over would be `parent.mul_table` entry for entry,
+    validated when `parent` was built.  Returning R drops no verification,
+    builds no `Coordinates`, and lets R^G under G = 1 and R/0 share R's
+    object and its caches.  Otherwise the invariant factors differ from the
+    orders as a sequence, so the image is a copy in other coordinates.
+    """
+    orders = parent.cyclic_orders
+    if order != parent.order or any(b % a for a, b in zip(orders, orders[1:])):
+        return None
+    reduce = parent.additive.reduce
+    return RingImage(parent, reduce, reduce)
 
 
 def copy_source(ring: FiniteRing) -> tuple[FiniteRing, Callable] | None:
@@ -1115,16 +1185,22 @@ class SubringView:
     def image(self, name: str | None = None) -> RingImage:
         """Realize the subring as a FiniteRing of its own, with maps.
 
-        The coordinates are those of the order relations written in the
-        subgroup's Hermite key.  When 1_R lies in the subgroup (as it does
-        in every fixed ring of a unital R), its image is passed to
-        `checked_identity` as the identity to check; otherwise a proper
-        subring solves for its identity (`_coordinate_ring`).  The image is memoized on the parent ring by that key,
-        so every view of one subgroup shares one ring and its caches, under
-        the name of the first request.
+        The whole ring, when its cyclic orders form a divisibility chain, is
+        its own image, with no coordinates built (`_own_image`): so is R^G
+        under G = 1.  Otherwise the coordinates are those of the order
+        relations written in the subgroup's Hermite key.  When 1_R lies in
+        the subgroup (as it does in every fixed ring of a unital R), its
+        image is passed to `checked_identity` as the identity to check;
+        otherwise a proper subring solves for its identity
+        (`_coordinate_ring`).  The image is memoized on the parent ring by
+        that key, so every view of one subgroup shares one ring and its
+        caches, under the name of the first request.
         """
         def compute():
             parent, group = self.ring, self.ring.additive
+            own = _own_image(parent, self.sub.size)
+            if own is not None:
+                return own
             coords = Coordinates(group, self.sub.key, group.relations)
             unit = (coords.project(parent.unit)
                     if parent.is_unital and self.sub.contains(parent.unit) else None)
@@ -1140,11 +1216,15 @@ class SubringView:
 def quotient_by_ideal(parent: FiniteRing, ideal: Ideal, name: str | None = None) -> RingImage:
     """Quotient by a two-sided ideal; the projection is a verified ring map.
 
-    Its coordinates are those of the ideal's key under the whole group's
-    key, the unit vectors.
+    R/0 is R itself when R's cyclic orders form a divisibility chain, with
+    no coordinates built (`_own_image`).  Otherwise the coordinates are
+    those of the ideal's key under the whole group's key, the unit vectors.
     """
     if ideal.side != TWOSIDED:
         raise WrongSide("can only quotient by a two-sided ideal")
+    own = _own_image(parent, parent.order // ideal.size)
+    if own is not None:
+        return own
     group = parent.additive
     coords = Coordinates(group, group.generators, ideal.sub.key)
     unit = coords.project(parent.unit) if parent.is_unital else None

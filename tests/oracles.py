@@ -9,12 +9,14 @@ from math import gcd
 from ringinv.caps import Caps
 from ringinv.groups import AutomorphismGroup
 from ringinv.invariants import GActionContext, torsion_ideal
+from ringinv.lattices import hermite_solve
 from ringinv.radicals import FiniteModule, ideal_lattice, jacobson_radical, prime_radical
 from ringinv.ring_core import (
     LEFT,
     TWOSIDED,
     AdditiveGroup,
     AdditiveMap,
+    Coordinates,
     Element,
     FiniteRing,
     IllDefined,
@@ -228,3 +230,15 @@ def element_validated_ring(cyclic_orders, table, unit_hint: Element | None = Non
         unit = AdditiveMap(group, images, pairs.relations).preimage(sum(gens, ()) * 2)
     ring.unit = unit
     return ring
+
+
+class BackSubstitutedCoordinates(Coordinates):
+    """`Coordinates` that write every element in A's key by back-substitution,
+    down the identity key too: the path that `Coordinates.project` skips
+    when A is the whole group."""
+
+    def _solve(self, x):
+        solved = hermite_solve(self._above, x)
+        if solved is None:
+            raise RingError(f"{tuple(x)} is not in the subgroup")
+        return solved[0]

@@ -182,3 +182,23 @@ def test_trusted_constructors_in_theorems_sit_in_rebuild_context():
                and isinstance(node.value, ast.Constant) and node.value.value is True]
     assert {kw.arg for kw in trusted if id(kw) in inside} == {"validated", "verified"}
     assert not [kw.lineno for kw in trusted if id(kw) not in inside]
+
+
+def test_coordinates_are_built_only_by_the_two_image_entry_points():
+    """`Coordinates(` is called only in `SubringView.image` and in
+    `quotient_by_ideal`, once each, so every subquotient meets the
+    own-image test (`ring_core._own_image`) before coordinates are built."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "SubringView":
+                allowed.update({id(n): "SubringView.image" for fn in node.body
+                                if getattr(fn, "name", "") == "image" for n in ast.walk(fn)})
+            if getattr(node, "name", "") == "quotient_by_ideal":
+                allowed.update({id(n): "quotient_by_ideal" for n in ast.walk(node)})
+        found += [allowed.get(id(node), f"{path.name}:{node.lineno}")
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "Coordinates"]
+    assert sorted(found) == ["SubringView.image", "quotient_by_ideal"]
