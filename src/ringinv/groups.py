@@ -288,11 +288,13 @@ def h_constant(n: int) -> int:
 def fixed_subgroup(ring: FiniteRing, automorphisms) -> Subgroup:
     """Elements fixed by every automorphism: the meet of the kernels of a - 1.
 
-    Each kernel is taken on the meet so far (its Hermite key is the source),
-    and an automorphism that fixes the current basis is skipped.
+    It starts from the interned whole group (`AdditiveGroup.whole`), so
+    under G = 1 the result is that object with no span taken.  Each kernel
+    is taken on the meet so far (its Hermite key is the source), and an
+    automorphism that fixes the current basis is skipped.
     """
     group = ring.additive
-    fixed = Subgroup.from_generators(group, ring.generators())
+    fixed = group.whole
     for a in automorphisms:
         if all(a.apply(b) == b for b in fixed.basis):
             continue

@@ -80,10 +80,16 @@ def _make_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup) -> 
 
     One map, the inclusion of `fixed` into R/B, gives the meet (its kernel)
     and each e(g_x) (the preimage of g_x); the bimodule property is checked
-    on generators.
+    on generators.  A zero complement with sizes that multiply to |R| has
+    R^G = R, where every one of those checks is vacuous and e is the
+    identity, so its projection is the generators with no solve.
     """
     if fixed.size * complement.size != ring.order:
         raise RingError("subgroups do not complement each other")
+    if complement.is_zero():
+        # B = 0 makes R^G all of R: the meet is zero, every product lies in
+        # R^G, and the preimage of g_x is g_x itself
+        return SplittingData(fixed, complement, ring.generators())
     along = AdditiveMap(ring.additive, fixed.key, complement.key, sources=fixed.key)
     if not along.kernel.is_zero():
         raise RingError("subgroups intersect nontrivially")
@@ -154,7 +160,23 @@ class GActionContext:
 
     # -- basics -----------------------------------------------------------
     def fixed_image(self) -> RingImage:
-        return self.fixed.image(name=f"{self.ring_name}^G")
+        """R^G as a ring of its own (`SubringView.image`), held in one slot
+        of the context cache: the first call names and builds it, and every
+        later one is a single `dict.get`.  The slot pickles with the
+        context."""
+        image = self._cache.get("fixed_image")
+        if image is None:
+            image = self._cache["fixed_image"] = self.fixed.image(name=f"{self.ring_name}^G")
+        return image
+
+    def order_inverse(self) -> Element | None:
+        """The inverse of |G|·1 in R, or None when R has no identity or
+        |G|·1 is not a unit: one `inverse` solve per context, read by the
+        invertible-order clauses and `averaging_idempotent`."""
+        def compute():
+            ring = self.ring
+            return inverse(ring, ring.smul(self.n, ring.unit)) if ring.is_unital else None
+        return self._cached("order_inverse", compute)
 
     def trace(self, r: Element) -> Element:
         out = self.ring.zero
@@ -321,7 +343,7 @@ def averaging_idempotent(ctx: GActionContext) -> SplittingData:
     ring = ctx.ring
     if not ring.is_unital:
         raise NotInvertible("ring has no identity")
-    inv = inverse(ring, ring.smul(ctx.n, ring.unit))
+    inv = ctx.order_inverse()
     if inv is None:
         raise NotInvertible(f"|G| = {ctx.n} is not a unit")
     gens = ring.generators()
@@ -482,12 +504,13 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
     Returns (ideal, d, capped): d is 1 for a zero trace image, and ideal and
     d are None when no ideal qualifies.  `capped` is set when an ideal
     enumeration was sampled or a power search reached `caps.d_search`
-    without stabilizing.  Where the right lattice is the left one, the right
-    scan is the left scan's result (`ring_core.sided`).
+    without stabilizing.  Each side's scan is cached on the context by the
+    caps and `powers`, and where the right lattice is the left one, the
+    right scan is the left scan's result (`ring_core.sided`).
     """
-    capped, scans = False, {}
+    capped = False
     for side in (LEFT, RIGHT):
-        ideal, d, side_capped = sided(scans, ("trace",), ctx.ring, side,
+        ideal, d, side_capped = sided(ctx._cache, ("trace_scan", caps, powers), ctx.ring, side,
                                       lambda s: _trace_scan(ctx, s, caps, powers),
                                       exact_lattice(ctx.ring, caps))
         capped = capped or side_capped
@@ -497,13 +520,16 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
 
 
 def _trace_scan(ctx: GActionContext, side: str, caps: Caps, powers: bool):
-    """(ideal, d, capped) of `degenerate_trace_ideal` over the `side` ideals."""
+    """(ideal, d, capped) of `degenerate_trace_ideal` over the `side` ideals.
+    Each ideal's trace image is memoized on the context by its key, so the
+    scans of C1_5 and N2, and of a side that shares a lattice, meet each
+    ideal's image once."""
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
     capped = not exhaustive
     for ideal in ideals:
         if ideal.is_zero():
             continue
-        t_img = ctx.trace_image(ideal.basis)
+        t_img = ctx._cached(("trace_image", ideal.key), lambda: ctx.trace_image(ideal.basis))
         if t_img.is_zero():
             return ideal, 1, capped
         if powers:

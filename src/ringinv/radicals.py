@@ -113,9 +113,7 @@ class CrossCheckError(RingError):
 def nilpotency_index(ring: FiniteRing, sub: Subgroup | None = None) -> int | None:
     """Least k with the k-fold product span zero (of the whole ring by
     default); None when a nonzero power repeats, so none ever vanishes."""
-    if sub is None:
-        sub = Subgroup.from_generators(ring.additive, ring.generators())
-    return ring.power_chain(sub)[0]
+    return ring.power_chain(ring.additive.whole if sub is None else sub)[0]
 
 
 # -- principal ideals, cached on the ring -----------------------------------------

@@ -37,7 +37,8 @@ proves the transported ring correct.  A whole ring whose cyclic orders form
 a divisibility chain is its own image, before any coordinates are built
 (`_own_image`), and a copy of full order in other coordinates records R and
 the checked map (`copy_source`).
-`FiniteRing.power_chain` is the one loop over the powers of a subgroup.
+`FiniteRing.power_chain` is the one loop over the powers of a subgroup,
+memoized on the ring by the subgroup's key and the cap.
 On a commutative ring the three sides have the same ideals, so every exact
 side-indexed product is computed once and relabelled: `sided` is the one
 memo that decides the shared side, caches under it and relabels the result.
@@ -119,7 +120,8 @@ class AdditiveGroup:
     and hashing ignore them.  Every ring gets a fresh group
     (`_checked_table`, and `theorems.rebuild_context` from its record), so
     no table spans two rings: a rebuilt context, a coordinate ring and an
-    unpickled group (`__getstate__`) all start with empty tables.
+    unpickled group (`__getstate__`) all start with empty tables, and
+    without the interned `whole`, which would point into the old table.
     """
 
     cyclic_orders: tuple[int, ...]
@@ -138,8 +140,17 @@ class AdditiveGroup:
             sub = self._subgroups[key] = Subgroup(self, key)
         return sub
 
+    @cached_property
+    def whole(self) -> "Subgroup":
+        """The whole group, interned under its Hermite key, the identity
+        (the unit vectors, `generators`), which `checked_key` confirms once
+        per group."""
+        return self.subgroup(checked_key(self, self.generators))
+
     def __getstate__(self):
-        return dict(self.__dict__, _subgroups={}, _spans={})
+        state = dict(self.__dict__, _subgroups={}, _spans={})
+        state.pop("whole", None)
+        return state
 
     @cached_property
     def order(self) -> int:
@@ -451,9 +462,13 @@ class FiniteRing:
         sub^d = 0, where sub^d is the span of sub·sub^(d-1), else None; and
         whether a nonzero power repeated, which proves none ever vanishes.
         There are finitely many subgroups, so without a cap d or repeated is
-        set."""
+        set.  Memoized on the ring by the key and the cap."""
         if sub.is_zero():
             return 1, False
+        return cached(self._extra, ("power_chain", sub.key, cap),
+                      lambda: self._power_chain(sub, cap))
+
+    def _power_chain(self, sub: Subgroup, cap: int | None):
         current, seen = sub, {sub.key}
         for d in (itertools.count(2) if cap is None else range(2, cap + 1)):
             current = Subgroup.from_generators(
@@ -1152,13 +1167,20 @@ class RingImage:
 
 
 class SubringView:
-    """A multiplicatively closed additive subgroup of a parent ring."""
+    """A multiplicatively closed additive subgroup of a parent ring.
+
+    The closure loop runs on a proper subgroup only: a subgroup of size
+    |R| is all of R (its key is the identity), so every product is a member
+    and the loop could not raise.
+    """
 
     __slots__ = ("ring", "sub")
 
     def __init__(self, ring: FiniteRing, sub: Subgroup):
         self.ring = ring
         self.sub = sub
+        if sub.size == ring.order:
+            return
         for a in sub.basis:
             for b in sub.basis:
                 if not sub.contains(ring.mul(a, b)):

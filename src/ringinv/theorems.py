@@ -43,7 +43,6 @@ from .ring_core import (
     Ideal,
     Subgroup,
     SubringView,
-    inverse,
     quotient_by_ideal,
     sided,
     validate_ring,
@@ -122,8 +121,23 @@ class TheoremReport:
 
 def to_jsonable(obj):
     """The JSON form of a report value.  A type without one raises
-    `TypeError`, so no repr text can reach the report."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    `TypeError`, so no repr text can reach the report.
+
+    The exact type is tried first, one identity test each, in the order the
+    report values take them (scalars, `Subgroup`, dict, list, tuple); the
+    `isinstance` chain below then gives the same forms to subclasses and to
+    `Ideal`.  A `bool` keeps its type on both paths, so it stays `true` or
+    `false` in the JSON."""
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is Subgroup:
+        return {"basis": [list(b) for b in obj.basis], "size": obj.size}
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(x) for x in obj]
+    if isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
@@ -162,10 +176,20 @@ def big_power(base: int, exp: int) -> dict:
 
 # clause statuses from best to worst; a conjunction is as bad as its worst part
 _SEVERITY = (HOLDS, DOMINATED, CAPPED, FAILS)
+_RANK = {status: rank for rank, status in enumerate(_SEVERITY)}
 
 
 def _worst(statuses) -> str:
-    return max(statuses, key=_SEVERITY.index, default=HOLDS)
+    """The first status of the highest rank in `_SEVERITY`, HOLDS for none:
+    what `max(statuses, key=_SEVERITY.index, default=HOLDS)` gives, folded
+    in one pass with one dict read per status.  An unknown status raises
+    KeyError."""
+    worst, top = HOLDS, -1
+    for status in statuses:
+        rank = _RANK[status]
+        if rank > top:
+            worst, top = status, rank
+    return worst
 
 
 def _capped(status: str, capped: bool) -> str:
@@ -181,11 +205,22 @@ def _branch_status(all_clauses: list[Clause]) -> str:
 
 
 def _hyp_status(hyps: list[Clause]) -> str:
-    parts = [h.status for h in hyps if not h.cond.startswith("alt") and not h.masked]
-    alt1 = [h for h in hyps if h.cond.startswith("alt1")]
-    alt2 = [h for h in hyps if h.cond.startswith("alt2")]
+    """The worst of the unmasked plain hypotheses and, when there are
+    alternatives, the better of the two branches (`alt1…`, `alt2…`); a
+    condition named `alt` with another branch number counts in neither.
+    One loop sorts the clauses into the three parts."""
+    parts, alt1, alt2 = [], [], []
+    for h in hyps:
+        head = h.cond[:4]
+        if head == "alt1":
+            alt1.append(h)
+        elif head == "alt2":
+            alt2.append(h)
+        elif head[:3] != "alt" and not h.masked:
+            parts.append(h.status)
     if alt1 or alt2:
-        parts.append(min(_branch_status(alt1), _branch_status(alt2), key=_SEVERITY.index))
+        first, second = _branch_status(alt1), _branch_status(alt2)
+        parts.append(first if _RANK[first] <= _RANK[second] else second)
     return _worst(parts)
 
 
@@ -280,7 +315,7 @@ def _invertible_order_clause(ctx: GActionContext) -> Clause:
         status, witness = FAILS, "ring has no identity"
     else:
         n_one = ring.smul(ctx.n, ring.unit)
-        inv = inverse(ring, n_one)
+        inv = ctx.order_inverse()
         if inv is None:
             status, witness = FAILS, {"n_times_one": list(n_one)}
         else:
@@ -765,11 +800,24 @@ def _chk_lem_a6(ctx: GActionContext, caps: Caps):
 
 
 def _chk_lem_b6(ctx: GActionContext, caps: Caps):
-    clause, found = _splitting_exists_clause(ctx, caps)
-    hyps = [clause]
+    clause, _ = _splitting_exists_clause(ctx, caps)
+    capped, er, length = ctx._cached(("b6", caps), lambda: _b6_scan(ctx, caps))
+    concls = [
+        Clause("restriction-identity",
+               "extension then restriction is the identity on fixed-ring "
+               "one-sided ideals", _capped(er[0], capped), witness=er[1]),
+        Clause("length-bound",
+               "fixed-ring quotient lengths never exceed ring quotient lengths",
+               _capped(length[0], capped), witness=length[1]),
+    ]
+    return [clause], concls, ([SAMPLED_NOTE] if capped else [])
+
+
+def _b6_scan(ctx: GActionContext, caps: Caps):
+    """(capped, the (status, witness) of the extension-restriction identity
+    and of the length bound) over the one-sided ideals of R^G: LEM_B6's
+    scan, cached on the context by the caps."""
     image = ctx.fixed_image()
-    er_status = HOLDS
-    er_witness = None
     length = HOLDS, None
     capped = False
     for side in (LEFT, RIGHT):
@@ -779,23 +827,10 @@ def _chk_lem_b6(ctx: GActionContext, caps: Caps):
             j_e = ctx.extend(j.sub, side)
             back = ctx.restrict(j_e.sub)
             if back != j.sub:
-                er_status = FAILS
-                er_witness = {"side": side, "ideal": j, "restriction": back}
-                break
+                return capped, (FAILS, {"side": side, "ideal": j, "restriction": back}), length
             length = _length_comparison(ctx, side, j.sub, j_e.sub, caps, length,
                                         {"side": side, "ideal": j})
-        if er_status == FAILS:
-            break
-    concls = [
-        Clause("restriction-identity",
-               "extension then restriction is the identity on fixed-ring "
-               "one-sided ideals",
-               _capped(er_status, capped), witness=er_witness),
-        Clause("length-bound",
-               "fixed-ring quotient lengths never exceed ring quotient lengths",
-               _capped(length[0], capped), witness=length[1]),
-    ]
-    return hyps, concls, ([SAMPLED_NOTE] if capped else [])
+    return capped, (HOLDS, None), length
 
 
 def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):

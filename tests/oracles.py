@@ -242,3 +242,90 @@ class BackSubstitutedCoordinates(Coordinates):
         if solved is None:
             raise RingError(f"{tuple(x)} is not in the subgroup")
         return solved[0]
+
+
+# -- the per-check floor before its one-pass forms ----------------------------------
+
+_SEVERITY = ("holds", "holds (dominated)", "capped", "fails")
+
+
+def severity_worst(statuses) -> str:
+    """The worst status by `_SEVERITY.index`, the first of them on a tie,
+    "holds" for none: the reference for `theorems._worst`, which folds by a
+    rank dict."""
+    return max(statuses, key=_SEVERITY.index, default="holds")
+
+
+def _branch_worst(clauses) -> str:
+    if not clauses:
+        return "fails"
+    return severity_worst(h.status for h in clauses if not h.masked)
+
+
+def comprehension_hyp_status(hyps) -> str:
+    """The hypothesis status from three comprehensions over the clauses:
+    the reference for `theorems._hyp_status`, which sorts them in one loop."""
+    parts = [h.status for h in hyps if not h.cond.startswith("alt") and not h.masked]
+    alt1 = [h for h in hyps if h.cond.startswith("alt1")]
+    alt2 = [h for h in hyps if h.cond.startswith("alt2")]
+    if alt1 or alt2:
+        parts.append(min(_branch_worst(alt1), _branch_worst(alt2), key=_SEVERITY.index))
+    return severity_worst(parts)
+
+
+def isinstance_to_jsonable(obj):
+    """The JSON form of a report value by one `isinstance` chain: the
+    reference for `theorems.to_jsonable`, which tries the exact type
+    first."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_to_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): isinstance_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, Subgroup):
+        return {"basis": [list(b) for b in obj.basis], "size": obj.size}
+    if isinstance(obj, Ideal):
+        return {"side": obj.side, "basis": [list(b) for b in obj.basis],
+                "size": obj.size}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
+# -- the general paths that the trivial-group shortcuts skip -------------------------
+
+def spanned_fixed_subgroup(ring: FiniteRing, automorphisms) -> Subgroup:
+    """The meet of the kernels of a − 1, started from the span of the
+    generators: the reference for `groups.fixed_subgroup`, which starts
+    from the interned whole group."""
+    group = ring.additive
+    fixed = Subgroup.from_generators(group, ring.generators())
+    for a in automorphisms:
+        if all(a.apply(b) == b for b in fixed.basis):
+            continue
+        moved = [group.sub(a.apply(group.reduce(row)), group.reduce(row))
+                 for row in fixed.key]
+        fixed = AdditiveMap(group, moved, group.relations, sources=fixed.key).kernel
+    return fixed
+
+
+def closure_holds(ring: FiniteRing, sub: Subgroup) -> bool:
+    """Whether every product of two basis vectors lies in `sub`: the loop
+    that `SubringView` skips on a subgroup of size |R|."""
+    return all(sub.contains(ring.mul(a, b)) for a in sub.basis for b in sub.basis)
+
+
+def solved_splitting(ring: FiniteRing, fixed: Subgroup, complement: Subgroup):
+    """(fixed, complement, projection) of R = fixed ⊕ complement by the
+    graph solve of the inclusion of `fixed` into R/complement, with every
+    check run: the reference for `invariants._make_splitting`, which
+    returns the generators for a zero complement."""
+    if fixed.size * complement.size != ring.order:
+        raise RingError("subgroups do not complement each other")
+    along = AdditiveMap(ring.additive, fixed.key, complement.key, sources=fixed.key)
+    if not along.kernel.is_zero():
+        raise RingError("subgroups intersect nontrivially")
+    for s in fixed.basis:
+        for b in complement.basis:
+            if not (complement.contains(ring.mul(s, b)) and complement.contains(ring.mul(b, s))):
+                raise RingError("complement is not a bimodule")
+    return fixed, complement, tuple(along.preimage(g) for g in ring.generators())

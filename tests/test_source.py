@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 from pathlib import Path
 
 from test_tracer_targets import _targets
@@ -202,3 +203,73 @@ def test_coordinates_are_built_only_by_the_two_image_entry_points():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name) and node.func.id == "Coordinates"]
     assert sorted(found) == ["SubringView.image", "quotient_by_ideal"]
+
+
+MEMOS = ("cached", "_cached", "sided")
+
+
+def _clause_builders(tree) -> set:
+    """The functions of a module (by name, at any depth) that build a
+    `Clause`: they call `Clause(` or another such function."""
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
+    calls = {name: {c.func.id for fn in fns for c in ast.walk(fn)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+             for name, fns in defs.items()}
+    builders = {name for name, called in calls.items() if "Clause" in called}
+    while True:
+        more = {name for name, called in calls.items() if called & builders} - builders
+        if not more:
+            return builders
+        builders |= more
+
+
+def memoized_clause_builders(source: str) -> list:
+    """The line of every `cached`, `_cached` or `sided` call whose compute
+    argument (a lambda, or a function named in the module) builds a
+    `Clause`."""
+    tree = ast.parse(source)
+    builders = _clause_builders(tree) | {"Clause"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in MEMOS:
+            continue
+        for arg in itertools.chain(node.args, (k.value for k in node.keywords)):
+            if isinstance(arg, ast.Name) and arg.id in builders:
+                found.append(node.lineno)
+            elif isinstance(arg, ast.Lambda) and any(
+                    isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                    and c.func.id in builders for c in ast.walk(arg.body)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_memo_holds_a_clause():
+    """`_apply_masks` mutates the clauses of a report, so a memo may hold
+    the facts behind a clause but never a `Clause`: no memo call in
+    `theorems` or `invariants` has a compute lambda or function that
+    builds one."""
+    for module in ("theorems.py", "invariants.py"):
+        assert memoized_clause_builders((PACKAGE / module).read_text()) == [], module
+
+
+def test_the_memo_rule_catches_a_memoized_clause():
+    bad = '''
+def _label(ctx):
+    return Clause("c", "t", "holds")
+
+def _chk(ctx, caps):
+    a = ctx._cached(("a", caps), lambda: _label(ctx))
+    b = cached(ctx._cache, "b", lambda: [Clause("c", "t", "holds")])
+    def compute(side):
+        return _label(ctx)
+    c = sided(ctx._cache, ("c",), ctx.ring, "left", compute)
+    d = ctx._cached("d", lambda: (1, None))
+'''
+    assert sorted(memoized_clause_builders(bad)) == [6, 7, 10]
