@@ -504,13 +504,12 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
     Returns (ideal, d, capped): d is 1 for a zero trace image, and ideal and
     d are None when no ideal qualifies.  `capped` is set when an ideal
     enumeration was sampled or a power search reached `caps.d_search`
-    without stabilizing.  Each side's scan is cached on the context by the
-    caps and `powers`, and where the right lattice is the left one, the
-    right scan is the left scan's result (`ring_core.sided`).
+    without stabilizing.  Where the right lattice is the left one, the right
+    scan is the left scan's result (`ring_core.sided`).
     """
-    capped = False
+    capped, scans = False, {}
     for side in (LEFT, RIGHT):
-        ideal, d, side_capped = sided(ctx._cache, ("trace_scan", caps, powers), ctx.ring, side,
+        ideal, d, side_capped = sided(scans, ("trace",), ctx.ring, side,
                                       lambda s: _trace_scan(ctx, s, caps, powers),
                                       exact_lattice(ctx.ring, caps))
         capped = capped or side_capped
@@ -522,8 +521,7 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
 def _trace_scan(ctx: GActionContext, side: str, caps: Caps, powers: bool):
     """(ideal, d, capped) of `degenerate_trace_ideal` over the `side` ideals.
     Each ideal's trace image is memoized on the context by its key, so the
-    scans of C1_5 and N2, and of a side that shares a lattice, meet each
-    ideal's image once."""
+    scans of C1_5 and N2 compute it once between them."""
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
     capped = not exhaustive
     for ideal in ideals:

