@@ -15,10 +15,11 @@ shift both radicals alike and they would still agree, so the walk is held
 to the whole-ring walks kept in `tests/oracles.py` by the test suite
 instead.  A finite ring is the direct product of its primary components R_p
 (`FiniteRing.primary_components`), so each radical is the sum of its parts
-in the components, and the walk visits component elements only; a radical
-is an additive subgroup, so membership is constant on the cosets of the
-part found so far, and the walk decides one element per coset.  An element
-is decided quasi-regular by its powers under a∘b = a + b + ab, which reach
+in the components, and the walk visits the elements of the components
+that are not cyclic only (a cyclic one is decided by one test, see below);
+a radical is an additive subgroup, so membership is constant on the cosets
+of the part found so far, and the walk decides one element per coset.  An
+element is decided quasi-regular by its powers under a∘b = a + b + ab, which reach
 0 iff it is, and every quasi-inverse is checked.
 Uniform dimension, regular elements, and composition lengths of finite
 modules round out the structure data the checkers need.
@@ -27,15 +28,16 @@ Regular elements are read off unitality, never listed: a finite ring has
 one iff it is unital, and then they are its units (`regular_elements_quotient`).
 
 An exhaustive ideal lattice is the one source of its lattice facts: the
-join closure that builds it also gives each member the joins strictly above
-it, from which the colength of every member goes into a memo on the ring,
-and the atoms are the members of length 1.  Only a sampled or capped
+join closure that builds it also gives each member the joins strictly
+above it, from which the colength of every member goes into a memo on the
+ring (a cyclic component's chain gives its colengths as it stands), and
+the atoms are the members of length 1.  Only a sampled or capped
 lattice climbs covers for a colength (up to the first ideal whose colength
 is known) and closes every element for the atoms.
 
 An exact lattice is the product of the lattices of the primary components
-(`_product_lattice`), one join closure per component.  With R_p ⊕ R_q
-= R and R_q·R_p = 0 for q ≠ p (`FiniteRing.primary_components`):
+(`_product_lattice`), one join closure per component that is not cyclic.
+With R_p ⊕ R_q = R and R_q·R_p = 0 for q ≠ p (`FiniteRing.primary_components`):
 - every sided ideal I of R is ⊕_p I_p with I_p = I ∩ R_p, since every
   subgroup of R is the sum of its parts in the components;
 - a subgroup of R_p is a sided ideal of R iff it is one of R_p: R·x =
@@ -48,10 +50,30 @@ So the members of R's lattice are the sums of one member of each component
 lattice, and their colengths are the sums of the component colengths.  The
 join closure over every element of R runs when a component lattice or the
 product outgrows `caps.ideal_count`, and then it gives the capped lattice it
-always gave; on a ring with one primary component it is that component's
-closure, and runs once, cut or not.  On a commutative ring each exact sided
-product here is computed once for all three sides (`ring_core.sided`), so
-the sides share one colength memo (`ring_core.shared_side`).
+always gave; on a ring with one primary component that is not cyclic it is
+that component's closure, and runs once, cut or not.  On a commutative ring
+each exact sided product here is computed once for all three sides
+(`ring_core.sided`), so the sides share one colength memo
+(`ring_core.shared_side`).
+
+A cyclic component, R_p = ⊕_i m_i·Z/d_i with one nontrivial coordinate,
+is of order p^a with a generator g, and needs no closure at all:
+- its sided ideals are the chain R_p ⊋ p·R_p ⊋ … ⊋ p^a·R_p = 0.  Every
+  subgroup of the cyclic group R_p is m·R_p for an integer m, and m·R_p is
+  a two-sided ideal of R: R·(m·x) = m·(R·x) ⊆ m·R_p, as R_p is an ideal,
+  and so on the right;
+- len(R_p/p^j·R_p) = j.  Each factor p^i·R_p/p^(i+1)·R_p has order p, so
+  it has no subgroup strictly between 0 and itself and is a simple module,
+  and the chain is a composition series of R_p/p^j·R_p;
+- each radical meets R_p in R_p or p·R_p.  A product of k members p·x_i
+  of p·R_p is p^k·x_1⋯x_k ∈ p^k·R_p, so (p·R_p)^a = 0: a nilpotent ideal,
+  which lies in the prime radical and so in the Jacobson radical (every
+  member of R¹x ⊆ p·R_p is nilpotent, hence quasi-regular).  p·R_p has
+  index p in R_p, so nothing lies strictly between them, and rad ∩ R_p is
+  R_p iff g lies in the radical, iff R¹g = R_p passes that radical's test.
+So a cyclic component's lattice is read off by `_cyclic_chain`, and each
+radical asks its test of R_p once (`_radical_span`); every radical is still
+verified by `_checked_radical`.
 
 A copy S of R in other coordinates (R^G for G = 1 and R/0 when R's cyclic
 orders are not Smith invariant factors, R^N for N = 1) carries R's radicals
@@ -154,16 +176,25 @@ def _radical_span(ring: FiniteRing, test) -> Subgroup:
 
     Such a radical is an additive subgroup, so it is ⊕_p (rad ∩ R_p) over
     the primary components (`FiniteRing.primary_components`); R¹x lies in
-    R_p for x ∈ R_p, so each component is walked alone.  For a part S found
-    so far, x and x + s (s ∈ S) are both in the radical or both out of it,
-    so the walk decides one element per coset of S: each coset is named by
-    its least representative (`Subgroup.coset_rep`), a rejected coset stays
-    rejected as S grows (its names are re-reduced), and each time S grows
-    the walk starts over on the cosets of the larger S.
+    R_p for x ∈ R_p, so each component is decided alone.  A cyclic R_p is
+    not walked: rad ∩ R_p is R_p when R_p, which is R¹g for its generator
+    g, passes `test`, else p·R_p (proof in the module docstring).  In any
+    other component, for a part S found so far, x and x + s (s ∈ S) are both
+    in the radical or both out of it, so the walk decides one element per
+    coset of S: each coset is named by its least representative
+    (`Subgroup.coset_rep`), a rejected coset stays rejected as S grows (its
+    names are re-reduced), and each time S grows the walk starts over on the
+    cosets of the larger S.
     """
     verdicts: dict = {}
     total = Subgroup.zero(ring.additive)
-    for _, component in ring.primary_components():
+    for p, component in ring.primary_components():
+        if _is_cyclic(component):
+            if not test(Ideal(ring, LEFT, component)):
+                component = Subgroup.from_generators(
+                    ring.additive, [ring.smul(p, component.basis[0])])
+            total = total.join(component)
+            continue
         span, rejected, grown = Subgroup.zero(ring.additive), set(), True
         while grown:
             grown = False
@@ -276,9 +307,10 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     left ideal R¹x is left quasi-regular.
 
     The walk (`_radical_span`) decides one principal left ideal per coset of
-    the part found so far, in each primary component; each distinct ideal
-    gets one verdict, a scan that stops at its first element that is not
-    quasi-regular, and a passing ideal joins the radical whole.
+    the part found so far, in each primary component that is not cyclic,
+    and a cyclic one R_p as a whole; each distinct ideal gets one verdict,
+    a scan that stops at its first element that is not quasi-regular, and a
+    passing ideal joins the radical whole.
     """
     return cached(ring._extra, "jacobson_radical", lambda: _checked_radical(
         ring, jacobson_radical, _is_quasi_regular_ideal, "Jacobson radical"))
@@ -364,13 +396,16 @@ def _carried_lattice(ring: FiniteRing, side: str, caps: Caps):
 
 def _principal_lattice(ring: FiniteRing, side: str, caps: Caps):
     """The `side` lattice from principal ideals: the product of the
-    component lattices (`_product_lattice`) when there are several, it is
-    exact and within `caps.ideal_count`, else the join closure of the
-    principal ideals of every element of R (for one component, its own
-    closure), exhaustive or flagged as `ideal_lattice` decides.  Every
-    member of an exhaustive lattice gets its colength in the memo."""
-    several = exact_lattice(ring, caps) and len(ring.primary_components()) > 1
-    members = _product_lattice(ring, side, caps) if several else None
+    component lattices (`_product_lattice`) when it is exact and within
+    `caps.ideal_count`, unless R is one non-cyclic component, else the join
+    closure of the principal ideals of every element of R (for one
+    component, its own closure), exhaustive or flagged as `ideal_lattice`
+    decides.  Every member of an exhaustive lattice gets its colength in
+    the memo."""
+    components = ring.primary_components()
+    one_closure = len(components) == 1 and not _is_cyclic(components[0][1])
+    structured = exact_lattice(ring, caps) and not one_closure
+    members = _product_lattice(ring, side, caps) if structured else None
     if members is None:
         above: dict = {}
         ideals, exhaustive = ideal_lattice(
@@ -388,22 +423,47 @@ def _product_lattice(ring: FiniteRing, side: str, caps: Caps):
     with len(R/I) = Σ_p len(R_p/I_p); None when the lattice of some R_p, or
     their product, has more than `caps.ideal_count` members.
 
-    Each component lattice is the join closure of the principal ideals of
-    the elements of R_p, closed on R, and gives every member its colength
-    in R_p (`_colengths`); the product joins one member of each.
+    The lattice of a cyclic R_p is its chain p^j·R_p, of colength j
+    (`_cyclic_chain`).  Any other component lattice is the join closure of
+    the principal ideals of the elements of R_p, closed on R, and gives
+    every member its colength in R_p (`_colengths`); the product joins one
+    member of each.
     """
     members = [(Subgroup.zero(ring.additive), 0)]
-    for p, _ in ring.primary_components():
-        above: dict = {}
-        subs, exhaustive = join_closure(
-            (principal_ideal(ring, x, side).sub for x in _component_elements(ring, p)),
-            caps.ideal_count, above)
-        if not exhaustive or len(members) * len(subs) > caps.ideal_count:
+    for p, component in ring.primary_components():
+        if _is_cyclic(component):
+            subs = _cyclic_chain(ring, p, component)
+            colength = {sub.key: j for j, sub in enumerate(subs)}
+        else:
+            above: dict = {}
+            subs, exhaustive = join_closure(
+                (principal_ideal(ring, x, side).sub for x in _component_elements(ring, p)),
+                caps.ideal_count, above)
+            if not exhaustive:
+                return None
+            colength = _colengths(subs, above)
+        if len(members) * len(subs) > caps.ideal_count:
             return None
-        colength = _colengths(subs, above)
         members = [(sub.join(part), n + colength[part.key])
                    for sub, n in members for part in subs]
     return sorted(members, key=lambda m: m[0].key)
+
+
+def _is_cyclic(component: Subgroup) -> bool:
+    """Whether a primary component R_p = ⊕_i m_i·Z/d_i is cyclic: its
+    diagonal key has one row that is not zero in R, the one nontrivial
+    coordinate, so its basis is that one row, a generator."""
+    return len(component.basis) == 1
+
+
+def _cyclic_chain(ring: FiniteRing, p: int, component: Subgroup) -> list[Subgroup]:
+    """[R_p, p·R_p, p²·R_p, …, 0] for a cyclic R_p: its sided ideals, the
+    j-th of colength j (module docstring)."""
+    g, chain = component.basis[0], [component]
+    while not chain[-1].is_zero():
+        g = ring.smul(p, g)
+        chain.append(Subgroup.from_generators(ring.additive, [g]))
+    return chain
 
 
 def _component_elements(ring: FiniteRing, p: int):

@@ -1,7 +1,8 @@
 """What a cold context computes again, done with less work.
 
 Both radicals walk the principal left ideals R¹x of the primary components
-of R, one coset of the part found so far at a time, and differ only in the
+of R that are not cyclic, one coset of the part found so far at a time, and
+decide a cyclic component R_p by one test of R_p; they differ only in the
 test each ideal gets: nilpotency for the prime radical (x ∈ N(R) iff R¹x
 is nilpotent) and quasi-regularity of every member, by circle powers, for
 the Jacobson radical.  A given identity is checked on the generators
@@ -27,6 +28,7 @@ from ringinv.radicals import (
 )
 from ringinv.ring_core import (
     LEFT,
+    RIGHT,
     TWOSIDED,
     Ideal,
     NotUnital,
@@ -127,12 +129,16 @@ def test_mixed_rings_have_the_expected_radicals():
     assert prime_radical(mixed).sub == jacobson_radical(mixed).sub
 
 
-def test_walks_skip_the_cosets_of_the_part_found(monkeypatch):
-    """Z/4 × Z/7 has 28 elements and components Z/4 × 0 and 0 × Z/7.  In
-    Z/4, (1, 0) fails and (2, 0) passes; then the only coset of 2Z/4 left is
-    that of (1, 0), so (3, 0) is never asked.  F7 has no radical, so each of
-    its six nonzero elements is asked once."""
-    ring = fresh(mixed_rings()[0])
+def dual_numbers_times_z4():
+    """F3[ε] × Z/4 with ε² = 0, on the basis 1, ε, e: its 3-component
+    F3[ε] × 0 is not cyclic and has the radical F3·ε, and its 2-component
+    0 × Z/4 is cyclic."""
+    f3e = validate_ring((3, 3), [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], name="f3e")
+    return direct_product([f3e, cyclic_ring(4)], name="f3e_x_z4")
+
+
+def _asking(monkeypatch):
+    """The elements `radicals.principal_ideal` is asked for, in order."""
     asked = []
     real = radicals.principal_ideal
 
@@ -140,8 +146,48 @@ def test_walks_skip_the_cosets_of_the_part_found(monkeypatch):
         asked.append(x)
         return real(r, x, side)
     monkeypatch.setattr(radicals, "principal_ideal", counting)
-    jacobson_radical(ring)
-    assert asked == [(1, 0), (2, 0)] + [(0, k) for k in range(1, 7)]
+    return asked
+
+
+def test_walks_skip_the_cosets_of_the_part_found(monkeypatch):
+    """F3[ε] has 9 elements, walked in the order 0, ε, 2ε, 1, ….  ε passes
+    and F3·ε joins the radical; the cosets of F3·ε left are those of 1 and
+    2, both asked and both failing, so the other four elements of F3[ε],
+    1 + ε and the rest, are never asked.  The cyclic 0 × Z/4 asks
+    nothing."""
+    ring = fresh(dual_numbers_times_z4())
+    asked = _asking(monkeypatch)
+    assert sorted(jacobson_radical(ring).elements()) == sorted(
+        (0, k, 2 * m) for k in range(3) for m in range(2))
+    assert asked == [(0, 1, 0), (1, 0, 0), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("ring", [mixed_rings()[0], dual_numbers_times_z4(),
+                                  cyclic_ring(27), cyclic_ring(8, c=2),
+                                  direct_product([cyclic_ring(8), cyclic_ring(9)])],
+                         ids=lambda ring: ring.name)
+def test_cyclic_components_ask_no_principal_ideal(ring, monkeypatch):
+    """A cyclic primary component is decided by one test of R_p for each
+    radical and gives its chain to the lattices: Z/4 × Z/7, Z/27, Z/8 with
+    e·e = 2e and Z/8 × Z/9 ask `principal_ideal` nothing, and F3[ε] × Z/4
+    asks only for elements of its non-cyclic F3[ε]; only that ring makes a
+    join closure."""
+    ring = fresh(ring)
+    asked, joins = _asking(monkeypatch), []
+    real = radicals.join_closure
+
+    def joining(*args, **kwargs):
+        joins.append(ring.name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(radicals, "join_closure", joining)
+    radical_profile(ring)
+    for side in (LEFT, RIGHT, TWOSIDED):
+        for ideal in radicals.enumerate_ideals(ring, side)[0]:
+            radicals.quotient_length(ring, side, ideal.sub)
+    cyclic = [c for _, c in ring.primary_components() if radicals._is_cyclic(c)]
+    assert cyclic
+    assert not any(c.contains(x) and any(x) for x in asked for c in cyclic)
+    assert bool(asked) == bool(joins) == (ring.name == "f3e_x_z4")
 
 
 def triangular_ring(n):

@@ -5,8 +5,10 @@ of R is ⊕_p I_p with I_p a sided ideal of R in R_p, and len(R/I) is
 Σ_p len(R_p/I_p).  `radicals.enumerate_ideals` closes the principal ideals
 of each R_p on its own and joins one member of each; the closure over every
 element of R runs when a component lattice or the product outgrows
-`caps.ideal_count`, and on a ring with one primary component, where it is
-that component's closure and runs once.  Each lattice is compared here with that closure
+`caps.ideal_count`, and on a ring with one primary component that is not
+cyclic, where it is that component's closure and runs once (a cyclic
+component's lattice is its chain p^j·R_p, `tests/test_cyclic_components.py`).
+Each lattice is compared here with that closure
 (`oracles.whole_ring_lattice`) and each colength with `chain_length`, on
 the named catalog, `random_instances(100, s)` for two seeds, the ladder
 rings and three hand-built rings with two or three primes; the whole-ring
