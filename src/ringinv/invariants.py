@@ -141,6 +141,39 @@ class GActionContext:
     data (bad primes, splittings, invariant ideals, the ideal correspondence
     with the fixed ring) is derived lazily and keyed by the caps that shaped
     it.
+
+    `trivial` is |G| = 1.  Then the ideal correspondence is the identity
+    (Montgomery, LNM 818, 1980), and five scans return their result from
+    these identities instead of looping (`_scan_proper_splitting`,
+    `_trace_scan`, and in `theorems` `_c6_scan`, `_chk_lem_b6` and
+    `_udim_bounds_clause`); every other path, and every path under G ≠ 1,
+    runs as it stands.  Write S for the fixed-ring image (`fixed_image`),
+    with maps project: R^G → S and lift: S → R^G.
+    - R^G = R: the one element of G is the identity map, so it fixes every
+      element.  So `meet(I)` = I ∩ R = I for every subgroup I.
+    - S is R itself or a full-order copy of R in other coordinates, and
+      project is a ring isomorphism R → S with inverse lift
+      (`SubringView.image`: `_own_image`, or `Coordinates.check`).  So
+      `restrict(I)` = project(I), and for a sided ideal j of S, lift(j) is
+      a sided ideal of R, which is the ideal `extend(j)` generates:
+      `extend(j)` = lift(j) and `restrict(extend(j))` = j.
+    - t(x) = Σ_{g ∈ G} g(x) = x, so the trace image of a subgroup is the
+      subgroup itself.
+    - A splitting R = R^G ⊕ B has |B| = |R|/|R^G| = 1, so B = 0 and its
+      projection e, the identity on R^G = R, is the identity map.
+    - S's lattice is exhaustive exactly when R's is.  An isomorphism maps
+      the sided ideals of R onto those of S with their sizes, the principal
+      ones onto the principal ones and each primary component's onto the
+      component's.  Exactness reads the order.  `join_closure` gives up
+      only on a join it has not found while it holds `caps.ideal_count`
+      members, so its flag says whether the joins of the principal ideals
+      number at most the cap or are those ideals; `_product_lattice` reads
+      the same counts per component (`radicals.enumerate_ideals`).  Under
+      G = 1 every ideal is invariant and an orbit is one point, so
+      `invariant_ideals` is R's lattice, or the same closure of R's
+      principal ideals, exhaustive exactly when R's lattice is.
+    A test sets `trivial` to False on a G = 1 context to force the loops,
+    and holds the two paths to the same report bytes.
     """
 
     def __init__(self, ring: FiniteRing, group: AutomorphismGroup,
@@ -150,6 +183,7 @@ class GActionContext:
         self.ring = ring
         self.group = group
         self.n = group.order
+        self.trivial = group.order == 1
         self.ring_name = ring_name or ring.name
         self.group_name = group_name or f"G{group.order}"
         self.fixed = fixed_ring(ring, group)
@@ -431,8 +465,14 @@ def is_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
 
 def _scan_proper_splitting(ctx: GActionContext, sd: SplittingData, side: str,
                            caps: Caps) -> ProperSplittingReport:
+    """Under G = 1, e is the identity and R^G = R (`GActionContext`), so
+    e(I) = I = I ∩ R^G for every ideal: the scan holds with equality, and
+    is only capped when the invariant lattice is not exhaustive."""
     ring = ctx.ring
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
+    if ctx.trivial:
+        return ProperSplittingReport(status="yes" if exhaustive else "capped",
+                                     witness=None, equality_holds=True)
     equality = True
     for ideal in ideals:
         e_image = Subgroup.from_generators(
@@ -521,13 +561,16 @@ def degenerate_trace_ideal(ctx: GActionContext, caps: Caps, powers: bool):
 def _trace_scan(ctx: GActionContext, side: str, caps: Caps, powers: bool):
     """(ideal, d, capped) of `degenerate_trace_ideal` over the `side` ideals.
     Each ideal's trace image is memoized on the context by its key, so the
-    scans of C1_5 and N2 compute it once between them."""
+    scans of C1_5 and N2 compute it once between them.  Under G = 1, t is
+    the identity (`GActionContext`), so the trace image of I is I itself,
+    with no trace taken and nothing memoized."""
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
     capped = not exhaustive
     for ideal in ideals:
         if ideal.is_zero():
             continue
-        t_img = ctx._cached(("trace_image", ideal.key), lambda: ctx.trace_image(ideal.basis))
+        t_img = ideal.sub if ctx.trivial else ctx._cached(
+            ("trace_image", ideal.key), lambda: ctx.trace_image(ideal.basis))
         if t_img.is_zero():
             return ideal, 1, capped
         if powers:

@@ -27,6 +27,7 @@ from .invariants import (
 from .radicals import (
     enumerate_ideals,
     exact_lattice,
+    exhaustive_ideals,
     jacobson_radical,
     nilpotency_index,
     prime_radical,
@@ -439,13 +440,21 @@ def _trace_clause(ctx: GActionContext, caps: Caps, cond: str, label: str,
 
 
 def _udim_bounds_clause(ctx: GActionContext, caps: Caps) -> Clause:
+    """udim of R and of S, R^G's image, on both sides.
+
+    Under G = 1, S is R or a copy of R (`GActionContext`), and an exhaustive
+    certificate is the socle length, which a ring isomorphism keeps: S
+    takes R's.  A sampled certificate is a greedy family drawn on the
+    ring's own elements, which differ on a copy, so S's is drawn on S.
+    """
     ring = ctx.ring
     image = ctx.fixed_image()
     values = {}
     capped = False
     for side in (LEFT, RIGHT):
         cert_r = uniform_dimension(ring, side, caps)
-        cert_s = uniform_dimension(image.ring, side, caps)
+        cert_s = (cert_r if ctx.trivial and cert_r.maximality == "exhaustive"
+                  else uniform_dimension(image.ring, side, caps))
         values[side] = {"ring": cert_r.value, "fixed": cert_s.value,
                         "ring_flag": cert_r.maximality,
                         "fixed_flag": cert_s.maximality}
@@ -791,27 +800,43 @@ def _chk_lem_a6(ctx: GActionContext, caps: Caps):
 
 
 def _chk_lem_b6(ctx: GActionContext, caps: Caps):
+    """Extension then restriction over the sided ideals j of S, R^G's image.
+
+    Under G = 1 (`GActionContext`) restrict(extend(j)) = project(lift(j)) =
+    j, and |S/j| = |R/lift(j)|, so both lengths are cut off by
+    `caps.module_order` or neither is, and then they are equal.  Only the
+    capped flags remain: whether the lattice is exhaustive, which it is on
+    S exactly when on R, and `module_order` against the ideal sizes, which
+    an exhaustive lattice has the same on S and on R.
+    """
     clause, found = _splitting_exists_clause(ctx, caps)
     hyps = [clause]
-    image = ctx.fixed_image()
     er_status = HOLDS
     er_witness = None
     length = HOLDS, None
     capped = False
-    for side in (LEFT, RIGHT):
-        ideals, exhaustive = enumerate_ideals(image.ring, side, caps)
-        capped = capped or not exhaustive
-        for j in ideals:
-            j_e = ctx.extend(j.sub, side)
-            back = ctx.restrict(j_e.sub)
-            if back != j.sub:
-                er_status = FAILS
-                er_witness = {"side": side, "ideal": j, "restriction": back}
+    if ctx.trivial:
+        for side in (LEFT, RIGHT):
+            ideals = exhaustive_ideals(ctx.ring, side, caps)
+            capped = capped or ideals is None
+            if ideals and any(ctx.ring.order // j.size > caps.module_order for j in ideals):
+                length = CAPPED, None
+    else:
+        image = ctx.fixed_image()
+        for side in (LEFT, RIGHT):
+            ideals, exhaustive = enumerate_ideals(image.ring, side, caps)
+            capped = capped or not exhaustive
+            for j in ideals:
+                j_e = ctx.extend(j.sub, side)
+                back = ctx.restrict(j_e.sub)
+                if back != j.sub:
+                    er_status = FAILS
+                    er_witness = {"side": side, "ideal": j, "restriction": back}
+                    break
+                length = _length_comparison(ctx, side, j.sub, j_e.sub, caps, length,
+                                            {"side": side, "ideal": j})
+            if er_status == FAILS:
                 break
-            length = _length_comparison(ctx, side, j.sub, j_e.sub, caps, length,
-                                        {"side": side, "ideal": j})
-        if er_status == FAILS:
-            break
     concls = [
         Clause("restriction-identity",
                "extension then restriction is the identity on fixed-ring "
@@ -859,9 +884,25 @@ def _c6_clauses(ctx: GActionContext, sd, side: str, caps: Caps, tag: str):
 
 def _c6_scan(ctx: GActionContext, sd, side: str, caps: Caps):
     """(capped, the (status, witness) of the decomposition, lattice-injection
-    and length clauses) over the invariant `side` ideals of R."""
-    image = ctx.fixed_image()
+    and length clauses) over the invariant `side` ideals of R.
+
+    Under G = 1 (`GActionContext`: B = 0, meet the identity, restrict =
+    project and extend = lift) the three clauses are decided
+    with no loop:
+    - decomposition: I = (I ∩ R^G) ⊕ (I ∩ B) = I ⊕ 0;
+    - injection: if project(I) ⊆ j, then I ⊆ lift(j), so extend(j) + I =
+      lift(j), which restricts back to j;
+    - length: |S/project(I)| = |R/I|, so `quotient_length` gives None on
+      both sides or the same length on both, as project is an isomorphism:
+      it never fails, and is capped when |R|/|I| > `caps.module_order`;
+    - capped: S's lattice is exhaustive exactly when R's invariant one is.
+    """
     ideals, exhaustive = ctx.invariant_ideals(side, caps)
+    if ctx.trivial:
+        length = CAPPED if any(ctx.ring.order // ideal.size > caps.module_order
+                               for ideal in ideals) else HOLDS
+        return not exhaustive, ((HOLDS, None), (HOLDS, None), (length, None))
+    image = ctx.fixed_image()
     fixed_ideals, f_exhaustive = enumerate_ideals(image.ring, side, caps)
     capped = not (exhaustive and f_exhaustive)
     dec_status, dec_witness = HOLDS, None

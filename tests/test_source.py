@@ -273,3 +273,63 @@ def _chk(ctx, caps):
     d = ctx._cached("d", lambda: (1, None))
 '''
     assert sorted(memoized_clause_builders(bad)) == [6, 7, 10]
+
+
+# the scans that decide their result under G = 1 from the identities proved
+# in `GActionContext`'s docstring, each held to its general loop by
+# `tests/test_trivial_action.py`
+TRIVIAL_READERS = {
+    "invariants._scan_proper_splitting", "invariants._trace_scan",
+    "theorems._c6_scan", "theorems._chk_lem_b6", "theorems._udim_bounds_clause"}
+
+
+def _owners(tree):
+    """(qualified name, node) of each top-level statement, a top-level
+    class giving one per member instead."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for node in stmt.body:
+                yield f"{stmt.name}.{getattr(node, 'name', '<body>')}", node
+        else:
+            yield getattr(stmt, "name", "<module>"), stmt
+
+
+def trivial_readers(sources=None) -> set:
+    """"module.function" (or "module.Class.method") of every top-level
+    definition that reads an attribute named `trivial`, in the package or
+    in `sources`, a dict of module name to source text."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    return {f"{module}.{name}" for module, source in sources.items()
+            for name, owner in _owners(ast.parse(source))
+            if any(isinstance(node, ast.Attribute) and node.attr == "trivial"
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(owner))}
+
+
+def test_trivial_is_read_only_by_the_five_scans():
+    """A new shortcut under G = 1 comes with its proof and its oracle test:
+    `GActionContext.trivial` is set in `__init__` and read nowhere else."""
+    assert trivial_readers() == TRIVIAL_READERS
+
+
+def test_the_trivial_rule_catches_a_sixth_reader():
+    bad = {"theorems": """
+def _c6_scan(ctx, sd, side, caps):
+    if ctx.trivial:
+        return None
+
+def _sixth(ctx):
+    return [x for x in (ctx.trivial,)]
+
+def _writer(ctx):
+    ctx.trivial = False
+""", "invariants": """
+class GActionContext:
+    def __init__(self, group):
+        self.trivial = group.order == 1
+
+    def scan(self):
+        return self.trivial or None
+"""}
+    assert trivial_readers(bad) == {"theorems._c6_scan", "theorems._sixth",
+                                    "invariants.GActionContext.scan"}
